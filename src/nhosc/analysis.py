@@ -95,10 +95,10 @@ def isospectral_report(
     report_tol: float = DEFAULT_REPORT_TOL,
 ) -> IsospectralReport:
     """Build, solve and compare against the analytic reference levels."""
-    regime = classify_regime(params)
-    if regime.regime is not Regime.REAL_SPECTRUM:
-        raise ValueError("isospectral report undefined in the broken regime")
+    # build first, so that a float64 overflow is reported as such
     h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
+    if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
+        raise ValueError("isospectral report undefined in the broken regime")
     spec = sort_spectrum(eigenvalues(h), SortOrder.RE_THEN_IM)
     classified = classify(spec)
     is_real = real_mask(spec.values, spec.classify_tol, 1e-10)

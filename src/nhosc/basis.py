@@ -1,15 +1,15 @@
 """Truncated Fock-basis operator matrices and commutator checks.
 
 All operators act on the N-dimensional truncation of the harmonic
-oscillator number basis (hbar = m = 1 units).  Matrices are dense
-complex arrays wrapped in :class:`OperatorMatrix`; construction is the
-only place entries are written, after which they are frozen.
+oscillator number basis (hbar = m = 1 units).  The operators x, p, y and
+z are dense complex arrays wrapped in :class:`OperatorMatrix`, frozen on
+construction; the Hamiltonian is not built from them (see model).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +74,9 @@ class TransformParams:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense square complex matrix with an exact-realness marker.
-
-    realness_flag is True iff every imaginary part is exactly zero; the
-    real part can then be extracted without loss via real_entries().
-    """
+    """Dense square complex matrix of a basis operator, frozen on construction."""
 
     entries: np.ndarray
-    realness_flag: bool = field(default=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.complex128)
@@ -89,17 +84,10 @@ class OperatorMatrix:
             raise ValueError(f"entries must be square, got shape {e.shape}")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "realness_flag", bool(np.all(e.imag == 0.0)))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def real_entries(self) -> np.ndarray:
-        """Exact real part; only valid when realness_flag is set."""
-        if not self.realness_flag:
-            raise ValueError("matrix has nonzero imaginary entries")
-        return self.entries.real
 
 
 @dataclass(frozen=True)
@@ -174,11 +162,17 @@ def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> Co
     n_dim-1 diagonal entries deviate from 1, the value of the last
     diagonal entry (the truncation defect, ideally 1 - n_dim), and the
     largest off-diagonal magnitude.  The s^2 division makes the report
-    independent of the length scale.
+    independent of the length scale.  Raises ValueError when the
+    normaliser (1+LR) s^2 or the commutator leaves the float64 range.
     """
+    norm = (1.0 + params.l_coef * params.r_coef) * basis.scale * basis.scale
     y = transformed_momentum(basis, params)
     z = transformed_position(basis, params)
-    c = commutator(z, y).entries / (1j * (1.0 + params.l_coef * params.r_coef) * basis.scale**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = commutator(z, y).entries
+    if not (math.isfinite(norm) and norm != 0.0 and np.isfinite(c).all()):
+        raise ValueError(f"commutator check overflows float64 or underflows ((1+LR) s^2 = {norm})")
+    c = c / (1j * norm)
     diag = c.diagonal()
     off = c - np.diag(diag)
     n = basis.n_dim

@@ -185,7 +185,7 @@ def _resolve_table(ns, command: Command) -> dict:
             l_coef=l_coef,
             r_coef=0.0,
             a_coef=1.0,
-            b_coef=math.sqrt(w_cap**2 + l_coef**2),
+            b_coef=math.hypot(w_cap, l_coef),
         )
         default_freq = w_cap
     else:
@@ -196,7 +196,7 @@ def _resolve_table(ns, command: Command) -> dict:
         coefs = dict(
             l_coef=0.0,
             r_coef=r_coef,
-            a_coef=math.sqrt(w_cap**2 + r_coef**2),
+            a_coef=math.hypot(w_cap, r_coef),
             b_coef=1.0,
         )
         default_freq = 1.0 / w_cap
@@ -270,8 +270,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             sweep_values = tuple(float(tok) for tok in ns.values.split(",") if tok)
         except ValueError as exc:
             raise ConfigError(f"--values expects comma-separated numbers, got {ns.values!r}") from exc
-        if not sweep_values:
-            raise ConfigError("--values must contain at least one number")
+        if not sweep_values or not all(math.isfinite(v) for v in sweep_values):
+            raise ConfigError(f"--values must be one or more finite numbers, got {ns.values!r}")
         if command is Command.SWEEP_N and any(v != int(v) or v < 2 for v in sweep_values):
             raise ConfigError("sweep-n values must be integers >= 2")
 
@@ -479,7 +479,9 @@ def _render_commutator(config: RunConfig) -> RenderedReport:
 def _render_duality(config: RunConfig) -> RenderedReport:
     distance = duality_check(config.params, config.basis)
     h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
-    h_norm = float(np.linalg.norm(h.entries.real))
+    h_norm = float(np.linalg.norm(h))
+    # H = 0 (A = B = 0, or s so small that H underflows) has no relative distance
+    rel = f"{distance / h_norm:.3e}" if h_norm > 0.0 else "-"
     dual = dual_params(config.params)
     lines = [
         (
@@ -490,7 +492,7 @@ def _render_duality(config: RunConfig) -> RenderedReport:
             f"B={_fmt2(dual.b_coef)}, w={_fmt2(1.0 / config.freq)})"
         ),
         f"max eigenvalue multiset distance: {distance:.6e}",
-        f"hamiltonian norm: {h_norm:.6e} (distance/norm = {distance / h_norm:.3e})",
+        f"hamiltonian norm: {h_norm:.6e} (distance/norm = {rel})",
     ]
     json_obj = {
         "config": _config_echo(config),

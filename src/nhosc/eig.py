@@ -15,8 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import OperatorMatrix
-
 __all__ = [
     "EigensolverError",
     "ConvergenceError",
@@ -51,7 +49,6 @@ class ConvergenceError(EigensolverError):
 
 class SortOrder(Enum):
     RE_THEN_IM = "ReThenIm"
-    MODULUS_THEN_PHASE = "ModulusThenPhase"
 
 
 @dataclass(frozen=True)
@@ -91,16 +88,12 @@ class ClassifiedSpectrum:
 
 
 def _as_real_array(m) -> np.ndarray:
-    """Real float64 view of an OperatorMatrix or array-like; rejects complex input."""
-    if isinstance(m, OperatorMatrix):
-        return m.real_entries().astype(np.float64, copy=False)
+    """Real float64 view of a square array-like; rejects complex input."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if np.iscomplexobj(a):
-        if np.any(a.imag != 0.0):
-            raise ValueError("complex matrices are not supported by this solver")
-        a = a.real
+        raise ValueError("complex matrices are not supported by this solver")
     return a.astype(np.float64, copy=False)
 
 
@@ -329,19 +322,11 @@ def eigenvalues(m, max_sweeps: int | None = None) -> Spectrum:
 
 
 def sort_spectrum(s: Spectrum, order: SortOrder) -> Spectrum:
-    """Stable reordering of the spectrum.
-
-    RE_THEN_IM: ascending real part, ties by imaginary part (canonical
-    for level-indexed reports).  MODULUS_THEN_PHASE: ascending modulus,
-    ties by phase angle, reproducing the reference listing convention.
-    """
-    v = s.values
-    if order is SortOrder.RE_THEN_IM:
-        idx = np.lexsort((v.imag, v.real))
-    elif order is SortOrder.MODULUS_THEN_PHASE:
-        idx = np.lexsort((np.angle(v), np.abs(v)))
-    else:
+    """Stable reordering by ascending real part, ties by imaginary part (RE_THEN_IM)."""
+    if order is not SortOrder.RE_THEN_IM:
         raise ValueError(f"unknown sort order {order!r}")
+    v = s.values
+    idx = np.lexsort((v.imag, v.real))
     return Spectrum(values=v[idx], sort_order=order, classify_tol=s.classify_tol)
 
 

@@ -1,21 +1,16 @@
-"""General non-Hermitian quadratic oscillator: builder, variational frequency,
-regime classification and the analytic reference spectrum."""
+"""General non-Hermitian quadratic oscillator: real banded Hamiltonian builder,
+variational frequency, regime classification and the analytic reference spectrum."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    OperatorMatrix,
-    TransformParams,
-    transformed_momentum,
-    transformed_position,
-)
+from .basis import BasisSpec, TransformParams
+from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py looks it up here)
 
 __all__ = [
     "HamiltonianSpec",
@@ -36,10 +31,6 @@ class HamiltonianSpec:
 
     params: TransformParams
     basis: BasisSpec
-    norm_c: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "norm_c", self.params.norm_c)
 
 
 @dataclass(frozen=True)
@@ -47,7 +38,7 @@ class VariationalResult:
     """Oscillation frequency minimizing the diagonal expectation.
 
     w_v is None when the ratio (B^2 - L^2 A^2) / (A^2 - R^2 B^2) is not
-    positive (no stationary positive frequency exists).
+    a positive finite number (no stationary positive frequency exists).
     """
 
     w_v: float | None
@@ -77,38 +68,64 @@ class RegimeReport:
     ab_plus_csq: float
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> OperatorMatrix:
-    """Assemble H = C (A^2 y^2 + B^2 z^2) in the truncated basis.
+def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal, +2 and -2 bands of H, its only nonzero ones.
 
-    y is purely imaginary and z purely real for real parameters, so the
-    result is exactly real (realness_flag set) despite the complex
-    intermediates.
+    With p = iP: y = iY and z = Z for the real tridiagonals Y = P + Lx and
+    Z = x - RP, so H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal tridiagonal
+    with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
+    on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at
+    (k, k+2), u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises
+    ValueError when a band entry or |H|_F overflows float64.
     """
-    params = spec.params
-    y = transformed_momentum(spec.basis, params).entries
-    z = transformed_position(spec.basis, params).entries
-    h = spec.norm_c * (params.a_coef**2 * (y @ y) + params.b_coef**2 * (z @ z))
-    return OperatorMatrix(h)
+    params, basis = spec.params, spec.basis
+    alpha = basis.scale / math.sqrt(2.0 * basis.freq)
+    beta = basis.scale * math.sqrt(basis.freq / 2.0)
+    u_y, v_y = beta + params.l_coef * alpha, params.l_coef * alpha - beta
+    u_z, v_z = alpha - params.r_coef * beta, alpha + params.r_coef * beta
+    a2, b2, c = params.a_coef * params.a_coef, params.b_coef * params.b_coef, params.norm_c
+    levels = np.append(2.0 * np.arange(basis.n_dim - 1) + 1.0, basis.n_dim - 1)
+    pairs = np.sqrt(np.arange(1.0, basis.n_dim - 1) * np.arange(2.0, basis.n_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = c * (b2 * (u_z * v_z * levels) - a2 * (u_y * v_y * levels))
+        upper = c * (b2 * (v_z * v_z * pairs) - a2 * (v_y * v_y * pairs))
+        lower = c * (b2 * (u_z * u_z * pairs) - a2 * (u_y * u_y * pairs))
+        norm = float(np.linalg.norm(np.concatenate((diag, upper, lower))))
+    if not math.isfinite(norm):
+        raise ValueError(f"H overflows float64 (|H|_F = {norm}) for {params}, {basis}")
+    return diag, upper, lower
+
+
+def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
+    """H = C[A^2 y^2 + B^2 z^2] as a read-only real float64 array, written from its bands."""
+    diag, upper, lower = _bands(spec)
+    h = np.zeros((spec.basis.n_dim, spec.basis.n_dim))
+    np.fill_diagonal(h, diag)
+    np.fill_diagonal(h[:, 2:], upper)
+    np.fill_diagonal(h[2:, :], lower)
+    h.setflags(write=False)
+    return h
 
 
 def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -> float:
     """Diagonal entry (level, level) of the Hamiltonian built at basis frequency trial_freq.
 
-    For interior levels this equals C[(A^2-R^2B^2)(n+1/2)w + (B^2-L^2A^2)(n+1/2)/w];
+    For interior levels this equals C s^2 (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w];
     the cross term contributes nothing on the diagonal.
     """
     if not 0 <= level < spec.basis.n_dim:
         raise IndexError(f"level {level} outside basis of dimension {spec.basis.n_dim}")
     basis = BasisSpec(n_dim=spec.basis.n_dim, freq=trial_freq, scale=spec.basis.scale)
-    h = build_hamiltonian(HamiltonianSpec(params=spec.params, basis=basis))
-    return float(h.entries[level, level].real)
+    return float(_bands(HamiltonianSpec(params=spec.params, basis=basis))[0][level])
 
 
 def variational_frequency(params: TransformParams) -> VariationalResult:
     """Stationary basis frequency sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2))."""
-    num = params.b_coef**2 - params.l_coef**2 * params.a_coef**2
-    den = params.a_coef**2 - params.r_coef**2 * params.b_coef**2
-    if den == 0.0 or num / den <= 0.0:
+    # products, not **: float64 overflow then gives inf/nan instead of OverflowError
+    a2, b2 = params.a_coef * params.a_coef, params.b_coef * params.b_coef
+    num = b2 - params.l_coef * params.l_coef * a2
+    den = a2 - params.r_coef * params.r_coef * b2
+    if den == 0.0 or not 0.0 < num / den < math.inf:
         return VariationalResult(w_v=None, numerator=num, denominator=den)
     return VariationalResult(w_v=math.sqrt(num / den), numerator=num, denominator=den)
 
@@ -116,10 +133,9 @@ def variational_frequency(params: TransformParams) -> VariationalResult:
 def classify_regime(params: TransformParams) -> RegimeReport:
     """Expand the quadratic family and classify reality of its spectrum."""
     c_norm = params.norm_c
-    a2 = params.a_coef**2
-    b2 = params.b_coef**2
-    coef_p2 = c_norm * (a2 - params.r_coef**2 * b2)
-    coef_x2 = c_norm * (b2 - params.l_coef**2 * a2)
+    a2, b2 = params.a_coef * params.a_coef, params.b_coef * params.b_coef
+    coef_p2 = c_norm * (a2 - params.r_coef * params.r_coef * b2)
+    coef_x2 = c_norm * (b2 - params.l_coef * params.l_coef * a2)
     coef_cross = c_norm * (params.l_coef * a2 + params.r_coef * b2)
     regime = Regime.REAL_SPECTRUM if coef_p2 > 0.0 and coef_x2 > 0.0 else Regime.BROKEN
     return RegimeReport(
@@ -127,7 +143,7 @@ def classify_regime(params: TransformParams) -> RegimeReport:
         coef_x2=coef_x2,
         coef_cross=coef_cross,
         regime=regime,
-        ab_plus_csq=coef_p2 * coef_x2 + coef_cross**2,
+        ab_plus_csq=coef_p2 * coef_x2 + coef_cross * coef_cross,
     )
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import nhosc.eig
 from nhosc import EigensolverError
 from nhosc.cli import (
     Command,
@@ -78,6 +83,12 @@ class TestParseConfig:
         assert config.sweep_values == (2.0, 4.0, 8.0)
         with pytest.raises(ConfigError):
             parse_config(["sweep-n", "--values", "1,10"])
+
+    @pytest.mark.parametrize("command", ["sweep-w", "sweep-n"])
+    @pytest.mark.parametrize("values", ["4,nan", "inf", "2,-inf"])
+    def test_non_finite_sweep_values(self, command, values):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config([command, "--values", values])
 
     def test_singular_normalization(self):
         with pytest.raises(ConfigError):
@@ -222,3 +233,65 @@ class TestMainExitCodes:
         code = main(["spectrum", "--N", "6", "--format", "json", "--out", str(bad_path)])
         assert code == 4
         assert "i/o failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --s 1e300",
+            "spectrum --w 1e-300",
+            "spectrum --w 1e300",
+            "spectrum --A 1e200",
+            "spectrum --L 1e200 --R 1e200",
+            "commutator-check --s 1e300",
+            "commutator-check --s 1e-300",
+            "commutator-check --L 1e300 --w 1e-10",
+            "table1 --W 1e300",
+            "table1 --W 4 --L 1e300",
+        ],
+    )
+    def test_float64_overflow_is_config_error(self, argv, monkeypatch, capsys):
+        def no_qr(*args):
+            pytest.fail("QR ran on an overflowed matrix")
+
+        monkeypatch.setattr(nhosc.eig, "_francis_qr", no_qr)
+        assert main(argv.split() + ["--N", "10"]) == 2
+        assert "overflows float64" in capsys.readouterr().err
+
+    def test_duality_of_zero_hamiltonian(self, capsys):
+        assert main(["duality", "--A", "0", "--B", "0", "--N", "6"]) == 0
+        assert "distance/norm = -" in capsys.readouterr().out
+
+
+_COMMANDS = ["commutator-check", "spectrum", "table1", "table2", "sweep-w", "sweep-n", "duality"]
+_SPECIAL = [0.0, -1.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), float("-inf")]
+_NUMBERS = st.one_of(st.floats(-20.0, 20.0), st.sampled_from(_SPECIAL))
+# sweep-n values are basis sizes: only small ones, or ones parse_config rejects
+_SIZES = st.one_of(st.integers(2, 12).map(float), st.sampled_from([0.0, -3.0, 2.5, *_SPECIAL[4:]]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command, f"--N={draw(st.integers(2, 12))}"]
+    for flag in draw(st.sets(st.sampled_from(["s", "w", "L", "R", "A", "B", "W", "count"]))):
+        if flag == "count":
+            value = draw(st.integers(0, 14))
+        elif flag == "w":
+            value = draw(st.one_of(st.just("auto"), _NUMBERS))
+        else:
+            value = draw(_NUMBERS)
+        argv.append(f"--{flag}={value}")
+    if command.startswith("sweep"):
+        values = st.lists(_SIZES if command == "sweep-n" else _NUMBERS, min_size=1, max_size=3)
+        argv.append("--values=" + ",".join(str(v) for v in draw(values)))
+    argv.append(f"--format={draw(st.sampled_from(['text', 'csv', 'json']))}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_exit_code_property(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)

@@ -13,8 +13,12 @@ from nhosc import (
     diagonal_expectation,
     eigenvalues,
     position_matrix,
+    transformed_momentum,
+    transformed_position,
     variational_frequency,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def hermitian_equivalent(params, n_dim):
@@ -61,7 +65,7 @@ class TestBuildHamiltonian:
         n = 12
         h = build_hamiltonian(
             HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=n))
-        ).entries.real
+        )
         expected = np.diag([2 * k + 1 for k in range(n - 1)] + [n - 1]).astype(float)
         np.testing.assert_allclose(h, expected, atol=1e-13)
 
@@ -69,9 +73,8 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(
             HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=100, freq=4.0))
         )
-        assert h.realness_flag
-        assert np.all(h.entries.imag == 0.0)
-        assert np.isreal(np.trace(h.entries))
+        assert h.dtype == np.float64
+        assert not h.flags.writeable
 
     def test_exactly_real_for_random_real_parameters(self):
         rng = np.random.default_rng(5)
@@ -86,16 +89,60 @@ class TestBuildHamiltonian:
                     basis=BasisSpec(n_dim=15, freq=rng.uniform(0.3, 3.0)),
                 )
             )
-            assert h.realness_flag
+            assert h.dtype == np.float64
 
     def test_norm_c_field(self):
-        spec = HamiltonianSpec(
-            params=TransformParams(l_coef=3.0, r_coef=4.0), basis=BasisSpec(n_dim=4)
-        )
-        np.testing.assert_allclose(spec.norm_c, 1.0 / 13.0)
+        np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
+
+    def test_matches_dense_complex_product(self):
+        # reference: C (A^2 y@y + B^2 z@z) from the complex shear matrices.
+        # |1+LR| >= 0.3 keeps away from the singular normalisation, where the
+        # two squares cancel and both builds lose ~1/|1+LR| of their accuracy.
+        rng = np.random.default_rng(2)
+        draws = 0
+        while draws < 25:
+            l_coef, r_coef = rng.uniform(-2.0, 2.0, size=2)
+            if abs(1.0 + l_coef * r_coef) < 0.3:
+                continue
+            draws += 1
+            params = TransformParams(l_coef, r_coef, *rng.uniform(0.2, 3.0, size=2))
+            basis = BasisSpec(
+                n_dim=int(rng.integers(2, 401)),
+                freq=float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))),
+                scale=float(rng.uniform(0.5, 2.0)),
+            )
+            y = transformed_momentum(basis, params).entries
+            z = transformed_position(basis, params).entries
+            ref = params.norm_c * (params.a_coef**2 * (y @ y) + params.b_coef**2 * (z @ z))
+            assert np.all(ref.imag == 0.0)
+            h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
+            assert np.abs(h - ref.real).max() <= 4 * EPS * np.linalg.norm(h)
 
 
 class TestDiagonalExpectation:
+    def test_equals_built_diagonal(self):
+        # every level, the truncation edge N-1 included
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            l_coef, r_coef = rng.uniform(-0.5, 0.5, size=2)
+            params = TransformParams(l_coef, r_coef, *rng.uniform(0.5, 2.0, size=2))
+            scale, w = rng.uniform(0.5, 2.0), rng.uniform(0.3, 4.0)
+            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30, scale=scale))
+            h = build_hamiltonian(
+                HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30, freq=w, scale=scale))
+            )
+            levels = [diagonal_expectation(spec, n, w) for n in range(30)]
+            np.testing.assert_array_equal(levels, np.diagonal(h))
+
+    def test_large_basis_needs_no_dense_matrix(self, table1_params):
+        # a dense H at this N would need 80 GB
+        n_dim = 100_000
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim))
+        np.testing.assert_allclose(diagonal_expectation(spec, 7, 4.0), 4.0 * 15, rtol=1e-13)
+        # truncation edge: (N-1) in place of 2n+1
+        edge = diagonal_expectation(spec, n_dim - 1, 4.0)
+        np.testing.assert_allclose(edge, 4.0 * (n_dim - 1), rtol=1e-13)
+
     def test_ground_state_untransformed(self):
         spec = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=10))
         np.testing.assert_allclose(diagonal_expectation(spec, 0, 1.0), 1.0, atol=1e-14)
@@ -158,6 +205,8 @@ class TestVariationalFrequency:
         # zero denominator
         res = variational_frequency(TransformParams(r_coef=1.0))
         assert res.w_v is None and res.denominator == 0.0
+        # float64 overflow of A^2: no ratio, and no OverflowError
+        assert variational_frequency(TransformParams(a_coef=1e200)).w_v is None
 
     def test_matches_regime_expansion(self):
         rng = np.random.default_rng(21)
@@ -233,7 +282,7 @@ class TestHermitianLimitSpectrum:
         n_dim = 30
         basis = BasisSpec(n_dim=n_dim, freq=variational_frequency(params).w_v)
         h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
-        np.testing.assert_array_equal(h.entries.real, h.entries.real.T)
+        np.testing.assert_array_equal(h, h.T)
         ev = np.sort(eigenvalues(h).values.real)
         levels = np.arange(n_dim // 2)
         np.testing.assert_allclose(
