@@ -17,8 +17,7 @@ from .analysis import (
     dual_params,
     duality_check,
     isospectral_report,
-    sweep_frequency,
-    sweep_truncation,
+    sweep,
 )
 from .basis import (
     BasisSpec,
@@ -37,7 +36,6 @@ from .eig import (
     ClassifiedSpectrum,
     ConvergenceError,
     EigensolverError,
-    SortOrder,
     Spectrum,
     balance,
     classify,
@@ -73,7 +71,6 @@ __all__ = [
     "RegimeReport",
     "Remark",
     "ReportRow",
-    "SortOrder",
     "Spectrum",
     "SweepPoint",
     "SweepResult",
@@ -96,8 +93,7 @@ __all__ = [
     "normalized_commutator_check",
     "position_matrix",
     "sort_spectrum",
-    "sweep_frequency",
-    "sweep_truncation",
+    "sweep",
     "transformed_momentum",
     "transformed_position",
     "variational_frequency",

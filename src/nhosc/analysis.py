@@ -3,20 +3,14 @@ and parameter sweeps over basis frequency and truncation size."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .basis import BasisSpec, TransformParams
-from .eig import (
-    EigensolverError,
-    SortOrder,
-    classify,
-    eigenvalues,
-    real_mask,
-    sort_spectrum,
-)
+from .eig import EigensolverError, classify, eigenvalues, real_mask, sort_spectrum
 from .model import HamiltonianSpec, Regime, build_hamiltonian, classify_regime
 
 __all__ = [
@@ -29,8 +23,7 @@ __all__ = [
     "isospectral_report",
     "duality_check",
     "dual_params",
-    "sweep_frequency",
-    "sweep_truncation",
+    "sweep",
 ]
 
 DEFAULT_REPORT_TOL = 1e-3
@@ -69,8 +62,10 @@ class IsospectralReport:
 
 
 class Axis(Enum):
-    BASIS_FREQUENCY = "BasisFrequency"
-    TRUNCATION_SIZE = "TruncationSize"
+    """Swept field of BasisSpec; the value is the field name."""
+
+    BASIS_FREQUENCY = "freq"
+    TRUNCATION_SIZE = "n_dim"
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ def isospectral_report(
     h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
     if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
         raise ValueError("isospectral report undefined in the broken regime")
-    spec = sort_spectrum(eigenvalues(h), SortOrder.RE_THEN_IM)
+    spec = sort_spectrum(eigenvalues(h))
     classified = classify(spec)
     is_real = real_mask(spec.values, spec.classify_tol, 1e-10)
     ab = params.a_coef * params.b_coef
@@ -146,8 +141,8 @@ def duality_check(params: TransformParams, basis: BasisSpec) -> float:
     h_a = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
     dual_basis = BasisSpec(n_dim=basis.n_dim, freq=1.0 / basis.freq, scale=basis.scale)
     h_b = build_hamiltonian(HamiltonianSpec(params=dual_params(params), basis=dual_basis))
-    ev_a = sort_spectrum(eigenvalues(h_a), SortOrder.RE_THEN_IM).values
-    ev_b = sort_spectrum(eigenvalues(h_b), SortOrder.RE_THEN_IM).values
+    ev_a = sort_spectrum(eigenvalues(h_a)).values
+    ev_b = sort_spectrum(eigenvalues(h_b)).values
     return float(np.abs(ev_a - ev_b).max())
 
 
@@ -165,47 +160,27 @@ def _summary_point(report: IsospectralReport, axis_value: float) -> SweepPoint:
     )
 
 
-def sweep_frequency(
+def sweep(
     params: TransformParams,
-    n_dim: int,
-    w_values: list[float],
+    basis: BasisSpec,
+    axis: Axis,
+    values: Sequence[float],
     report_tol: float = DEFAULT_REPORT_TOL,
-    scale: float = 1.0,
 ) -> SweepResult:
-    """One isospectral summary per basis frequency; per-point failures are recorded."""
-    if any(w <= 0.0 for w in w_values):
-        raise ValueError("basis frequencies must be positive")
+    """One isospectral summary per axis value, in ascending order.
+
+    Each point is `basis` with its `axis` field set to the value.  Every
+    point's BasisSpec is built before the first solve, so an invalid value
+    raises ValueError up front; a point whose solve fails is recorded in
+    `failures` and the sweep goes on.
+    """
+    grid = [(float(v), replace(basis, **{axis.value: v})) for v in sorted(values)]
     points: list[SweepPoint] = []
     failures: list[tuple[float, str]] = []
-    for w in sorted(w_values):
+    for value, point_basis in grid:
         try:
-            report = isospectral_report(
-                params, BasisSpec(n_dim=n_dim, freq=w, scale=scale), report_tol
-            )
-            points.append(_summary_point(report, w))
+            report = isospectral_report(params, point_basis, report_tol)
+            points.append(_summary_point(report, value))
         except (EigensolverError, ValueError) as exc:
-            failures.append((w, str(exc)))
-    return SweepResult(axis=Axis.BASIS_FREQUENCY, points=points, failures=failures)
-
-
-def sweep_truncation(
-    params: TransformParams,
-    w: float,
-    n_values: list[int],
-    report_tol: float = DEFAULT_REPORT_TOL,
-    scale: float = 1.0,
-) -> SweepResult:
-    """One isospectral summary per truncation size N."""
-    if any(n < 2 for n in n_values):
-        raise ValueError("truncation sizes must be >= 2")
-    points: list[SweepPoint] = []
-    failures: list[tuple[float, str]] = []
-    for n in sorted(n_values):
-        try:
-            report = isospectral_report(
-                params, BasisSpec(n_dim=n, freq=w, scale=scale), report_tol
-            )
-            points.append(_summary_point(report, float(n)))
-        except (EigensolverError, ValueError) as exc:
-            failures.append((float(n), str(exc)))
-    return SweepResult(axis=Axis.TRUNCATION_SIZE, points=points, failures=failures)
+            failures.append((value, str(exc)))
+    return SweepResult(axis=axis, points=points, failures=failures)

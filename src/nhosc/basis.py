@@ -37,8 +37,8 @@ class BasisSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_dim < 2:
-            raise ValueError(f"n_dim must be >= 2, got {self.n_dim}")
+        if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim < 2:
+            raise ValueError(f"n_dim must be an integer >= 2, got {self.n_dim!r}")
         if not (self.freq > 0.0) or not math.isfinite(self.freq):
             raise ValueError(f"freq must be positive and finite, got {self.freq}")
         if not (self.scale > 0.0) or not math.isfinite(self.scale):

@@ -16,17 +16,17 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_REPORT_TOL,
+    Axis,
     IsospectralReport,
     Remark,
     SweepResult,
     dual_params,
     duality_check,
     isospectral_report,
-    sweep_frequency,
-    sweep_truncation,
+    sweep,
 )
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
-from .eig import EigensolverError, SortOrder, classify, eigenvalues, sort_spectrum
+from .eig import EigensolverError, classify, eigenvalues, sort_spectrum
 from .model import HamiltonianSpec, build_hamiltonian, variational_frequency
 
 __all__ = [
@@ -34,13 +34,17 @@ __all__ = [
     "Format",
     "ConfigError",
     "RunConfig",
-    "RenderedReport",
-    "TableRow",
+    "Report",
+    "MAX_N",
     "parse_config",
     "run",
-    "export",
     "main",
 ]
+
+# Largest basis size accepted on the command line.  commutator-check, the
+# command with the most dense N x N arrays, takes about 85 bytes per matrix
+# entry and peaks near 350 MB at N = MAX_N.
+MAX_N = 2000
 
 
 class Command(Enum):
@@ -96,38 +100,18 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class RenderedReport:
-    """Report rendered once per output format plus the structured payload."""
+class Report:
+    """One command's result, rendered on demand by `render`.
+
+    `rows` is the CSV table and holds the same dicts as the JSON document
+    `doc`; their keys are the CSV header, which `fields` gives when the
+    table may be empty.
+    """
 
     text: str
-    json_obj: dict
-    csv_header: list[str]
-    csv_rows: list[list]
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """One line of the fixed-format text table (2-decimal complex rendering)."""
-
-    w_param: float | None
-    l_or_r: float
-    freq_used: float
-    computed: complex
-    epsilon: float
-    remark: str
-
-    def render(self) -> str:
-        w_col = "-" if self.w_param is None else _fmt2(self.w_param)
-        return " | ".join(
-            [
-                w_col,
-                _fmt2(self.l_or_r),
-                _fmt2(self.freq_used),
-                _fmt_value(self.computed),
-                _fmt2(self.epsilon),
-                self.remark,
-            ]
-        )
+    doc: dict
+    rows: list[dict]
+    fields: list[str] | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,6 +238,8 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     if ns.N < 2:
         raise ConfigError(f"--N must be >= 2, got {ns.N}")
+    if ns.N > MAX_N:
+        raise ConfigError(f"--N must be <= MAX_N = {MAX_N}, got {ns.N}")
     if ns.s <= 0.0:
         raise ConfigError(f"--s must be positive, got {ns.s}")
 
@@ -272,8 +258,10 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ConfigError(f"--values expects comma-separated numbers, got {ns.values!r}") from exc
         if not sweep_values or not all(math.isfinite(v) for v in sweep_values):
             raise ConfigError(f"--values must be one or more finite numbers, got {ns.values!r}")
-        if command is Command.SWEEP_N and any(v != int(v) or v < 2 for v in sweep_values):
-            raise ConfigError("sweep-n values must be integers >= 2")
+        if command is Command.SWEEP_N:
+            if any(v != int(v) or not 2 <= v <= MAX_N for v in sweep_values):
+                raise ConfigError(f"sweep-n values must be integers from 2 to MAX_N = {MAX_N}")
+            sweep_values = tuple(int(v) for v in sweep_values)
 
     return RunConfig(
         command=command,
@@ -296,7 +284,13 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _fmt2(x: float) -> str:
-    """Two-decimal display; integral values render bare."""
+    """Two-decimal display; integral values render bare.
+
+    From 1e16 on, past 2**53, every float is an integer whose trailing
+    digits carry no information, so the value renders in exponent form.
+    """
+    if abs(x) >= 1e16:
+        return f"{x:.2e}"
     rounded = round(x, 2)
     if rounded == int(rounded):
         return str(int(rounded))
@@ -365,35 +359,30 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def _remark_text(remark: Remark) -> str:
-    return "iso-spectra" if remark is Remark.ISO else "No iso-spectra"
+def _summary_line(summary: dict) -> str:
+    return "summary: " + " ".join(
+        f"{k}={'-' if v is None else v}" for k, v in summary.items()
+    )
 
 
-def _render_isospectral(report: IsospectralReport, config: RunConfig) -> RenderedReport:
+def _render_isospectral(report: IsospectralReport, config: RunConfig) -> Report:
     rows = report.rows[: config.print_count]
     if config.command is Command.TABLE_TWO:
         second_name, second_val = "R", config.r_coef
     else:
         second_name, second_val = "L", config.l_coef
+    prefix = f"{_fmt2(config.capital_w)} | {_fmt2(second_val)} | {_fmt2(config.freq)}"
     lines = [f"W | {second_name} | w | E_n -> H | eps_n | Remarks"]
     for r in rows:
-        lines.append(
-            TableRow(
-                w_param=config.capital_w,
-                l_or_r=second_val,
-                freq_used=config.freq,
-                computed=r.computed,
-                epsilon=r.epsilon,
-                remark=_remark_text(r.remark),
-            ).render()
-        )
-    n_real = len(report.rows) - 2 * report.n_complex_pairs
-    first_dev = report.first_deviation_index
-    lines.append(
-        f"summary: n_real={n_real} n_complex_pairs={report.n_complex_pairs} "
-        f"first_deviation_index={'-' if first_dev is None else first_dev}"
-    )
-    json_rows = [
+        remark = "iso-spectra" if r.remark is Remark.ISO else "No iso-spectra"
+        lines.append(f"{prefix} | {_fmt_value(r.computed)} | {_fmt2(r.epsilon)} | {remark}")
+    summary = {
+        "n_real": len(report.rows) - 2 * report.n_complex_pairs,
+        "n_complex_pairs": report.n_complex_pairs,
+        "first_deviation_index": report.first_deviation_index,
+    }
+    lines.append(_summary_line(summary))
+    table = [
         {
             "level": r.level,
             "epsilon_n": r.epsilon,
@@ -404,56 +393,24 @@ def _render_isospectral(report: IsospectralReport, config: RunConfig) -> Rendere
         }
         for r in rows
     ]
-    json_obj = {
-        "config": _config_echo(config),
-        "rows": json_rows,
-        "summary": {
-            "n_real": n_real,
-            "n_complex_pairs": report.n_complex_pairs,
-            "first_deviation_index": first_dev,
-        },
-    }
-    csv_rows = [
-        [r.level, r.epsilon, r.computed.real, r.computed.imag, r.abs_dev, r.remark.value]
-        for r in rows
-    ]
-    return RenderedReport(
-        text="\n".join(lines),
-        json_obj=json_obj,
-        csv_header=["level", "epsilon_n", "re", "im", "abs_dev", "remark"],
-        csv_rows=csv_rows,
-    )
+    doc = {"config": _config_echo(config), "rows": table, "summary": summary}
+    return Report("\n".join(lines), doc, table)
 
 
-def _render_spectrum(config: RunConfig) -> RenderedReport:
+def _render_spectrum(config: RunConfig) -> Report:
     h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
-    spec = sort_spectrum(eigenvalues(h), SortOrder.RE_THEN_IM)
+    spec = sort_spectrum(eigenvalues(h))
     classified = classify(spec)
     values = spec.values[: config.print_count]
-    lines = ["n | E_n -> H"]
-    for n, v in enumerate(values):
-        lines.append(f"{n} | {_fmt_value(v)}")
-    lines.append(
-        f"summary: n_real={classified.n_real} n_complex_pairs={classified.n_complex}"
-    )
-    json_obj = {
-        "config": _config_echo(config),
-        "values": [{"level": n, "re": v.real, "im": v.imag} for n, v in enumerate(values)],
-        "summary": {
-            "n_real": classified.n_real,
-            "n_complex_pairs": classified.n_complex,
-        },
-    }
-    csv_rows = [[n, v.real, v.imag] for n, v in enumerate(values)]
-    return RenderedReport(
-        text="\n".join(lines),
-        json_obj=json_obj,
-        csv_header=["level", "re", "im"],
-        csv_rows=csv_rows,
-    )
+    lines = ["n | E_n -> H"] + [f"{n} | {_fmt_value(v)}" for n, v in enumerate(values)]
+    summary = {"n_real": classified.n_real, "n_complex_pairs": classified.n_complex}
+    lines.append(_summary_line(summary))
+    table = [{"level": n, "re": v.real, "im": v.imag} for n, v in enumerate(values)]
+    doc = {"config": _config_echo(config), "values": table, "summary": summary}
+    return Report("\n".join(lines), doc, table)
 
 
-def _render_commutator(config: RunConfig) -> RenderedReport:
+def _render_commutator(config: RunConfig) -> Report:
     defect = normalized_commutator_check(config.basis, config.params)
     lines = [
         f"commutator check: N={config.n_dim} L={_fmt2(config.l_coef)} R={_fmt2(config.r_coef)}",
@@ -468,19 +425,15 @@ def _render_commutator(config: RunConfig) -> RenderedReport:
         "expected_last": defect.expected_last,
         "max_offdiag": defect.max_offdiag,
     }
-    return RenderedReport(
-        text="\n".join(lines),
-        json_obj={"config": _config_echo(config), "defect": payload},
-        csv_header=list(payload),
-        csv_rows=[list(payload.values())],
-    )
+    return Report("\n".join(lines), {"config": _config_echo(config), "defect": payload}, [payload])
 
 
-def _render_duality(config: RunConfig) -> RenderedReport:
+def _render_duality(config: RunConfig) -> Report:
     distance = duality_check(config.params, config.basis)
     h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
     h_norm = float(np.linalg.norm(h))
-    # H = 0 (A = B = 0, or s so small that H underflows) has no relative distance
+    # no relative distance when h_norm = 0: H = 0 (A = B = 0; the build rejects
+    # an H that underflows), or every entry below ~1e-154, whose squares underflow
     rel = f"{distance / h_norm:.3e}" if h_norm > 0.0 else "-"
     dual = dual_params(config.params)
     lines = [
@@ -494,79 +447,41 @@ def _render_duality(config: RunConfig) -> RenderedReport:
         f"max eigenvalue multiset distance: {distance:.6e}",
         f"hamiltonian norm: {h_norm:.6e} (distance/norm = {rel})",
     ]
-    json_obj = {
+    row = {"distance": distance, "h_norm": h_norm}
+    doc = {
         "config": _config_echo(config),
         "dual": {"L": dual.l_coef, "R": dual.r_coef, "A": dual.a_coef, "B": dual.b_coef,
                  "w": 1.0 / config.freq},
-        "distance": distance,
-        "h_norm": h_norm,
+        **row,
     }
-    return RenderedReport(
-        text="\n".join(lines),
-        json_obj=json_obj,
-        csv_header=["distance", "h_norm"],
-        csv_rows=[[distance, h_norm]],
-    )
+    return Report("\n".join(lines), doc, [row])
 
 
-def _render_sweep(result: SweepResult, config: RunConfig, axis_name: str) -> RenderedReport:
-    lines = [
-        f"{axis_name} | n_real | n_complex_pairs | first_deviation_index | max_abs_dev_below"
-    ]
+def _render_sweep(result: SweepResult, config: RunConfig, axis_name: str) -> Report:
+    fields = [axis_name, "n_real", "n_complex_pairs", "first_deviation_index",
+              "max_abs_dev_below_first_deviation"]
+    lines = [" | ".join([*fields[:-1], "max_abs_dev_below"])]  # text shortens the last name
+    table = []
     for p in result.points:
-        axis_val = int(p.axis_value) if axis_name == "N" else p.axis_value
+        first_dev = p.first_deviation_index
         lines.append(
-            " | ".join(
-                [
-                    _fmt2(float(axis_val)),
-                    str(p.n_real),
-                    str(p.n_complex_pairs),
-                    "-" if p.first_deviation_index is None else str(p.first_deviation_index),
-                    f"{p.max_abs_dev_below_first_deviation:.3e}",
-                ]
-            )
+            f"{_fmt2(p.axis_value)} | {p.n_real} | {p.n_complex_pairs} | "
+            f"{'-' if first_dev is None else first_dev} | {p.max_abs_dev_below_first_deviation:.3e}"
         )
+        values = (p.axis_value, p.n_real, p.n_complex_pairs, first_dev,
+                  p.max_abs_dev_below_first_deviation)
+        table.append(dict(zip(fields, values)))
     for axis_val, msg in result.failures:
         lines.append(f"{_fmt2(axis_val)} | failed: {msg}")
-    json_obj = {
+    doc = {
         "config": _config_echo(config),
-        "points": [
-            {
-                axis_name: p.axis_value,
-                "n_real": p.n_real,
-                "n_complex_pairs": p.n_complex_pairs,
-                "first_deviation_index": p.first_deviation_index,
-                "max_abs_dev_below_first_deviation": p.max_abs_dev_below_first_deviation,
-            }
-            for p in result.points
-        ],
+        "points": table,
         "failures": [{axis_name: v, "error": msg} for v, msg in result.failures],
     }
-    csv_rows = [
-        [
-            p.axis_value,
-            p.n_real,
-            p.n_complex_pairs,
-            p.first_deviation_index,
-            p.max_abs_dev_below_first_deviation,
-        ]
-        for p in result.points
-    ]
-    return RenderedReport(
-        text="\n".join(lines),
-        json_obj=json_obj,
-        csv_header=[
-            axis_name,
-            "n_real",
-            "n_complex_pairs",
-            "first_deviation_index",
-            "max_abs_dev_below_first_deviation",
-        ],
-        csv_rows=csv_rows,
-    )
+    return Report("\n".join(lines), doc, table, fields)
 
 
-def _execute(config: RunConfig) -> RenderedReport:
+def _execute(config: RunConfig) -> Report:
     if config.command is Command.COMMUTATOR_CHECK:
         return _render_commutator(config)
     if config.command is Command.SPECTRUM:
@@ -577,49 +492,36 @@ def _execute(config: RunConfig) -> RenderedReport:
     if config.command is Command.DUALITY:
         return _render_duality(config)
     if config.command is Command.SWEEP_W:
-        result = sweep_frequency(
-            config.params, config.n_dim, list(config.sweep_values), scale=config.scale
-        )
+        result = sweep(config.params, config.basis, Axis.BASIS_FREQUENCY, config.sweep_values)
         return _render_sweep(result, config, "w")
     if config.command is Command.SWEEP_N:
-        result = sweep_truncation(
-            config.params,
-            config.freq,
-            [int(v) for v in config.sweep_values],
-            scale=config.scale,
-        )
+        result = sweep(config.params, config.basis, Axis.TRUNCATION_SIZE, config.sweep_values)
         return _render_sweep(result, config, "N")
     raise ConfigError(f"unknown command {config.command!r}")
 
 
-def render(report: RenderedReport, fmt: Format) -> str:
+def render(report: Report, fmt: Format) -> str:
     """Render a report in the requested output format."""
     if fmt is Format.TEXT:
         return report.text + "\n"
     if fmt is Format.JSON:
-        return _json_render(report.json_obj) + "\n"
+        return _json_render(report.doc) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report.csv_header)
-    for row in report.csv_rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerow(report.fields or list(report.rows[0]))
+    for row in report.rows:
+        writer.writerow([_csv_cell(v) for v in row.values()])
     return buf.getvalue()
 
 
-def export(report: RenderedReport, path: str, fmt: Format) -> None:
-    """Write the rendered report to a file (UTF-8, LF line endings)."""
-    data = render(report, fmt)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
-
-
 def run(config: RunConfig) -> str:
-    """Execute the configured pipeline; returns the rendered report and
-    writes the optional file artifact."""
-    report = _execute(config)
+    """Execute the configured pipeline and render it once; the rendered
+    report is also written to the optional output path (UTF-8, LF endings)."""
+    output = render(_execute(config), config.fmt)
     if config.output_path is not None:
-        export(report, config.output_path, config.fmt)
-    return render(report, config.fmt)
+        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(output)
+    return output
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "EigensolverError",
     "ConvergenceError",
-    "SortOrder",
     "Spectrum",
     "ClassifiedSpectrum",
     "balance",
@@ -47,21 +45,15 @@ class ConvergenceError(EigensolverError):
         )
 
 
-class SortOrder(Enum):
-    RE_THEN_IM = "ReThenIm"
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Full eigenvalue multiset of one solve.
 
     classify_tol is the absolute realness threshold recorded at solve
-    time (1e-8 times the Frobenius norm of the input); sort_order is
-    None until sort_spectrum is applied.
+    time (1e-8 times the Frobenius norm of the input).
     """
 
     values: np.ndarray
-    sort_order: SortOrder | None
     classify_tol: float
 
     def __post_init__(self):
@@ -318,16 +310,14 @@ def eigenvalues(m, max_sweeps: int | None = None) -> Spectrum:
         raise EigensolverError(
             f"trace identity violated: |sum(eig) - trace| = {drift:.3e} > {tol:.3e}"
         )
-    return Spectrum(values=vals, sort_order=None, classify_tol=1e-8 * norm)
+    return Spectrum(values=vals, classify_tol=1e-8 * norm)
 
 
-def sort_spectrum(s: Spectrum, order: SortOrder) -> Spectrum:
-    """Stable reordering by ascending real part, ties by imaginary part (RE_THEN_IM)."""
-    if order is not SortOrder.RE_THEN_IM:
-        raise ValueError(f"unknown sort order {order!r}")
+def sort_spectrum(s: Spectrum) -> Spectrum:
+    """Stable reordering by ascending real part, ties by imaginary part."""
     v = s.values
     idx = np.lexsort((v.imag, v.real))
-    return Spectrum(values=v[idx], sort_order=order, classify_tol=s.classify_tol)
+    return Spectrum(values=v[idx], classify_tol=s.classify_tol)
 
 
 def real_mask(values: np.ndarray, tol_abs: float, tol_rel: float) -> np.ndarray:

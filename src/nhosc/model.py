@@ -76,7 +76,9 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
     on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at
     (k, k+2), u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises
-    ValueError when a band entry or |H|_F overflows float64.
+    ValueError when a band entry or |H|_F overflows float64, and when A or B
+    is nonzero (so H is not zero) but every entry underflows to zero or to
+    a subnormal.
     """
     params, basis = spec.params, spec.basis
     alpha = basis.scale / math.sqrt(2.0 * basis.freq)
@@ -90,9 +92,15 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         diag = c * (b2 * (u_z * v_z * levels) - a2 * (u_y * v_y * levels))
         upper = c * (b2 * (v_z * v_z * pairs) - a2 * (v_y * v_y * pairs))
         lower = c * (b2 * (u_z * u_z * pairs) - a2 * (u_y * u_y * pairs))
-        norm = float(np.linalg.norm(np.concatenate((diag, upper, lower))))
+        entries = np.concatenate((diag, upper, lower))
+        norm = float(np.linalg.norm(entries))
     if not math.isfinite(norm):
         raise ValueError(f"H overflows float64 (|H|_F = {norm}) for {params}, {basis}")
+    # zero or subnormal entries square to zero, so |H|_F = 0 whenever they
+    # are all that is left; the entries are only scanned in that case
+    tiny = np.finfo(np.float64).tiny
+    if norm == 0.0 and (params.a_coef or params.b_coef) and np.abs(entries).max() < tiny:
+        raise ValueError(f"H underflows float64 (no entry reaches {tiny:.3e}) for {params}, {basis}")
     return diag, upper, lower
 
 

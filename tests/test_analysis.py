@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import nhosc.analysis
+
 from nhosc import (
     Axis,
     BasisSpec,
     HamiltonianSpec,
     Remark,
-    SortOrder,
     TransformParams,
     build_hamiltonian,
     dual_params,
@@ -14,8 +15,7 @@ from nhosc import (
     eigenvalues,
     isospectral_report,
     sort_spectrum,
-    sweep_frequency,
-    sweep_truncation,
+    sweep,
 )
 from test_model import draw_real_spectrum_params
 
@@ -80,7 +80,7 @@ class TestIsospectralReport:
         h_big = build_hamiltonian(
             HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=100))
         )
-        big = sort_spectrum(eigenvalues(h_big), SortOrder.RE_THEN_IM).values
+        big = sort_spectrum(eigenvalues(h_big)).values
         for n in range(50):
             shift = abs(small.rows[n].computed - big[n])
             np.testing.assert_allclose(small.rows[n].abs_dev, shift, atol=1e-9)
@@ -139,7 +139,7 @@ class TestDuality:
 
 class TestSweepFrequency:
     def test_table_params_around_variational_point(self, table1_params):
-        result = sweep_frequency(table1_params, n_dim=60, w_values=[2.0, 4.0, 8.0])
+        result = sweep(table1_params, BasisSpec(n_dim=60), Axis.BASIS_FREQUENCY, [2.0, 4.0, 8.0])
         assert result.axis is Axis.BASIS_FREQUENCY
         assert [p.axis_value for p in result.points] == [2.0, 4.0, 8.0]
         assert not result.failures
@@ -151,21 +151,33 @@ class TestSweepFrequency:
     def test_single_point_matches_report(self, table1_params):
         basis = BasisSpec(n_dim=40, freq=4.0)
         report = isospectral_report(table1_params, basis)
-        result = sweep_frequency(table1_params, n_dim=40, w_values=[4.0])
+        result = sweep(table1_params, BasisSpec(n_dim=40), Axis.BASIS_FREQUENCY, [4.0])
         point = result.points[0]
         assert point.n_complex_pairs == report.n_complex_pairs
         assert point.first_deviation_index == report.first_deviation_index
 
     def test_hermitian_limit_no_pairs(self):
-        result = sweep_frequency(TransformParams(), n_dim=30, w_values=[0.5, 1.0, 2.0])
+        result = sweep(
+            TransformParams(), BasisSpec(n_dim=30), Axis.BASIS_FREQUENCY, [0.5, 1.0, 2.0]
+        )
         assert all(p.n_complex_pairs == 0 for p in result.points)
 
     def test_rejects_nonpositive_frequency(self, table1_params):
         with pytest.raises(ValueError):
-            sweep_frequency(table1_params, n_dim=10, w_values=[1.0, -2.0])
+            sweep(table1_params, BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [1.0, -2.0])
+
+    def test_rejects_bad_value_before_any_solve(self, table1_params, monkeypatch):
+        def no_solve(*args):
+            pytest.fail("a point was solved before the invalid value was rejected")
+
+        monkeypatch.setattr(nhosc.analysis, "isospectral_report", no_solve)
+        with pytest.raises(ValueError, match="freq"):
+            sweep(table1_params, BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [1.0, float("inf")])
 
     def test_broken_regime_recorded_as_failure(self):
-        result = sweep_frequency(TransformParams(l_coef=2.0), n_dim=10, w_values=[1.0])
+        result = sweep(
+            TransformParams(l_coef=2.0), BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [1.0]
+        )
         assert not result.points
         assert len(result.failures) == 1
         assert result.failures[0][0] == 1.0
@@ -173,7 +185,9 @@ class TestSweepFrequency:
 
 class TestSweepTruncation:
     def test_low_levels_iso_at_every_size(self, table1_params):
-        result = sweep_truncation(table1_params, w=4.0, n_values=[50, 100, 200])
+        result = sweep(
+            table1_params, BasisSpec(n_dim=2, freq=4.0), Axis.TRUNCATION_SIZE, [50, 100, 200]
+        )
         assert result.axis is Axis.TRUNCATION_SIZE
         assert not result.failures
         for p in result.points:
@@ -190,16 +204,18 @@ class TestSweepTruncation:
         assert devs[2] <= devs[1] + 1e-8
 
     def test_minimal_truncation_runs(self):
-        result = sweep_truncation(TransformParams(), w=1.0, n_values=[2])
+        result = sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [2])
         assert len(result.points) == 1
         assert result.points[0].n_real + 2 * result.points[0].n_complex_pairs == 2
 
     def test_hermitian_first_deviation_grows(self):
-        result = sweep_truncation(TransformParams(), w=1.0, n_values=[50, 100], report_tol=1e-6)
+        result = sweep(
+            TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [50, 100], report_tol=1e-6
+        )
         first = [p.first_deviation_index for p in result.points]
         assert first[0] is not None and first[1] is not None
         assert first[1] > first[0]
 
     def test_rejects_tiny_sizes(self):
         with pytest.raises(ValueError):
-            sweep_truncation(TransformParams(), w=1.0, n_values=[1, 10])
+            sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [1, 10])

@@ -221,6 +221,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BasisSpec(n_dim=1)
         with pytest.raises(ValueError):
+            BasisSpec(n_dim=4.5)
+        with pytest.raises(ValueError):
             BasisSpec(n_dim=10, freq=0.0)
         with pytest.raises(ValueError):
             BasisSpec(n_dim=10, scale=-1.0)

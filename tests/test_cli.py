@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 import nhosc.eig
 from nhosc import EigensolverError
 from nhosc.cli import (
+    MAX_N,
     Command,
     ConfigError,
     Format,
+    _fmt2,
     main,
     parse_config,
     run,
@@ -94,6 +97,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["spectrum", "--L", "1", "--R", "-1"])
 
+    def test_basis_size_limit(self):
+        # parse_config allocates nothing, so the rejected sizes cost nothing
+        assert parse_config(["commutator-check", "--N", str(MAX_N)]).n_dim == MAX_N
+        assert parse_config(["sweep-n", "--values", f"2,{MAX_N}"]).sweep_values == (2, MAX_N)
+        with pytest.raises(ConfigError, match="MAX_N"):
+            parse_config(["commutator-check", "--N", str(MAX_N + 1)])
+        with pytest.raises(ConfigError, match="MAX_N"):
+            parse_config(["sweep-n", "--values", f"10,{MAX_N + 1}"])
+
 
 class TestRunText:
     def test_table_one_reference_rows(self):
@@ -112,6 +124,14 @@ class TestRunText:
         text = run(parse_config(["duality", "--W", "4", "--L", "3", "--N", "40"]))
         distance = float(text.splitlines()[1].rsplit(":", 1)[1])
         assert distance <= 1e-6 * 900.0  # |H| at N=40 is a few hundred
+
+    def test_two_decimal_format(self):
+        assert [_fmt2(x) for x in (5.0, -9.0, 395.534, 0.004, 1e15)] == [
+            "5", "-9", "395.53", "0", "1000000000000000"
+        ]
+        assert _fmt2(1e300) == "1.00e+300" and _fmt2(-2.5e16) == "-2.50e+16"
+        text = run(parse_config(["commutator-check", "--L", "1e300", "--N", "10"]))
+        assert text.splitlines()[0] == "commutator check: N=10 L=1.00e+300 R=0"
 
     def test_spectrum_listing(self):
         text = run(parse_config(["spectrum", "--N", "10", "--count", "3"]))
@@ -257,9 +277,72 @@ class TestMainExitCodes:
         assert main(argv.split() + ["--N", "10"]) == 2
         assert "overflows float64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", ["spectrum --s 1e-300 --N 6", "spectrum --s 1e-160 --N 6 --format json"]
+    )
+    def test_float64_underflow_is_config_error(self, argv, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert "underflows float64" in captured.err and captured.out == ""
+
     def test_duality_of_zero_hamiltonian(self, capsys):
         assert main(["duality", "--A", "0", "--B", "0", "--N", "6"]) == 0
         assert "distance/norm = -" in capsys.readouterr().out
+
+
+_SMALL_RUNS = {
+    "commutator-check": "--N 8 --L 1.5 --R 0.5",
+    "spectrum": "--N 12 --L 3 --B 5 --w auto",
+    "table1": "--W 4 --L 3 --N 20",
+    "table2": "--W 4 --R 3 --N 20",
+    "sweep-w": "--L 3 --B 5 --N 12 --values 2,4",
+    "sweep-n": "--L 3 --B 5 --w 4 --values 12,8",
+    "duality": "--W 4 --L 3 --N 12",
+}
+
+
+def _dash(v):
+    return "-" if v is None else str(v)
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_formats_agree(command, tmp_path, capsys):
+    """CSV is the JSON table, text counts match JSON, and --out holds stdout."""
+    outputs = {}
+    for fmt in ("text", "csv", "json"):
+        path = tmp_path / f"out.{fmt}"
+        argv = [command, *_SMALL_RUNS[command].split(), "--format", fmt, "--out", str(path)]
+        assert main(argv) == 0
+        outputs[fmt] = capsys.readouterr().out
+        assert path.read_bytes() == outputs[fmt].encode()
+    doc = json.loads(outputs["json"])
+    if command == "commutator-check":
+        table = [doc["defect"]]
+    elif command == "duality":
+        table = [{k: doc[k] for k in ("distance", "h_norm")}]
+    else:
+        table = doc[{"spectrum": "values", "table1": "rows", "table2": "rows"}.get(command, "points")]
+
+    header, *rows = csv.reader(io.StringIO(outputs["csv"]))
+    assert header == list(table[0])
+    assert len(rows) == len(table)
+    for cells, row in zip(rows, table):
+        values = list(row.values())
+        assert [None if c == "" else type(v)(c) for c, v in zip(cells, values)] == values
+
+    lines = outputs["text"].splitlines()
+    if command.startswith("sweep"):
+        got = [ln.split(" | ")[1:4] for ln in lines[1:]]
+        want = [[_dash(p[k]) for k in ("n_real", "n_complex_pairs", "first_deviation_index")]
+                for p in doc["points"]]
+    elif command == "commutator-check":
+        got, want = lines[1].rsplit(": ", 1)[1], f"{doc['defect']['max_diag_deviation']:.3e}"
+    elif command == "duality":
+        got, want = lines[1].rsplit(": ", 1)[1], f"{doc['distance']:.6e}"
+    else:
+        got = dict(kv.split("=") for kv in lines[-1].split()[1:])
+        want = {k: _dash(v) for k, v in doc["summary"].items()}
+    assert got == want
 
 
 _COMMANDS = ["commutator-check", "spectrum", "table1", "table2", "sweep-w", "sweep-n", "duality"]

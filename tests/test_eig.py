@@ -5,7 +5,6 @@ from nhosc import (
     BasisSpec,
     ConvergenceError,
     HamiltonianSpec,
-    SortOrder,
     Spectrum,
     TransformParams,
     balance,
@@ -181,39 +180,34 @@ class TestEigenvalues:
 
 
 class TestSortSpectrum:
-    def test_real_values_either_order(self):
-        s = Spectrum(values=np.array([3.0, 1.0, 2.0], dtype=complex), sort_order=None, classify_tol=1e-10)
-        for order in SortOrder:
-            np.testing.assert_allclose(sort_spectrum(s, order).values, [1.0, 2.0, 3.0])
+    def test_real_values_ascending(self):
+        s = Spectrum(values=np.array([3.0, 1.0, 2.0], dtype=complex), classify_tol=1e-10)
+        np.testing.assert_allclose(sort_spectrum(s).values, [1.0, 2.0, 3.0])
 
     def test_re_then_im_conjugates(self):
         vals = np.array([395.53 + 59.95j, 5.0, 395.53 - 59.95j])
-        s = sort_spectrum(Spectrum(vals, None, 1e-10), SortOrder.RE_THEN_IM)
+        s = sort_spectrum(Spectrum(vals, 1e-10))
         np.testing.assert_allclose(
             s.values, [5.0, 395.53 - 59.95j, 395.53 + 59.95j]
         )
 
-    def test_order_recorded(self):
-        s = Spectrum(np.array([1.0 + 0j]), None, 1e-10)
-        assert sort_spectrum(s, SortOrder.RE_THEN_IM).sort_order is SortOrder.RE_THEN_IM
-
 
 class TestClassify:
     def test_tolerance_discards_tiny_imag(self):
-        s = Spectrum(np.array([1.0 + 1e-12j]), None, 0.0)
+        s = Spectrum(np.array([1.0 + 1e-12j]), 0.0)
         out = classify(s, tol_abs=1e-9)
         assert out.n_real == 1 and out.n_complex == 0
         np.testing.assert_allclose(out.real_values, [1.0])
 
     def test_pairs_matched(self):
-        s = Spectrum(np.array([1.0 + 2.0j, 3.0 + 0j, 1.0 - 2.0j]), None, 1e-12)
+        s = Spectrum(np.array([1.0 + 2.0j, 3.0 + 0j, 1.0 - 2.0j]), 1e-12)
         out = classify(s)
         assert out.n_real == 1 and out.n_complex == 1
         np.testing.assert_allclose(out.complex_pairs, [(1.0, 2.0)])
         assert out.n_real + 2 * out.n_complex == 3
 
     def test_unpairable_raises(self):
-        s = Spectrum(np.array([1.0 + 2.0j, 5.0 + 0j]), None, 1e-12)
+        s = Spectrum(np.array([1.0 + 2.0j, 5.0 + 0j]), 1e-12)
         with pytest.raises(ValueError):
             classify(s)
 
