@@ -26,7 +26,7 @@ from .analysis import (
     sweep,
 )
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
-from .eig import EigensolverError, classify, eigenvalues, sort_spectrum
+from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues, sort_spectrum
 from .model import HamiltonianSpec, build_hamiltonian, variational_frequency
 
 __all__ = [
@@ -431,9 +431,9 @@ def _render_commutator(config: RunConfig) -> Report:
 def _render_duality(config: RunConfig) -> Report:
     distance = duality_check(config.params, config.basis)
     h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
-    h_norm = float(np.linalg.norm(h))
+    h_norm = _frobenius_norm(h)
     # no relative distance when h_norm = 0: H = 0 (A = B = 0; the build rejects
-    # an H that underflows), or every entry below ~1e-154, whose squares underflow
+    # an H that underflows)
     rel = f"{distance / h_norm:.3e}" if h_norm > 0.0 else "-"
     dual = dual_params(config.params)
     lines = [

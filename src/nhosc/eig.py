@@ -1,10 +1,12 @@
 """Dense real nonsymmetric eigenvalue solver.
 
-Pipeline: diagonal balancing (Parlett-Reinsch, radix 2), Householder
-reduction to upper Hessenberg form, then Francis implicit double-shift QR
-with 2x2 real-block deflation, so complex eigenvalues emerge in exact
-conjugate pairs.  Eigenvalues only; Schur vectors are never formed and
-transformations stay inside the active window.
+Pipeline: diagonal balancing (Parlett-Reinsch, radix 2) and Householder
+reduction to upper Hessenberg form in this module, then the QR stage.  By
+default the QR stage is LAPACK's (``np.linalg.eigvals`` on the Hessenberg
+matrix).  The in-package Francis implicit double-shift QR with 2x2
+real-block deflation (``backend="francis"``) is kept as an independent
+second solver to check it against.  Both return complex eigenvalues in
+exact conjugate pairs.  Eigenvalues only; Schur vectors are never formed.
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ class EigensolverError(RuntimeError):
 
 
 class ConvergenceError(EigensolverError):
-    """QR iteration exceeded its sweep budget; carries the stuck subdiagonal index."""
+    """QR iteration did not converge.
 
-    def __init__(self, index: int, sweeps: int):
-        self.subdiagonal_index = index
-        super().__init__(
-            f"QR iteration did not converge within {sweeps} sweeps; "
-            f"stuck at subdiagonal index {index}"
-        )
+    subdiagonal_index names the stuck subdiagonal when the Francis solver
+    ran out of sweeps; it is None when LAPACK gave up.
+    """
+
+    def __init__(self, message: str, subdiagonal_index: int | None = None):
+        self.subdiagonal_index = subdiagonal_index
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,15 @@ class ClassifiedSpectrum:
     complex_pairs: list[tuple[float, float]]
     n_real: int
     n_complex: int
+
+
+def _frobenius_norm(a: np.ndarray) -> float:
+    """|a|_F scaled by max|a_ij|, so entries whose squares would underflow
+    (below about 1e-154) or overflow (above about 1e154) still count."""
+    scale = float(np.abs(a).max())
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(a / scale))
 
 
 def _as_real_array(m) -> np.ndarray:
@@ -202,7 +214,11 @@ def _francis_qr(h: np.ndarray, max_sweeps: int) -> np.ndarray:
                 nn -= 2
                 break
             if total >= max_sweeps:
-                raise ConvergenceError(index=nn, sweeps=total)
+                raise ConvergenceError(
+                    f"QR iteration did not converge within {total} sweeps; "
+                    f"stuck at subdiagonal index {nn}",
+                    nn,
+                )
             if its != 0 and its % 10 == 0:
                 # exceptional shift against cycling
                 t += x
@@ -287,23 +303,34 @@ def _francis_qr(h: np.ndarray, max_sweeps: int) -> np.ndarray:
     return wr + 1j * wi
 
 
-def eigenvalues(m, max_sweeps: int | None = None) -> Spectrum:
+def eigenvalues(m, max_sweeps: int | None = None, backend: str = "lapack") -> Spectrum:
     """All eigenvalues of a square real matrix via balance -> Hessenberg -> QR.
 
-    The sweep budget defaults to 30 per matrix dimension.  Every solve is
-    checked against the trace identity (sum of eigenvalues == trace) at
-    1e-9 * Frobenius norm; violation raises EigensolverError.
+    backend selects the QR stage: "lapack" (default) or the in-package
+    "francis" solver, whose sweep budget max_sweeps defaults to 30 per
+    matrix dimension; max_sweeps is rejected with the LAPACK backend.  A
+    QR stage that does not converge raises ConvergenceError.  Every solve
+    is checked against the trace identity (sum of eigenvalues == trace)
+    at 1e-9 * Frobenius norm; violation raises EigensolverError.
     """
+    if backend not in ("lapack", "francis"):
+        raise ValueError(f"unknown backend {backend!r}; expected 'lapack' or 'francis'")
+    if backend == "lapack" and max_sweeps is not None:
+        raise ValueError("max_sweeps bounds the Francis QR loop only (backend='francis')")
     a = _as_real_array(m)
     n = a.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if max_sweeps is None:
-        max_sweeps = 30 * n
     balanced, _ = balance(a)
     h = hessenberg_reduce(balanced)
-    vals = _francis_qr(h, max_sweeps)
-    norm = float(np.linalg.norm(a))
+    if backend == "francis":
+        vals = _francis_qr(h, 30 * n if max_sweeps is None else max_sweeps)
+    else:
+        try:
+            vals = np.linalg.eigvals(h)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
+    norm = _frobenius_norm(a)
     tol = 1e-9 * norm if norm > 0.0 else 1e-12
     drift = abs(vals.sum() - np.trace(a))
     if drift > tol:

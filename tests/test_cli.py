@@ -248,6 +248,16 @@ class TestMainExitCodes:
         assert main(["spectrum", "--N", "6"]) == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_lapack_failure_exits_3(self, monkeypatch, capsys):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        assert main(["spectrum", "--N", "6"]) == 3
+        captured = capsys.readouterr()
+        assert "solver failure" in captured.err and "did not converge" in captured.err
+        assert captured.out == ""
+
     def test_io_failure(self, tmp_path, capsys):
         bad_path = tmp_path / "missing-dir" / "out.json"
         code = main(["spectrum", "--N", "6", "--format", "json", "--out", str(bad_path)])
@@ -273,6 +283,8 @@ class TestMainExitCodes:
         def no_qr(*args):
             pytest.fail("QR ran on an overflowed matrix")
 
+        # both QR stages: LAPACK (the default) and the in-package Francis QR
+        monkeypatch.setattr(np.linalg, "eigvals", no_qr)
         monkeypatch.setattr(nhosc.eig, "_francis_qr", no_qr)
         assert main(argv.split() + ["--N", "10"]) == 2
         assert "overflows float64" in capsys.readouterr().err
@@ -288,6 +300,16 @@ class TestMainExitCodes:
     def test_duality_of_zero_hamiltonian(self, capsys):
         assert main(["duality", "--A", "0", "--B", "0", "--N", "6"]) == 0
         assert "distance/norm = -" in capsys.readouterr().out
+
+    def test_duality_of_tiny_hamiltonian(self, capsys):
+        # entries near 1e-170 are normal floats whose squares underflow
+        assert main(["duality", "--s", "1e-85", "--N", "6", "--format", "json"]) == 0
+        h_norm = json.loads(capsys.readouterr().out)["h_norm"]
+        assert 1e-171 < h_norm < 1e-167
+        assert main(["duality", "--s", "1e-85", "--N", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "hamiltonian norm: 0.0" not in out
+        assert "distance/norm = 0.000e+00" in out
 
 
 _SMALL_RUNS = {

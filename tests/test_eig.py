@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,9 @@ from nhosc import (
     position_matrix,
     sort_spectrum,
 )
+from nhosc.eig import _frobenius_norm
+
+BACKENDS = ("lapack", "francis")
 
 
 def sorted_by_re_im(v):
@@ -103,8 +107,9 @@ class TestHessenbergReduce:
 
 class TestEigenvalues:
     def test_diagonal(self):
-        spec = eigenvalues(np.diag([2.0, 3.0]))
-        np.testing.assert_allclose(sorted_by_re_im(spec.values), [2.0, 3.0])
+        for backend in BACKENDS:
+            spec = eigenvalues(np.diag([2.0, 3.0]), backend=backend)
+            np.testing.assert_allclose(sorted_by_re_im(spec.values), [2.0, 3.0])
 
     def test_one_by_one(self):
         np.testing.assert_array_equal(eigenvalues(np.array([[7.0]])).values, [7.0])
@@ -112,43 +117,54 @@ class TestEigenvalues:
             eigenvalues(np.zeros((0, 0)))
 
     def test_rotation_matrix(self):
-        spec = eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        np.testing.assert_allclose(sorted_by_re_im(spec.values), [-1j, 1j], atol=1e-15)
+        for backend in BACKENDS:
+            spec = eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]), backend=backend)
+            np.testing.assert_allclose(sorted_by_re_im(spec.values), [-1j, 1j], atol=1e-15)
 
     def test_companion_matrix(self):
         # t^3 - 6 t^2 + 11 t - 6 = (t-1)(t-2)(t-3)
         m = np.array([[6.0, -11.0, 6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        spec = eigenvalues(m)
-        np.testing.assert_allclose(sorted_by_re_im(spec.values), [1.0, 2.0, 3.0], atol=1e-8)
+        for backend in BACKENDS:
+            spec = eigenvalues(m, backend=backend)
+            np.testing.assert_allclose(sorted_by_re_im(spec.values), [1.0, 2.0, 3.0], atol=1e-8)
 
     def test_trace_and_determinant_identities(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((10, 10))
-        vals = eigenvalues(m).values
-        assert abs(vals.sum() - np.trace(m)) <= 1e-10 * max(1.0, abs(np.trace(m)))
         det = np.linalg.det(m)
-        assert abs(np.prod(vals) - det) <= 1e-8 * abs(det)
+        for backend in BACKENDS:
+            vals = eigenvalues(m, backend=backend).values
+            assert abs(vals.sum() - np.trace(m)) <= 1e-10 * max(1.0, abs(np.trace(m)))
+            assert abs(np.prod(vals) - det) <= 1e-8 * abs(det)
 
     def test_conjugate_closure_random(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             m = rng.standard_normal((8, 8))
-            classify(eigenvalues(m))  # raises if pairing fails
+            for backend in BACKENDS:
+                classify(eigenvalues(m, backend=backend))  # raises if pairing fails
 
     def test_transpose_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = rng.standard_normal((10, 10))
-            d = multiset_distance(eigenvalues(m).values, eigenvalues(m.T).values)
-            assert d <= 1e-8
+            for backend in BACKENDS:
+                d = multiset_distance(
+                    eigenvalues(m, backend=backend).values, eigenvalues(m.T, backend=backend).values
+                )
+                assert d <= 1e-8
 
     def test_orthogonal_similarity_invariance(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             m = rng.standard_normal((10, 10))
             q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-            d = multiset_distance(eigenvalues(m).values, eigenvalues(q @ m @ q.T).values)
-            assert d <= 1e-8
+            for backend in BACKENDS:
+                d = multiset_distance(
+                    eigenvalues(m, backend=backend).values,
+                    eigenvalues(q @ m @ q.T, backend=backend).values,
+                )
+                assert d <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_characteristic_polynomial_oracle(self, n):
@@ -156,7 +172,8 @@ class TestEigenvalues:
         for _ in range(5):
             m = rng.standard_normal((n, n))
             roots = np.roots(char_poly_coeffs(m))
-            assert multiset_distance(eigenvalues(m).values, roots) <= 1e-6
+            for backend in BACKENDS:
+                assert multiset_distance(eigenvalues(m, backend=backend).values, roots) <= 1e-6
 
     def test_rejects_complex_input(self):
         with pytest.raises(ValueError):
@@ -173,10 +190,77 @@ class TestEigenvalues:
         rng = np.random.default_rng(12)
         m = rng.standard_normal((6, 6))
         with pytest.raises(ConvergenceError) as exc_info:
-            eigenvalues(m, max_sweeps=0)
+            eigenvalues(m, max_sweeps=0, backend="francis")
         err = exc_info.value
         assert err.subdiagonal_index == 5
         assert "subdiagonal index 5" in str(err)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        with pytest.raises(ConvergenceError) as exc_info:
+            eigenvalues(np.diag([1.0, 2.0]))
+        assert exc_info.value.subdiagonal_index is None
+        assert "did not converge" in str(exc_info.value)
+
+    def test_backend_arguments(self):
+        m = np.diag([1.0, 2.0])
+        with pytest.raises(ValueError, match="unknown backend"):
+            eigenvalues(m, backend="numpy")
+        with pytest.raises(ValueError, match="Francis QR loop only"):
+            eigenvalues(m, max_sweeps=10)
+        eigenvalues(m, max_sweeps=10, backend="francis")
+
+    def test_tiny_hamiltonian_has_positive_tolerance(self):
+        # entries near 1e-170 are normal floats whose squares underflow
+        h = build_hamiltonian(
+            HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=6, scale=1e-85))
+        )
+        assert 0.0 < np.abs(h).max() < 1e-160
+        for backend in BACKENDS:
+            spec = eigenvalues(h, backend=backend)
+            assert spec.classify_tol > 0.0
+            assert classify(spec).n_real == 6
+
+
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    def test_scaled_entries(self, scale):
+        m = np.array([[3.0, 0.0], [-4.0, 12.0]])  # |m|_F = 13
+        assert _frobenius_norm(m * scale) == pytest.approx(13.0 * scale, rel=4e-16, abs=0.0)
+
+    def test_zero_and_non_finite(self):
+        assert _frobenius_norm(np.zeros((3, 3))) == 0.0
+        assert _frobenius_norm(np.array([[1.0, np.inf]])) == np.inf
+
+
+class TestBackendsAgree:
+    """LAPACK (the default QR stage) against the in-package Francis QR and
+    against a 50-digit mpmath solve of the same double-precision matrix."""
+
+    @pytest.mark.parametrize("n_dim, tol", [(40, 1e-9), (60, 1e-6)])
+    def test_table_one_spectrum(self, table1_params, n_dim, tol):
+        # measured gaps: 1.5e-11 at N=40, 8.2e-9 at N=60 (|eigenvalues| up to 330 and 520)
+        h = build_hamiltonian(
+            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=4.0))
+        )
+        lapack, francis = (eigenvalues(h, backend=b) for b in BACKENDS)
+        assert multiset_distance(lapack.values, francis.values) <= tol
+        a, b = classify(lapack), classify(francis)
+        assert (a.n_real, a.n_complex) == (b.n_real, b.n_complex)
+
+    def test_mpmath_oracle(self, table1_params):
+        h = build_hamiltonian(
+            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=30, freq=4.0))
+        )
+        with mpmath.workdps(50):
+            exact = mpmath.eig(mpmath.matrix(h.tolist()), left=False, right=False)
+            exact = np.array([complex(v) for v in exact])
+        for backend in BACKENDS:
+            # measured: LAPACK 1.5e-11, Francis 1.2e-11 from the 50-digit values
+            assert multiset_distance(eigenvalues(h, backend=backend).values, exact) <= 1e-9
 
 
 class TestSortSpectrum:
