@@ -3,10 +3,16 @@
 Pipeline: diagonal balancing (Parlett-Reinsch, radix 2) and Householder
 reduction to upper Hessenberg form in this module, then the QR stage.  By
 default the QR stage is LAPACK's (``np.linalg.eigvals`` on the Hessenberg
-matrix).  The in-package Francis implicit double-shift QR with 2x2
-real-block deflation (``backend="francis"``) is kept as an independent
-second solver to check it against.  Both return complex eigenvalues in
-exact conjugate pairs.  Eigenvalues only; Schur vectors are never formed.
+matrix).  A matrix whose entries with i+j odd are all zero (the oscillator
+H couples level n only to n and n+-2) is the permutation-similar direct sum
+of its even-index and odd-index submatrices; each runs through the pipeline
+on its own and the two value sets are joined.  The Householder reduction
+skips every column that is already in Hessenberg form, so a tridiagonal
+block passes through it unchanged.  The in-package Francis implicit
+double-shift QR with 2x2 real-block deflation (``backend="francis"``) is
+kept as an independent second solver to check it against.  Both return
+complex eigenvalues in exact conjugate pairs.  Eigenvalues only; Schur
+vectors are never formed.
 """
 
 from __future__ import annotations
@@ -39,8 +45,10 @@ class EigensolverError(RuntimeError):
 class ConvergenceError(EigensolverError):
     """QR iteration did not converge.
 
-    subdiagonal_index names the stuck subdiagonal when the Francis solver
-    ran out of sweeps; it is None when LAPACK gave up.
+    subdiagonal_index is the input row of the stuck subdiagonal entry when
+    the Francis solver ran out of sweeps; it is None when LAPACK gave up.
+    For a matrix solved as its even- and odd-index blocks, row i of a block
+    is input row 2i or 2i+1, and the message names the block.
     """
 
     def __init__(self, message: str, subdiagonal_index: int | None = None):
@@ -145,11 +153,14 @@ def hessenberg_reduce(m) -> np.ndarray:
     n = h.shape[0]
     for k in range(n - 2):
         x = h[k + 1 :, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
+        if not x[1:].any():  # column already Hessenberg: no reflector needed
             continue
-        v = x.copy()
-        v[0] += math.copysign(norm_x, x[0]) if x[0] != 0.0 else norm_x
+        # the reflector does not change when x is scaled; an exact power-of-two
+        # scaling to max|x| in [0.5, 1) keeps the squares in norm() from
+        # under- or overflowing
+        v = np.ldexp(x, -math.frexp(np.abs(x).max())[1])
+        norm_x = np.linalg.norm(v)
+        v[0] += math.copysign(norm_x, v[0]) if v[0] != 0.0 else norm_x
         v /= np.linalg.norm(v)
         # two-sided reflector application keeps the similarity orthogonal
         h[k + 1 :, k:] -= 2.0 * np.outer(v, v @ h[k + 1 :, k:])
@@ -303,15 +314,39 @@ def _francis_qr(h: np.ndarray, max_sweeps: int) -> np.ndarray:
     return wr + 1j * wi
 
 
+def _parity_blocks(a: np.ndarray) -> tuple[slice, ...]:
+    """Row/column index sets of the blocks to solve: the even and the odd
+    indices when every entry with i+j odd is zero (an exact permutation
+    similarity), else all indices."""
+    if a.shape[0] < 2 or a[::2, 1::2].any() or a[1::2, ::2].any():
+        return (slice(None),)
+    return slice(0, None, 2), slice(1, None, 2)
+
+
+def _solve_block(a: np.ndarray, max_sweeps: int | None, backend: str) -> np.ndarray:
+    """Eigenvalues of one block: balance -> Hessenberg -> QR stage."""
+    balanced, _ = balance(a)
+    h = hessenberg_reduce(balanced)
+    if backend == "francis":
+        return _francis_qr(h, 30 * a.shape[0] if max_sweeps is None else max_sweeps)
+    try:
+        return np.linalg.eigvals(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
+
+
 def eigenvalues(m, max_sweeps: int | None = None, backend: str = "lapack") -> Spectrum:
     """All eigenvalues of a square real matrix via balance -> Hessenberg -> QR.
 
-    backend selects the QR stage: "lapack" (default) or the in-package
-    "francis" solver, whose sweep budget max_sweeps defaults to 30 per
-    matrix dimension; max_sweeps is rejected with the LAPACK backend.  A
-    QR stage that does not converge raises ConvergenceError.  Every solve
-    is checked against the trace identity (sum of eigenvalues == trace)
-    at 1e-9 * Frobenius norm; violation raises EigensolverError.
+    A matrix whose entries with i+j odd are all zero is solved as its
+    even-index and odd-index blocks, one after the other.  backend selects
+    the QR stage: "lapack" (default) or the in-package "francis" solver,
+    whose sweep budget max_sweeps applies per block and defaults to 30 per
+    block dimension; max_sweeps is rejected with the LAPACK backend.  A QR
+    stage that does not converge raises ConvergenceError.  Every solve is
+    checked against the trace identity (sum of eigenvalues == trace) at
+    1e-9 * Frobenius norm of the whole input; violation raises
+    EigensolverError.
     """
     if backend not in ("lapack", "francis"):
         raise ValueError(f"unknown backend {backend!r}; expected 'lapack' or 'francis'")
@@ -321,19 +356,22 @@ def eigenvalues(m, max_sweeps: int | None = None, backend: str = "lapack") -> Sp
     n = a.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    balanced, _ = balance(a)
-    h = hessenberg_reduce(balanced)
-    if backend == "francis":
-        vals = _francis_qr(h, 30 * n if max_sweeps is None else max_sweeps)
-    else:
+    parts = []
+    for rows in _parity_blocks(a):
         try:
-            vals = np.linalg.eigvals(h)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
+            parts.append(_solve_block(a[rows, rows], max_sweeps, backend))
+        except ConvergenceError as exc:
+            if exc.subdiagonal_index is None or rows == slice(None):
+                raise
+            row = range(n)[rows][exc.subdiagonal_index]
+            parity = "even" if rows.start == 0 else "odd"
+            message = f"{exc} of the {parity}-index block (input row {row})"
+            raise ConvergenceError(message, row) from exc
+    vals = np.concatenate(parts)
     norm = _frobenius_norm(a)
     tol = 1e-9 * norm if norm > 0.0 else 1e-12
     drift = abs(vals.sum() - np.trace(a))
-    if drift > tol:
+    if not drift <= tol:  # a NaN drift fails too
         raise EigensolverError(
             f"trace identity violated: |sum(eig) - trace| = {drift:.3e} > {tol:.3e}"
         )

@@ -11,6 +11,7 @@ import numpy as np
 
 from .basis import BasisSpec, TransformParams
 from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py looks it up here)
+from .eig import _frobenius_norm
 
 __all__ = [
     "HamiltonianSpec",
@@ -76,9 +77,9 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
     on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at
     (k, k+2), u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises
-    ValueError when a band entry or |H|_F overflows float64, and when A or B
-    is nonzero (so H is not zero) but every entry underflows to zero or to
-    a subnormal.
+    ValueError when N |H|_F overflows float64 (|H|_F scaled by max|entry|),
+    and when A or B is nonzero (so H is not zero) but every entry underflows
+    to zero or to a subnormal.
     """
     params, basis = spec.params, spec.basis
     alpha = basis.scale / math.sqrt(2.0 * basis.freq)
@@ -94,12 +95,18 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lower = c * (b2 * (u_z * u_z * pairs) - a2 * (u_y * u_y * pairs))
         entries = np.concatenate((diag, upper, lower))
         norm = float(np.linalg.norm(entries))
-    if not math.isfinite(norm):
-        raise ValueError(f"H overflows float64 (|H|_F = {norm}) for {params}, {basis}")
-    # zero or subnormal entries square to zero, so |H|_F = 0 whenever they
-    # are all that is left; the entries are only scanned in that case
+    if 0.0 < norm < math.inf:
+        return diag, upper, lower
+    # the squares over- or underflowed, or an entry is not finite: only the
+    # max-scaled norm and the entries themselves tell which
+    # every sum of |entries| the solver forms (row, column and trace sums,
+    # the off-diagonal mass that balancing moves, sums of eigenvalues) is at
+    # most sqrt(nonzero count) |H|_F <= N |H|_F, so that has to stay finite
+    bound = _frobenius_norm(entries) * basis.n_dim
+    if not math.isfinite(bound):
+        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {basis}")
     tiny = np.finfo(np.float64).tiny
-    if norm == 0.0 and (params.a_coef or params.b_coef) and np.abs(entries).max() < tiny:
+    if (params.a_coef or params.b_coef) and np.abs(entries).max() < tiny:
         raise ValueError(f"H underflows float64 (no entry reaches {tiny:.3e}) for {params}, {basis}")
     return diag, upper, lower
 

@@ -86,11 +86,13 @@ class TestIsospectralReport:
             np.testing.assert_allclose(small.rows[n].abs_dev, shift, atol=1e-9)
 
     def test_level_alignment_sanity_hermitian(self):
-        # sorted-index alignment equals nearest-reference alignment when
-        # the spectrum is strictly increasing and real
+        # the Hermitian-limit H is the diagonal 1, 3, ..., 37 with the
+        # truncation-edge entry N-1 = 19 last, so 19 is a double eigenvalue;
+        # sorted-index alignment equals nearest-reference alignment below it
         report = isospectral_report(TransformParams(), BasisSpec(n_dim=20), report_tol=1e-6)
         values = np.array([r.computed.real for r in report.rows])
-        assert np.all(np.diff(values) > 0)
+        exact = np.sort(np.append(2.0 * np.arange(19) + 1.0, 19.0))
+        np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0.0)
         assert np.all(np.array([r.computed.imag for r in report.rows]) == 0.0)
         eps = np.array([r.epsilon for r in report.rows])
         nearest = np.abs(values[:, None] - eps[None, :]).argmin(axis=1)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nhosc.eig
-from nhosc import EigensolverError
+from nhosc import EigensolverError, HamiltonianSpec, build_hamiltonian, eigenvalues
 from nhosc.cli import (
     MAX_N,
     Command,
@@ -20,6 +21,7 @@ from nhosc.cli import (
     parse_config,
     run,
 )
+from nhosc.eig import _frobenius_norm
 
 
 class TestParseConfig:
@@ -268,8 +270,8 @@ class TestMainExitCodes:
         "argv",
         [
             "spectrum --s 1e300",
-            "spectrum --w 1e-300",
-            "spectrum --w 1e300",
+            "spectrum --w 1e-300 --s 1e5",
+            "spectrum --w 1e300 --s 1e5",
             "spectrum --A 1e200",
             "spectrum --L 1e200 --R 1e200",
             "commutator-check --s 1e300",
@@ -287,6 +289,45 @@ class TestMainExitCodes:
         monkeypatch.setattr(np.linalg, "eigvals", no_qr)
         monkeypatch.setattr(nhosc.eig, "_francis_qr", no_qr)
         assert main(argv.split() + ["--N", "10"]) == 2
+        assert "overflows float64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w, w_ref", [("1e300", "1e150"), ("1e-300", "1e-150")])
+    def test_extreme_frequency_with_finite_entries_solves(self, w, w_ref, capsys):
+        # levels near 1e301 overflow only when squared; far from w = 1 one
+        # of the two terms of H is negligible, so H and its values scale as
+        # w (w >> 1) or 1/w (w << 1): by 1e150 from w_ref to w either way
+        def values(freq):
+            assert main(["spectrum", "--w", freq, "--N", "10", "--format", "json"]) == 0
+            return np.array([[r["re"], r["im"]] for r in json.loads(capsys.readouterr().out)["values"]])
+
+        got, ref = values(w), values(w_ref)
+        assert np.all(np.isfinite(got)) and np.abs(got).max() > 1e300
+        np.testing.assert_allclose(got, 1e150 * ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "argv", ["spectrum --N 10", "spectrum --A 0 --R -0.8333333333333334 --N 3"]
+    )
+    def test_overflow_bound_edge(self, argv, monkeypatch, capsys):
+        # the build accepts H while N |H|_F is finite, which keeps every row,
+        # column and trace sum of the solve finite.  H scales as s^2, so the
+        # edge is s_edge = sqrt(DBL_MAX / (N |H(s=1)|_F)).  The second case
+        # has one dominant entry H_20: with only |H|_F kept finite, it could
+        # near DBL_MAX and overflow a column sum in balance.
+        config = parse_config(argv.split())
+        h_ref = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
+        s_edge = math.sqrt(np.finfo(np.float64).max / (config.n_dim * _frobenius_norm(h_ref)))
+
+        assert main(argv.split() + ["--s", repr(0.97 * s_edge), "--format", "json"]) == 0
+        got = [complex(r["re"], r["im"]) for r in json.loads(capsys.readouterr().out)["values"]]
+        want = (0.97 * s_edge) ** 2 * np.sort_complex(eigenvalues(h_ref).values)
+        assert np.all(np.isfinite(got)) and np.abs(got).max() > 1e306
+        np.testing.assert_allclose(np.sort_complex(got), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+        def no_qr(*args):
+            pytest.fail("QR ran on an overflowed matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_qr)
+        assert main(argv.split() + ["--s", repr(1.03 * s_edge)]) == 2
         assert "overflows float64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import nhosc.eig
 from nhosc import (
     BasisSpec,
     ConvergenceError,
@@ -92,6 +93,12 @@ class TestHessenbergReduce:
         x = position_matrix(basis).entries.real
         h = hessenberg_reduce(x)
         np.testing.assert_allclose(np.abs(h), np.abs(x), atol=1e-14)
+
+    def test_tridiagonal_returned_bit_for_bit(self):
+        # every column is already Hessenberg, so no reflector is applied
+        rng = np.random.default_rng(7)
+        m = sum(np.diag(rng.standard_normal(9 - abs(k)), k) for k in (-1, 0, 1))
+        np.testing.assert_array_equal(hessenberg_reduce(m), m)
 
     def test_two_by_two_unchanged(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -186,6 +193,49 @@ class TestEigenvalues:
         spec = eigenvalues(h)
         assert len(spec) == 20
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_parity_split_matches_full_solve(self, n, monkeypatch):
+        # entries with i+j odd are zero: even and odd indices never mix
+        i, j = np.indices((n, n))
+        m = np.where((i + j) % 2 == 0, np.random.default_rng(n).standard_normal((n, n)), 0.0)
+        shapes = []
+        monkeypatch.setattr(nhosc.eig, "balance", lambda a: shapes.append(a.shape) or balance(a))
+        for backend in BACKENDS:
+            got = eigenvalues(m, backend=backend).values
+            assert multiset_distance(got, np.linalg.eigvals(m)) <= 1e-10
+        assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2] * 2
+
+    def test_one_odd_entry_keeps_one_block(self, monkeypatch):
+        i, j = np.indices((8, 8))
+        m = np.where((i + j) % 2 == 0, np.random.default_rng(3).standard_normal((8, 8)), 0.0)
+        m[2, 5] = 0.5
+        shapes = []
+        monkeypatch.setattr(nhosc.eig, "balance", lambda a: shapes.append(a.shape) or balance(a))
+        assert multiset_distance(eigenvalues(m).values, np.linalg.eigvals(m)) <= 1e-10
+        assert shapes == [(8, 8)]
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_general_matrix_whose_squares_under_or_overflow(self, scale):
+        # |entries| near 1e-170 square to zero and near 1e200 to inf; the
+        # reflectors are built from columns scaled by a power of two
+        m = np.random.default_rng(6).standard_normal((6, 6))
+        got = eigenvalues(scale * m).values / scale
+        assert multiset_distance(got, np.linalg.eigvals(m)) <= 1e-12
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_convergence_failure_in_a_block_names_input_row(self, parity):
+        # entries with i+j odd are zero; the block of the other parity is
+        # upper triangular and deflates without a sweep
+        i, j = np.indices((8, 8))
+        m = np.where((i + j) % 2 == 0, np.random.default_rng(5).standard_normal((8, 8)), 0.0)
+        m[parity ^ 1 :: 2, parity ^ 1 :: 2] = np.triu(m[parity ^ 1 :: 2, parity ^ 1 :: 2])
+        with pytest.raises(ConvergenceError) as exc_info:
+            eigenvalues(m, max_sweeps=0, backend="francis")
+        # the stuck subdiagonal is the last row, 3, of the 4x4 block
+        row = 6 + parity
+        assert exc_info.value.subdiagonal_index == row
+        assert f"{('even', 'odd')[parity]}-index block (input row {row})" in str(exc_info.value)
+
     def test_convergence_failure_names_index(self):
         rng = np.random.default_rng(12)
         m = rng.standard_normal((6, 6))
@@ -238,11 +288,15 @@ class TestFrobeniusNorm:
 
 class TestBackendsAgree:
     """LAPACK (the default QR stage) against the in-package Francis QR and
-    against a 50-digit mpmath solve of the same double-precision matrix."""
+    against a 50-digit mpmath solve of the same double-precision matrix.
+
+    The oscillator H has zero +-1 bands, so every solve here runs the
+    even/odd split: two tridiagonal blocks, each through its own QR stage.
+    """
 
     @pytest.mark.parametrize("n_dim, tol", [(40, 1e-9), (60, 1e-6)])
     def test_table_one_spectrum(self, table1_params, n_dim, tol):
-        # measured gaps: 1.5e-11 at N=40, 8.2e-9 at N=60 (|eigenvalues| up to 330 and 520)
+        # measured gaps: 1.3e-10 at N=40, 6.4e-9 at N=60 (|eigenvalues| up to 330 and 520)
         h = build_hamiltonian(
             HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=4.0))
         )
@@ -259,7 +313,7 @@ class TestBackendsAgree:
             exact = mpmath.eig(mpmath.matrix(h.tolist()), left=False, right=False)
             exact = np.array([complex(v) for v in exact])
         for backend in BACKENDS:
-            # measured: LAPACK 1.5e-11, Francis 1.2e-11 from the 50-digit values
+            # measured: LAPACK 2.9e-12, Francis 8.5e-12 from the 50-digit values
             assert multiset_distance(eigenvalues(h, backend=backend).values, exact) <= 1e-9
 
 

@@ -91,6 +91,20 @@ class TestBuildHamiltonian:
             )
             assert h.dtype == np.float64
 
+    def test_entries_whose_squares_overflow_are_accepted(self):
+        # entries near 1e157 are finite though their squares are not; H and
+        # its values scale as s^2
+        params = TransformParams(l_coef=3.0, b_coef=5.0)
+        big, ref = (
+            build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=40, scale=s)))
+            for s in (1e78, 1.0)
+        )
+        assert np.abs(big).max() > 1e157
+        np.testing.assert_allclose(big, 1e156 * ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(
+            np.sort(eigenvalues(big).values), 1e156 * np.sort(eigenvalues(ref).values), rtol=1e-12
+        )
+
     def test_norm_c_field(self):
         np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
 
