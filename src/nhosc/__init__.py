@@ -41,7 +41,6 @@ from .eig import (
     classify,
     eigenvalues,
     hessenberg_reduce,
-    sort_spectrum,
 )
 from .model import (
     HamiltonianSpec,
@@ -92,7 +91,6 @@ __all__ = [
     "momentum_matrix",
     "normalized_commutator_check",
     "position_matrix",
-    "sort_spectrum",
     "sweep",
     "transformed_momentum",
     "transformed_position",

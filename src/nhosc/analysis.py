@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import BasisSpec, TransformParams
-from .eig import EigensolverError, classify, eigenvalues, real_mask, sort_spectrum
+from .eig import EigensolverError, classify, eigenvalues, real_mask
 from .model import HamiltonianSpec, Regime, build_hamiltonian, classify_regime
 
 __all__ = [
@@ -94,9 +94,8 @@ def isospectral_report(
     h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
     if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
         raise ValueError("isospectral report undefined in the broken regime")
-    spec = sort_spectrum(eigenvalues(h))
-    classified = classify(spec)
-    is_real = real_mask(spec.values, spec.classify_tol, 1e-10)
+    spec = eigenvalues(h)
+    is_real = real_mask(spec)
     ab = params.a_coef * params.b_coef
     rows = []
     first_dev = None
@@ -112,7 +111,7 @@ def isospectral_report(
     return IsospectralReport(
         rows=rows,
         first_deviation_index=first_dev,
-        n_complex_pairs=classified.n_complex,
+        n_complex_pairs=classify(spec).n_complex,
         params=params,
         basis=basis,
         report_tol=report_tol,
@@ -141,9 +140,7 @@ def duality_check(params: TransformParams, basis: BasisSpec) -> float:
     h_a = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
     dual_basis = BasisSpec(n_dim=basis.n_dim, freq=1.0 / basis.freq, scale=basis.scale)
     h_b = build_hamiltonian(HamiltonianSpec(params=dual_params(params), basis=dual_basis))
-    ev_a = sort_spectrum(eigenvalues(h_a)).values
-    ev_b = sort_spectrum(eigenvalues(h_b)).values
-    return float(np.abs(ev_a - ev_b).max())
+    return float(np.abs(eigenvalues(h_a).values - eigenvalues(h_b).values).max())
 
 
 def _summary_point(report: IsospectralReport, axis_value: float) -> SweepPoint:

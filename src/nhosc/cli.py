@@ -26,7 +26,7 @@ from .analysis import (
     sweep,
 )
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
-from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues, sort_spectrum
+from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
 from .model import HamiltonianSpec, build_hamiltonian, variational_frequency
 
 __all__ = [
@@ -399,7 +399,7 @@ def _render_isospectral(report: IsospectralReport, config: RunConfig) -> Report:
 
 def _render_spectrum(config: RunConfig) -> Report:
     h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
-    spec = sort_spectrum(eigenvalues(h))
+    spec = eigenvalues(h)
     classified = classify(spec)
     values = spec.values[: config.print_count]
     lines = ["n | E_n -> H"] + [f"{n} | {_fmt_value(v)}" for n, v in enumerate(values)]

@@ -1,18 +1,17 @@
 """Dense real nonsymmetric eigenvalue solver.
 
 Pipeline: diagonal balancing (Parlett-Reinsch, radix 2) and Householder
-reduction to upper Hessenberg form in this module, then the QR stage.  By
-default the QR stage is LAPACK's (``np.linalg.eigvals`` on the Hessenberg
-matrix).  A matrix whose entries with i+j odd are all zero (the oscillator
-H couples level n only to n and n+-2) is the permutation-similar direct sum
-of its even-index and odd-index submatrices; each runs through the pipeline
-on its own and the two value sets are joined.  The Householder reduction
-skips every column that is already in Hessenberg form, so a tridiagonal
-block passes through it unchanged.  The in-package Francis implicit
-double-shift QR with 2x2 real-block deflation (``backend="francis"``) is
-kept as an independent second solver to check it against.  Both return
-complex eigenvalues in exact conjugate pairs.  Eigenvalues only; Schur
-vectors are never formed.
+reduction to upper Hessenberg form in this module, then LAPACK's QR stage
+(``np.linalg.eigvals`` on the Hessenberg matrix).  A matrix whose entries
+with i+j odd are all zero (the oscillator H couples level n only to n and
+n+-2) is the permutation-similar direct sum of its even-index and
+odd-index submatrices; each runs through the pipeline on its own and the
+two value sets are joined.  The Householder reduction skips every column
+that is already in Hessenberg form, so a tridiagonal block passes through
+it unchanged.  The spectrum comes back sorted by (Re, Im), its complex
+values in exact conjugate pairs, which classify matches by sorting.  The
+private Francis double-shift QR (``_francis_qr``) is the independent
+reference the tests check the pipeline against.  Eigenvalues only.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ __all__ = [
     "balance",
     "hessenberg_reduce",
     "eigenvalues",
-    "sort_spectrum",
     "classify",
     "real_mask",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+_TOL_REL = 1e-10  # relative realness threshold of real_mask
 
 
 class EigensolverError(RuntimeError):
@@ -45,10 +44,8 @@ class EigensolverError(RuntimeError):
 class ConvergenceError(EigensolverError):
     """QR iteration did not converge.
 
-    subdiagonal_index is the input row of the stuck subdiagonal entry when
-    the Francis solver ran out of sweeps; it is None when LAPACK gave up.
-    For a matrix solved as its even- and odd-index blocks, row i of a block
-    is input row 2i or 2i+1, and the message names the block.
+    subdiagonal_index is the stuck subdiagonal row when the reference Francis
+    QR ran out of sweeps, and None when LAPACK gave up (it names no index).
     """
 
     def __init__(self, message: str, subdiagonal_index: int | None = None):
@@ -60,8 +57,8 @@ class ConvergenceError(EigensolverError):
 class Spectrum:
     """Full eigenvalue multiset of one solve.
 
-    classify_tol is the absolute realness threshold recorded at solve
-    time (1e-8 times the Frobenius norm of the input).
+    Values come sorted by (Re, Im) from eigenvalues; classify_tol is the
+    absolute realness threshold, 1e-8 times the Frobenius norm of the input.
     """
 
     values: np.ndarray
@@ -109,12 +106,14 @@ def _as_real_array(m) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing sums raise ValueError below
 def balance(m) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal similarity scaling that approximately equalizes row/column norms.
 
     Returns (balanced, d) with balanced = D^-1 m D for D = diag(d); the
     scale factors are powers of two, so the similarity is exact in
-    floating point and eigenvalues are unchanged.
+    floating point and eigenvalues are unchanged.  Raises ValueError when
+    a row or column sum is not finite or within a factor 2 of overflow.
     """
     a = _as_real_array(m).copy()
     n = a.shape[0]
@@ -127,6 +126,8 @@ def balance(m) -> tuple[np.ndarray, np.ndarray]:
         for i in range(n):
             c = np.abs(a[:, i]).sum() - abs(a[i, i])
             r = np.abs(a[i, :]).sum() - abs(a[i, i])
+            if not math.isfinite(2.0 * (c + r)):  # c < r/2 grows below 2r; an inf c loops forever
+                raise ValueError(f"row/column {i} sums {r:.3e}/{c:.3e} are not finite or too large")
             if c == 0.0 or r == 0.0:
                 continue
             g = r / radix
@@ -323,107 +324,71 @@ def _parity_blocks(a: np.ndarray) -> tuple[slice, ...]:
     return slice(0, None, 2), slice(1, None, 2)
 
 
-def _solve_block(a: np.ndarray, max_sweeps: int | None, backend: str) -> np.ndarray:
-    """Eigenvalues of one block: balance -> Hessenberg -> QR stage."""
-    balanced, _ = balance(a)
-    h = hessenberg_reduce(balanced)
-    if backend == "francis":
-        return _francis_qr(h, 30 * a.shape[0] if max_sweeps is None else max_sweeps)
+def _solve_block(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one block: balance -> Hessenberg -> LAPACK QR."""
     try:
-        return np.linalg.eigvals(h)
+        return np.linalg.eigvals(hessenberg_reduce(balance(a)[0]))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
 
 
-def eigenvalues(m, max_sweeps: int | None = None, backend: str = "lapack") -> Spectrum:
-    """All eigenvalues of a square real matrix via balance -> Hessenberg -> QR.
+def eigenvalues(m) -> Spectrum:
+    """All eigenvalues of a square real matrix, sorted by (Re, Im).
 
     A matrix whose entries with i+j odd are all zero is solved as its
-    even-index and odd-index blocks, one after the other.  backend selects
-    the QR stage: "lapack" (default) or the in-package "francis" solver,
-    whose sweep budget max_sweeps applies per block and defaults to 30 per
-    block dimension; max_sweeps is rejected with the LAPACK backend.  A QR
-    stage that does not converge raises ConvergenceError.  Every solve is
-    checked against the trace identity (sum of eigenvalues == trace) at
-    1e-9 * Frobenius norm of the whole input; violation raises
-    EigensolverError.
+    even-index and odd-index blocks.  Raises ValueError when N |m|_F is not
+    finite, ConvergenceError when LAPACK's QR does not converge, and
+    EigensolverError when the sum of the eigenvalues misses the trace by
+    more than 1e-9 |m|_F.
     """
-    if backend not in ("lapack", "francis"):
-        raise ValueError(f"unknown backend {backend!r}; expected 'lapack' or 'francis'")
-    if backend == "lapack" and max_sweeps is not None:
-        raise ValueError("max_sweeps bounds the Francis QR loop only (backend='francis')")
     a = _as_real_array(m)
     n = a.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    parts = []
-    for rows in _parity_blocks(a):
-        try:
-            parts.append(_solve_block(a[rows, rows], max_sweeps, backend))
-        except ConvergenceError as exc:
-            if exc.subdiagonal_index is None or rows == slice(None):
-                raise
-            row = range(n)[rows][exc.subdiagonal_index]
-            parity = "even" if rows.start == 0 else "odd"
-            message = f"{exc} of the {parity}-index block (input row {row})"
-            raise ConvergenceError(message, row) from exc
-    vals = np.concatenate(parts)
     norm = _frobenius_norm(a)
+    if not math.isfinite(n * norm):
+        raise ValueError(f"N |m|_F = {n * norm} is not finite (an inf or nan entry, or overflow)")
+    vals = np.concatenate([_solve_block(a[rows, rows]) for rows in _parity_blocks(a)])
     tol = 1e-9 * norm if norm > 0.0 else 1e-12
     drift = abs(vals.sum() - np.trace(a))
     if not drift <= tol:  # a NaN drift fails too
         raise EigensolverError(
             f"trace identity violated: |sum(eig) - trace| = {drift:.3e} > {tol:.3e}"
         )
-    return Spectrum(values=vals, classify_tol=1e-8 * norm)
+    return Spectrum(values=vals[np.lexsort((vals.imag, vals.real))], classify_tol=1e-8 * norm)
 
 
-def sort_spectrum(s: Spectrum) -> Spectrum:
-    """Stable reordering by ascending real part, ties by imaginary part."""
-    v = s.values
-    idx = np.lexsort((v.imag, v.real))
-    return Spectrum(values=v[idx], classify_tol=s.classify_tol)
+def real_mask(s: Spectrum) -> np.ndarray:
+    """Which values of s count as real: |Im v| <= max(s.classify_tol, 1e-10 |v|)."""
+    return np.abs(s.values.imag) <= np.maximum(s.classify_tol, _TOL_REL * np.abs(s.values))
 
 
-def real_mask(values: np.ndarray, tol_abs: float, tol_rel: float) -> np.ndarray:
-    """Boolean mask of values counted as real: |Im v| <= max(tol_abs, tol_rel*|v|)."""
-    v = np.asarray(values)
-    return np.abs(v.imag) <= np.maximum(tol_abs, tol_rel * np.abs(v))
+def classify(s: Spectrum) -> ClassifiedSpectrum:
+    """Split a real-matrix spectrum into real values (by real_mask) and conjugate pairs.
 
-
-def classify(
-    s: Spectrum, tol_abs: float | None = None, tol_rel: float = 1e-10
-) -> ClassifiedSpectrum:
-    """Split a real-matrix spectrum into real values and conjugate pairs.
-
-    tol_abs defaults to the threshold recorded at solve time.  Non-real
-    values are greedily matched to the nearest conjugate partner; an
-    unpairable value means the input matrix was not real or the
-    tolerances are misconfigured, and raises ValueError.
+    The k-th Im>0 value and the k-th conjugated Im<0 value, both sorted by
+    (Re, Im), form a pair.  Unequal counts, or a pair further apart than
+    10 max(classify_tol, 1e-10 |v|), mean the matrix was not real and raise
+    ValueError.
     """
-    if tol_abs is None:
-        tol_abs = s.classify_tol
-    v = s.values
-    mask = real_mask(v, tol_abs, tol_rel)
-    reals = np.sort(v[mask].real)
-    rest = v[~mask]
-    pos = sorted(rest[rest.imag > 0.0], key=lambda z: (z.real, z.imag))
-    neg = list(rest[rest.imag < 0.0])
+    mask = real_mask(s)
+    reals = np.sort(s.values[mask].real)
+    rest = s.values[~mask]
+    pos = np.sort_complex(rest[rest.imag > 0.0])
+    neg = np.sort_complex(rest[rest.imag < 0.0].conj())
     if len(pos) != len(neg):
         raise ValueError(
             f"unpairable complex values: {len(pos)} with Im>0 vs {len(neg)} with Im<0"
         )
-    pairs: list[tuple[float, float]] = []
-    for p in pos:
-        dists = [abs(u - p.conjugate()) for u in neg]
-        j = int(np.argmin(dists))
-        pair_tol = 10.0 * max(tol_abs, tol_rel * abs(p))
-        if dists[j] > pair_tol:
-            raise ValueError(
-                f"no conjugate partner for {p} within {pair_tol:.3e} (best {dists[j]:.3e})"
-            )
-        partner = neg.pop(j)
-        pairs.append((0.5 * (p.real + partner.real), 0.5 * (p.imag - partner.imag)))
+    dists = np.abs(neg - pos)
+    pair_tol = 10.0 * np.maximum(s.classify_tol, _TOL_REL * np.abs(pos))
+    far = np.flatnonzero(~(dists <= pair_tol))  # a NaN distance is far too
+    if far.size:
+        j = far[0]
+        raise ValueError(
+            f"no conjugate partner for {pos[j]} within {pair_tol[j]:.3e} (best {dists[j]:.3e})"
+        )
+    pairs = list(zip(0.5 * (pos.real + neg.real), 0.5 * (pos.imag + neg.imag)))
     reals.setflags(write=False)
     return ClassifiedSpectrum(
         real_values=reals,

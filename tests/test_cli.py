@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import nhosc.eig
 from nhosc import EigensolverError, HamiltonianSpec, build_hamiltonian, eigenvalues
 from nhosc.cli import (
     MAX_N,
@@ -285,9 +284,7 @@ class TestMainExitCodes:
         def no_qr(*args):
             pytest.fail("QR ran on an overflowed matrix")
 
-        # both QR stages: LAPACK (the default) and the in-package Francis QR
         monkeypatch.setattr(np.linalg, "eigvals", no_qr)
-        monkeypatch.setattr(nhosc.eig, "_francis_qr", no_qr)
         assert main(argv.split() + ["--N", "10"]) == 2
         assert "overflows float64" in capsys.readouterr().err
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,11 +20,31 @@ from nhosc import (
     eigenvalues,
     hessenberg_reduce,
     position_matrix,
-    sort_spectrum,
 )
-from nhosc.eig import _frobenius_norm
+from nhosc.eig import _francis_qr, _frobenius_norm, real_mask
 
-BACKENDS = ("lapack", "francis")
+
+def francis(m, max_sweeps=None):
+    """Reference solve of the whole matrix (no parity split): balance -> Hessenberg -> Francis QR."""
+    h = hessenberg_reduce(balance(m)[0])
+    return _francis_qr(h, 30 * h.shape[0] if max_sweeps is None else max_sweeps)
+
+
+def both(m):
+    """The values of eigenvalues(m) and of the Francis reference solve."""
+    return eigenvalues(m).values, francis(m)
+
+
+def greedy_pairs(s):
+    """Reference pairing: each Im>0 value, in (Re, Im) order, takes its nearest
+    remaining conjugated Im<0 partner."""
+    rest = s.values[~real_mask(s)]
+    neg = list(rest[rest.imag < 0.0])
+    pairs = []
+    for p in sorted(rest[rest.imag > 0.0], key=lambda z: (z.real, z.imag)):
+        partner = neg.pop(int(np.argmin([abs(u - p.conjugate()) for u in neg])))
+        pairs.append((0.5 * (p.real + partner.real), 0.5 * (p.imag - partner.imag)))
+    return pairs
 
 
 def sorted_by_re_im(v):
@@ -114,9 +139,8 @@ class TestHessenbergReduce:
 
 class TestEigenvalues:
     def test_diagonal(self):
-        for backend in BACKENDS:
-            spec = eigenvalues(np.diag([2.0, 3.0]), backend=backend)
-            np.testing.assert_allclose(sorted_by_re_im(spec.values), [2.0, 3.0])
+        for vals in both(np.diag([2.0, 3.0])):
+            np.testing.assert_allclose(sorted_by_re_im(vals), [2.0, 3.0])
 
     def test_one_by_one(self):
         np.testing.assert_array_equal(eigenvalues(np.array([[7.0]])).values, [7.0])
@@ -124,23 +148,20 @@ class TestEigenvalues:
             eigenvalues(np.zeros((0, 0)))
 
     def test_rotation_matrix(self):
-        for backend in BACKENDS:
-            spec = eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]), backend=backend)
-            np.testing.assert_allclose(sorted_by_re_im(spec.values), [-1j, 1j], atol=1e-15)
+        for vals in both(np.array([[0.0, 1.0], [-1.0, 0.0]])):
+            np.testing.assert_allclose(sorted_by_re_im(vals), [-1j, 1j], atol=1e-15)
 
     def test_companion_matrix(self):
         # t^3 - 6 t^2 + 11 t - 6 = (t-1)(t-2)(t-3)
         m = np.array([[6.0, -11.0, 6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        for backend in BACKENDS:
-            spec = eigenvalues(m, backend=backend)
-            np.testing.assert_allclose(sorted_by_re_im(spec.values), [1.0, 2.0, 3.0], atol=1e-8)
+        for vals in both(m):
+            np.testing.assert_allclose(sorted_by_re_im(vals), [1.0, 2.0, 3.0], atol=1e-8)
 
     def test_trace_and_determinant_identities(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((10, 10))
         det = np.linalg.det(m)
-        for backend in BACKENDS:
-            vals = eigenvalues(m, backend=backend).values
+        for vals in both(m):
             assert abs(vals.sum() - np.trace(m)) <= 1e-10 * max(1.0, abs(np.trace(m)))
             assert abs(np.prod(vals) - det) <= 1e-8 * abs(det)
 
@@ -148,30 +169,24 @@ class TestEigenvalues:
         rng = np.random.default_rng(8)
         for _ in range(50):
             m = rng.standard_normal((8, 8))
-            for backend in BACKENDS:
-                classify(eigenvalues(m, backend=backend))  # raises if pairing fails
+            spec = eigenvalues(m)
+            classify(spec)  # raises if pairing fails
+            classify(Spectrum(francis(m), spec.classify_tol))
 
     def test_transpose_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = rng.standard_normal((10, 10))
-            for backend in BACKENDS:
-                d = multiset_distance(
-                    eigenvalues(m, backend=backend).values, eigenvalues(m.T, backend=backend).values
-                )
-                assert d <= 1e-8
+            for solve in (lambda a: eigenvalues(a).values, francis):
+                assert multiset_distance(solve(m), solve(m.T)) <= 1e-8
 
     def test_orthogonal_similarity_invariance(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             m = rng.standard_normal((10, 10))
             q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-            for backend in BACKENDS:
-                d = multiset_distance(
-                    eigenvalues(m, backend=backend).values,
-                    eigenvalues(q @ m @ q.T, backend=backend).values,
-                )
-                assert d <= 1e-8
+            for solve in (lambda a: eigenvalues(a).values, francis):
+                assert multiset_distance(solve(m), solve(q @ m @ q.T)) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_characteristic_polynomial_oracle(self, n):
@@ -179,8 +194,8 @@ class TestEigenvalues:
         for _ in range(5):
             m = rng.standard_normal((n, n))
             roots = np.roots(char_poly_coeffs(m))
-            for backend in BACKENDS:
-                assert multiset_distance(eigenvalues(m, backend=backend).values, roots) <= 1e-6
+            for vals in both(m):
+                assert multiset_distance(vals, roots) <= 1e-6
 
     def test_rejects_complex_input(self):
         with pytest.raises(ValueError):
@@ -200,10 +215,11 @@ class TestEigenvalues:
         m = np.where((i + j) % 2 == 0, np.random.default_rng(n).standard_normal((n, n)), 0.0)
         shapes = []
         monkeypatch.setattr(nhosc.eig, "balance", lambda a: shapes.append(a.shape) or balance(a))
-        for backend in BACKENDS:
-            got = eigenvalues(m, backend=backend).values
-            assert multiset_distance(got, np.linalg.eigvals(m)) <= 1e-10
-        assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2] * 2
+        got = eigenvalues(m).values
+        assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+        # the Francis reference solves the whole matrix in one piece
+        for want in (np.linalg.eigvals(m), francis(m)):
+            assert multiset_distance(got, want) <= 1e-10
 
     def test_one_odd_entry_keeps_one_block(self, monkeypatch):
         i, j = np.indices((8, 8))
@@ -222,25 +238,11 @@ class TestEigenvalues:
         got = eigenvalues(scale * m).values / scale
         assert multiset_distance(got, np.linalg.eigvals(m)) <= 1e-12
 
-    @pytest.mark.parametrize("parity", [0, 1])
-    def test_convergence_failure_in_a_block_names_input_row(self, parity):
-        # entries with i+j odd are zero; the block of the other parity is
-        # upper triangular and deflates without a sweep
-        i, j = np.indices((8, 8))
-        m = np.where((i + j) % 2 == 0, np.random.default_rng(5).standard_normal((8, 8)), 0.0)
-        m[parity ^ 1 :: 2, parity ^ 1 :: 2] = np.triu(m[parity ^ 1 :: 2, parity ^ 1 :: 2])
-        with pytest.raises(ConvergenceError) as exc_info:
-            eigenvalues(m, max_sweeps=0, backend="francis")
-        # the stuck subdiagonal is the last row, 3, of the 4x4 block
-        row = 6 + parity
-        assert exc_info.value.subdiagonal_index == row
-        assert f"{('even', 'odd')[parity]}-index block (input row {row})" in str(exc_info.value)
-
     def test_convergence_failure_names_index(self):
         rng = np.random.default_rng(12)
         m = rng.standard_normal((6, 6))
         with pytest.raises(ConvergenceError) as exc_info:
-            eigenvalues(m, max_sweeps=0, backend="francis")
+            francis(m, max_sweeps=0)
         err = exc_info.value
         assert err.subdiagonal_index == 5
         assert "subdiagonal index 5" in str(err)
@@ -255,24 +257,16 @@ class TestEigenvalues:
         assert exc_info.value.subdiagonal_index is None
         assert "did not converge" in str(exc_info.value)
 
-    def test_backend_arguments(self):
-        m = np.diag([1.0, 2.0])
-        with pytest.raises(ValueError, match="unknown backend"):
-            eigenvalues(m, backend="numpy")
-        with pytest.raises(ValueError, match="Francis QR loop only"):
-            eigenvalues(m, max_sweeps=10)
-        eigenvalues(m, max_sweeps=10, backend="francis")
-
     def test_tiny_hamiltonian_has_positive_tolerance(self):
         # entries near 1e-170 are normal floats whose squares underflow
         h = build_hamiltonian(
             HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=6, scale=1e-85))
         )
         assert 0.0 < np.abs(h).max() < 1e-160
-        for backend in BACKENDS:
-            spec = eigenvalues(h, backend=backend)
-            assert spec.classify_tol > 0.0
-            assert classify(spec).n_real == 6
+        spec = eigenvalues(h)
+        assert spec.classify_tol > 0.0
+        assert classify(spec).n_real == 6
+        assert classify(Spectrum(francis(h), spec.classify_tol)).n_real == 6
 
 
 class TestFrobeniusNorm:
@@ -287,22 +281,24 @@ class TestFrobeniusNorm:
 
 
 class TestBackendsAgree:
-    """LAPACK (the default QR stage) against the in-package Francis QR and
+    """LAPACK (the production QR stage) against the Francis reference and
     against a 50-digit mpmath solve of the same double-precision matrix.
 
-    The oscillator H has zero +-1 bands, so every solve here runs the
-    even/odd split: two tridiagonal blocks, each through its own QR stage.
+    The oscillator H has zero +-1 bands, so eigenvalues runs the even/odd
+    split, while the reference solves the whole matrix: the comparison
+    checks the split too.
     """
 
     @pytest.mark.parametrize("n_dim, tol", [(40, 1e-9), (60, 1e-6)])
     def test_table_one_spectrum(self, table1_params, n_dim, tol):
-        # measured gaps: 1.3e-10 at N=40, 6.4e-9 at N=60 (|eigenvalues| up to 330 and 520)
+        # measured gaps: 1.5e-10 at N=40, 9.6e-9 at N=60 (|eigenvalues| up to 330 and 520)
         h = build_hamiltonian(
             HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=4.0))
         )
-        lapack, francis = (eigenvalues(h, backend=b) for b in BACKENDS)
-        assert multiset_distance(lapack.values, francis.values) <= tol
-        a, b = classify(lapack), classify(francis)
+        lapack = eigenvalues(h)
+        reference = Spectrum(francis(h), lapack.classify_tol)
+        assert multiset_distance(lapack.values, reference.values) <= tol
+        a, b = classify(lapack), classify(reference)
         assert (a.n_real, a.n_complex) == (b.n_real, b.n_complex)
 
     def test_mpmath_oracle(self, table1_params):
@@ -312,30 +308,108 @@ class TestBackendsAgree:
         with mpmath.workdps(50):
             exact = mpmath.eig(mpmath.matrix(h.tolist()), left=False, right=False)
             exact = np.array([complex(v) for v in exact])
-        for backend in BACKENDS:
-            # measured: LAPACK 2.9e-12, Francis 8.5e-12 from the 50-digit values
-            assert multiset_distance(eigenvalues(h, backend=backend).values, exact) <= 1e-9
+        # measured: LAPACK 2.9e-12, Francis 1.2e-11 from the 50-digit values
+        for vals in both(h):
+            assert multiset_distance(vals, exact) <= 1e-9
+
+
+NON_FINITE = [
+    "[[1.0, inf], [1.0, 1.0]]",
+    "[[1e308, 1e308], [1e308, 1e308]]",
+    "[[nan, 1.0], [1.0, 1.0]]",
+    "[[0.0, 1.7e308], [2.2e-300, 0.0]]",  # balancing would scale the column sum to inf
+]
+
+
+@pytest.mark.parametrize("matrix", NON_FINITE, ids=["inf", "sum-overflow", "nan", "balance-overflow"])
+def test_non_finite_input_is_value_error(matrix):
+    # a child process with a timeout, so that a hang fails instead of stalling the suite
+    script = f"""
+import time
+import numpy as np
+from numpy import inf, nan
+from nhosc import balance, eigenvalues
+for solve in (eigenvalues, balance):
+    start = time.perf_counter()
+    try:
+        solve(np.array({matrix}))
+    except ValueError as exc:
+        print(f"{{time.perf_counter() - start}} {{exc}}")
+    else:
+        raise SystemExit(solve.__name__ + " accepted the matrix")
+"""
+    src = str(Path(nhosc.eig.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", script]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    (t_eig, msg_eig), (t_balance, msg_balance) = (line.split(" ", 1) for line in done.stdout.splitlines())
+    assert float(t_eig) < 1.0 and float(t_balance) < 1.0
+    # eigenvalues rejects the matrix by its norm, before any solve stage runs
+    assert msg_eig.startswith("N |m|_F = ") and msg_balance.startswith("row/column 0 sums ")
+
+
+class TestConjugateClosure:
+    """classify matches pairs by sorting; that needs every spectrum eigenvalues
+    returns for a real matrix to be exactly conjugate-closed."""
+
+    def assert_closed(self, m):
+        spec = eigenvalues(m)
+        v = spec.values
+        # the Im>0 values and the conjugated Im<0 values, each sorted by (Re, Im)
+        pos, neg = np.sort_complex(v[v.imag > 0.0]), np.sort_complex(v[v.imag < 0.0].conj())
+        np.testing.assert_array_equal(pos, neg)
+        # sorted matching gives the nearest-partner pairs bit for bit
+        assert classify(spec).complex_pairs == greedy_pairs(spec)
+
+    def test_random_dense(self):
+        rng = np.random.default_rng(20)
+        for n in range(2, 61):
+            self.assert_closed(rng.standard_normal((n, n)))
+
+    def test_parity_split(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 31):
+            i, j = np.indices((n, n))
+            self.assert_closed(np.where((i + j) % 2 == 0, rng.standard_normal((n, n)), 0.0))
+
+    @pytest.mark.parametrize("n_dim", [20, 100, 400])
+    @pytest.mark.parametrize("freq", [1.0, 4.0, 7.9, 16.0])
+    def test_oscillator(self, table1_params, n_dim, freq):
+        # at w=16, N=400 (sweep-w --L 3 --B 5) rounding noise alone makes a
+        # hundred or more pairs
+        self.assert_closed(
+            build_hamiltonian(
+                HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=freq))
+            )
+        )
 
 
 class TestSortSpectrum:
+    """eigenvalues returns its values sorted by (Re, Im)."""
+
     def test_real_values_ascending(self):
-        s = Spectrum(values=np.array([3.0, 1.0, 2.0], dtype=complex), classify_tol=1e-10)
-        np.testing.assert_allclose(sort_spectrum(s).values, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(eigenvalues(np.diag([3.0, 1.0, 2.0])).values, [1.0, 2.0, 3.0])
 
     def test_re_then_im_conjugates(self):
-        vals = np.array([395.53 + 59.95j, 5.0, 395.53 - 59.95j])
-        s = sort_spectrum(Spectrum(vals, 1e-10))
+        # 5 and the pair 395.53 -+ 59.95i
+        m = np.array([[395.53, 59.95, 0.0], [-59.95, 395.53, 0.0], [0.0, 0.0, 5.0]])
         np.testing.assert_allclose(
-            s.values, [5.0, 395.53 - 59.95j, 395.53 + 59.95j]
+            eigenvalues(m).values, [5.0, 395.53 - 59.95j, 395.53 + 59.95j], rtol=1e-14
         )
 
 
 class TestClassify:
     def test_tolerance_discards_tiny_imag(self):
-        s = Spectrum(np.array([1.0 + 1e-12j]), 0.0)
-        out = classify(s, tol_abs=1e-9)
+        s = Spectrum(np.array([1.0 + 1e-12j]), classify_tol=1e-9)
+        out = classify(s)
         assert out.n_real == 1 and out.n_complex == 0
         np.testing.assert_allclose(out.real_values, [1.0])
+
+    def test_real_mask_relative_threshold(self):
+        # |Im| <= max(classify_tol, 1e-10 |v|)
+        s = Spectrum(np.array([1e6 + 5e-5j, 1e6 + 5e-4j, 1.0 + 5e-5j]), classify_tol=0.0)
+        np.testing.assert_array_equal(real_mask(s), [True, False, False])
 
     def test_pairs_matched(self):
         s = Spectrum(np.array([1.0 + 2.0j, 3.0 + 0j, 1.0 - 2.0j]), 1e-12)
@@ -344,10 +418,23 @@ class TestClassify:
         np.testing.assert_allclose(out.complex_pairs, [(1.0, 2.0)])
         assert out.n_real + 2 * out.n_complex == 3
 
+    def test_pairs_sharing_a_real_part(self):
+        s = Spectrum(np.array([5.0 + 2.0j, 5.0 - 1.0j, 3.0, 5.0 + 1.0j, 5.0 - 2.0j]), 1e-12)
+        out = classify(s)
+        assert (out.n_real, out.n_complex) == (1, 2)
+        assert out.complex_pairs == [(5.0, 1.0), (5.0, 2.0)]
+
+    def test_partner_beyond_pair_tol_raises(self):
+        # pair_tol = 10 max(1e-12, 1e-10 |1+2i|) = 2.2e-9; the partner is 1e-6 away
+        s = Spectrum(np.array([1.0 + 2.0j, 1.000001 - 2.0j]), 1e-12)
+        with pytest.raises(ValueError, match="no conjugate partner for"):
+            classify(s)
+
     def test_unpairable_raises(self):
         s = Spectrum(np.array([1.0 + 2.0j, 5.0 + 0j]), 1e-12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc_info:
             classify(s)
+        assert str(exc_info.value) == "unpairable complex values: 1 with Im>0 vs 0 with Im<0"
 
     def test_hermitian_limit_all_real(self):
         h = build_hamiltonian(
