@@ -1,17 +1,15 @@
 """Dense real nonsymmetric eigenvalue solver.
 
-Pipeline: diagonal balancing (Parlett-Reinsch, radix 2) and Householder
-reduction to upper Hessenberg form in this module, then LAPACK's QR stage
-(``np.linalg.eigvals`` on the Hessenberg matrix).  A matrix whose entries
-with i+j odd are all zero (the oscillator H couples level n only to n and
-n+-2) is the permutation-similar direct sum of its even-index and
-odd-index submatrices; each runs through the pipeline on its own and the
-two value sets are joined.  The Householder reduction skips every column
-that is already in Hessenberg form, so a tridiagonal block passes through
-it unchanged.  The spectrum comes back sorted by (Re, Im), its complex
-values in exact conjugate pairs, which classify matches by sorting.  The
-private Francis double-shift QR (``_francis_qr``) is the independent
-reference the tests check the pipeline against.  Eigenvalues only.
+A matrix whose only nonzero bands are 0 and +-2 (the oscillator H couples
+level n only to n and n+-2) is solved as its even-index and odd-index
+tridiagonal blocks, each symmetrized by a diagonal similarity (_blocks).
+Any other matrix is one block: diagonal balancing (Parlett-Reinsch, radix
+2) and Householder reduction to upper Hessenberg form in this module.
+LAPACK's QR stage (``np.linalg.eigvals``) solves each block.  The spectrum
+comes back sorted by (Re, Im), its complex values in exact conjugate pairs,
+which classify matches by sorting.  The private Francis double-shift QR
+(``_francis_qr``) is the independent reference the tests check the
+pipeline against.  Eigenvalues only.
 """
 
 from __future__ import annotations
@@ -315,28 +313,27 @@ def _francis_qr(h: np.ndarray, max_sweeps: int) -> np.ndarray:
     return wr + 1j * wi
 
 
-def _parity_blocks(a: np.ndarray) -> tuple[slice, ...]:
-    """Row/column index sets of the blocks to solve: the even and the odd
-    indices when every entry with i+j odd is zero (an exact permutation
-    similarity), else all indices."""
-    if a.shape[0] < 2 or a[::2, 1::2].any() or a[1::2, ::2].any():
-        return (slice(None),)
-    return slice(0, None, 2), slice(1, None, 2)
-
-
-def _solve_block(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one block: balance -> Hessenberg -> LAPACK QR."""
-    try:
-        return np.linalg.eigvals(hessenberg_reduce(balance(a)[0]))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
+def _blocks(a: np.ndarray) -> list[np.ndarray]:
+    """The blocks whose spectra make up a's.  With only the 0 and +-2 bands
+    (u above, l below), the even and odd blocks are tridiagonal, with u and l
+    made sign(u) r and sign(l) r, r = sqrt|u| sqrt|l|: the diagonal and every
+    u l stay, so the characteristic polynomial does, and r cannot overflow.
+    For u l > 0 that is the symmetric D^-1 block D balancing cannot find.
+    Any other a is one block, balanced and in Hessenberg form."""
+    d, u, l = np.diagonal(a), np.diagonal(a, 2), np.diagonal(a, -2)
+    if np.count_nonzero(a) > np.count_nonzero(d) + np.count_nonzero(u) + np.count_nonzero(l):
+        return [hessenberg_reduce(balance(a)[0])]
+    r = np.sqrt(np.abs(u)) * np.sqrt(np.abs(l))
+    up, down = np.copysign(r, u), np.copysign(r, l)
+    # n = 1 leaves an empty (0 x 0) odd block
+    return [np.diag(d[p::2]) + np.diag(up[p::2], 1) + np.diag(down[p::2], -1) for p in (0, 1)]
 
 
 def eigenvalues(m) -> Spectrum:
     """All eigenvalues of a square real matrix, sorted by (Re, Im).
 
-    A matrix whose entries with i+j odd are all zero is solved as its
-    even-index and odd-index blocks.  Raises ValueError when N |m|_F is not
+    A matrix with only the 0 and +-2 bands is solved as two symmetrized
+    tridiagonal blocks (see _blocks).  Raises ValueError when N |m|_F is not
     finite, ConvergenceError when LAPACK's QR does not converge, and
     EigensolverError when the sum of the eigenvalues misses the trace by
     more than 1e-9 |m|_F.
@@ -348,7 +345,10 @@ def eigenvalues(m) -> Spectrum:
     norm = _frobenius_norm(a)
     if not math.isfinite(n * norm):
         raise ValueError(f"N |m|_F = {n * norm} is not finite (an inf or nan entry, or overflow)")
-    vals = np.concatenate([_solve_block(a[rows, rows]) for rows in _parity_blocks(a)])
+    try:
+        vals = np.concatenate([np.linalg.eigvals(b) for b in _blocks(a)])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
     tol = 1e-9 * norm if norm > 0.0 else 1e-12
     drift = abs(vals.sum() - np.trace(a))
     if not drift <= tol:  # a NaN drift fails too

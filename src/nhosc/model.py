@@ -99,9 +99,8 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return diag, upper, lower
     # the squares over- or underflowed, or an entry is not finite: only the
     # max-scaled norm and the entries themselves tell which
-    # every sum of |entries| the solver forms (row, column and trace sums,
-    # the off-diagonal mass that balancing moves, sums of eigenvalues) is at
-    # most sqrt(nonzero count) |H|_F <= N |H|_F, so that has to stay finite
+    # eig.eigenvalues rejects a matrix whose N |H|_F is not finite: it bounds
+    # the trace and eigenvalue sums of the solve
     bound = _frobenius_norm(entries) * basis.n_dim
     if not math.isfinite(bound):
         raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {basis}")

@@ -57,6 +57,12 @@ class TestIsospectralReport:
         assert all(r.remark is Remark.ISO for r in table1_report.rows[:first])
         assert table1_report.rows[first].remark is Remark.NO_ISO
 
+    def test_real_window_first_deviation(self, table1_params):
+        # w=16 lies in the real window (w > 8): no pairs, and the ladder holds
+        # up to level 111 (the balanced solve printed 131 pairs and stopped at 36)
+        report = isospectral_report(table1_params, BasisSpec(n_dim=400, freq=16.0))
+        assert (report.n_complex_pairs, report.first_deviation_index) == (0, 111)
+
     def test_broken_regime_rejected(self):
         with pytest.raises(ValueError):
             isospectral_report(TransformParams(l_coef=2.0), BasisSpec(n_dim=10))

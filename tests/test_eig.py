@@ -35,6 +35,16 @@ def both(m):
     return eigenvalues(m).values, francis(m)
 
 
+def oscillator_shaped(rng, n):
+    """Random n x n matrix whose only nonzero bands are 0 and +-2, like H; the
+    products u l of the +-2 entries take both signs, and about a third are zero."""
+    m = np.diag(rng.standard_normal(n))
+    if n > 2:
+        u, l = rng.standard_normal((2, n - 2)) * (rng.random((2, n - 2)) > 0.2)
+        m += np.diag(u, 2) + np.diag(l, -2)
+    return m
+
+
 def greedy_pairs(s):
     """Reference pairing: each Im>0 value, in (Re, Im) order, takes its nearest
     remaining conjugated Im<0 partner."""
@@ -208,27 +218,34 @@ class TestEigenvalues:
         spec = eigenvalues(h)
         assert len(spec) == 20
 
-    @pytest.mark.parametrize("n", [9, 10])
-    def test_parity_split_matches_full_solve(self, n, monkeypatch):
-        # entries with i+j odd are zero: even and odd indices never mix
-        i, j = np.indices((n, n))
-        m = np.where((i + j) % 2 == 0, np.random.default_rng(n).standard_normal((n, n)), 0.0)
-        shapes = []
-        monkeypatch.setattr(nhosc.eig, "balance", lambda a: shapes.append(a.shape) or balance(a))
-        got = eigenvalues(m).values
-        assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2]
-        # the Francis reference solves the whole matrix in one piece
-        for want in (np.linalg.eigvals(m), francis(m)):
-            assert multiset_distance(got, want) <= 1e-10
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_parity_split_matches_full_solve(self, seed, monkeypatch):
+        # only the 0 and +-2 bands: each parity block is solved in its
+        # symmetrized form, with no balance and no Hessenberg reduction
+        calls = []
+        monkeypatch.setattr(nhosc.eig, "balance", lambda a: calls.append(a.shape) or balance(a))
+        monkeypatch.setattr(
+            nhosc.eig, "hessenberg_reduce", lambda a: calls.append(a.shape) or hessenberg_reduce(a)
+        )
+        rng = np.random.default_rng(seed)
+        for n in range(1, 31):
+            m = oscillator_shaped(rng, n)
+            got = eigenvalues(m).values
+            assert len(got) == n  # n = 1 gains no value from an empty odd block
+            # the Francis reference balances and solves the whole matrix in one piece
+            for want in (np.linalg.eigvals(m), francis(m)):
+                assert multiset_distance(got, want) <= 1e-10 * np.abs(want).max()
+        assert calls == []
 
     def test_one_odd_entry_keeps_one_block(self, monkeypatch):
-        i, j = np.indices((8, 8))
-        m = np.where((i + j) % 2 == 0, np.random.default_rng(3).standard_normal((8, 8)), 0.0)
-        m[2, 5] = 0.5
-        shapes = []
-        monkeypatch.setattr(nhosc.eig, "balance", lambda a: shapes.append(a.shape) or balance(a))
-        assert multiset_distance(eigenvalues(m).values, np.linalg.eigvals(m)) <= 1e-10
-        assert shapes == [(8, 8)]
+        # one entry off the 0 and +-2 bands, off by one band (i+j odd) or by two
+        for row, col in [(2, 5), (0, 4)]:
+            m = oscillator_shaped(np.random.default_rng(3), 8)
+            m[row, col] = 0.5
+            shapes = []
+            monkeypatch.setattr(nhosc.eig, "balance", lambda a: shapes.append(a.shape) or balance(a))
+            assert multiset_distance(eigenvalues(m).values, np.linalg.eigvals(m)) <= 1e-10
+            assert shapes == [(8, 8)]
 
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
     def test_general_matrix_whose_squares_under_or_overflow(self, scale):
@@ -284,9 +301,9 @@ class TestBackendsAgree:
     """LAPACK (the production QR stage) against the Francis reference and
     against a 50-digit mpmath solve of the same double-precision matrix.
 
-    The oscillator H has zero +-1 bands, so eigenvalues runs the even/odd
-    split, while the reference solves the whole matrix: the comparison
-    checks the split too.
+    The oscillator H has only the 0 and +-2 bands, so eigenvalues solves its
+    symmetrized parity blocks, while the reference balances and solves the
+    whole matrix: the comparison checks the symmetrization too.
     """
 
     @pytest.mark.parametrize("n_dim, tol", [(40, 1e-9), (60, 1e-6)])
@@ -311,6 +328,59 @@ class TestBackendsAgree:
         # measured: LAPACK 2.9e-12, Francis 1.2e-11 from the 50-digit values
         for vals in both(h):
             assert multiset_distance(vals, exact) <= 1e-9
+
+
+class TestRealWindow:
+    """Table-1 parameters (L=3, B=5): the +-2 band products u l of H are
+    positive for w < 2 and w > 8, so each parity block is similar to a real
+    symmetric tridiagonal and every truncation has a real spectrum there.
+    Balancing cannot find that similarity; the balanced solve of each block
+    printed its rounding noise as complex pairs."""
+
+    @staticmethod
+    def hamiltonian(params, n_dim, freq):
+        return build_hamiltonian(
+            HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=freq))
+        )
+
+    # the balanced solve reported 54 / 170 / 131 pairs at N=400 and 89 / 415 at N=1000
+    @pytest.mark.parametrize(
+        "n_dim, freq", [(400, 1.9), (400, 8.1), (400, 16.0), (1000, 1.0), (1000, 16.0)]
+    )
+    def test_no_complex_pairs(self, table1_params, n_dim, freq):
+        out = classify(eigenvalues(self.hamiltonian(table1_params, n_dim, freq)))
+        assert (out.n_real, out.n_complex) == (n_dim, 0)
+
+    def test_blocks_against_40_digits_off_w_v(self, table1_params):
+        # w=7.9 lies inside the complex window, where u/l = -0.0106, not -1 as at w_v = 4
+        h = self.hamiltonian(table1_params, 50, 7.9)
+        with mpmath.workdps(40):
+            exact = np.array([
+                complex(v)
+                for q in (0, 1)
+                for v in mpmath.eig(mpmath.matrix(h[q::2, q::2].tolist()), left=False, right=False)
+            ])
+        # measured 6.2e-15 max|lambda|; the balanced solve was off by 7.5e-10 max|lambda|
+        assert multiset_distance(eigenvalues(h).values, exact) <= 1e-12 * np.abs(exact).max()
+
+    def test_pairs_of_the_40_digit_solve(self, table1_params):
+        # w=7.9, N=100: the pairs of a 40-digit mpmath.eig of both blocks (about
+        # 30 s, so recorded here); the balanced solve reported 19 pairs, and 55
+        # values off by more than 1e-3
+        exact = [
+            (836.28783845634, 10.9844196487877),
+            (846.986298531841, 9.88939474704362),
+            (862.985475049584, 32.2877649718869),
+            (873.570555854775, 31.1633536833589),
+            (893.871863588075, 56.2367801876178),
+            (904.257662289815, 55.0721545045482),
+            (932.932408810091, 85.2501822381398),
+            (943.101088957064, 84.0504462366059),
+        ]
+        out = classify(eigenvalues(self.hamiltonian(table1_params, 100, 7.9)))
+        assert out.n_complex == 8
+        # measured 3.6e-10 from the recorded pairs
+        np.testing.assert_allclose(out.complex_pairs, exact, rtol=0.0, atol=1e-8)
 
 
 NON_FINITE = [
@@ -369,15 +439,14 @@ class TestConjugateClosure:
 
     def test_parity_split(self):
         rng = np.random.default_rng(21)
-        for n in range(2, 31):
-            i, j = np.indices((n, n))
-            self.assert_closed(np.where((i + j) % 2 == 0, rng.standard_normal((n, n)), 0.0))
+        for n in range(1, 31):
+            self.assert_closed(oscillator_shaped(rng, n))
 
     @pytest.mark.parametrize("n_dim", [20, 100, 400])
     @pytest.mark.parametrize("freq", [1.0, 4.0, 7.9, 16.0])
     def test_oscillator(self, table1_params, n_dim, freq):
-        # at w=16, N=400 (sweep-w --L 3 --B 5) rounding noise alone makes a
-        # hundred or more pairs
+        # w = 1 and 16 lie in the real window (no pairs at any N), w = 4 and
+        # 7.9 inside the complex one
         self.assert_closed(
             build_hamiltonian(
                 HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=freq))
