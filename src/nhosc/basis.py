@@ -1,9 +1,10 @@
 """Truncated Fock-basis operator matrices and commutator checks.
 
-All operators act on the N-dimensional truncation of the harmonic
-oscillator number basis (hbar = m = 1 units).  The operators x, p, y and
-z are dense complex arrays wrapped in :class:`OperatorMatrix`, frozen on
-construction; the Hamiltonian is not built from them (see model).
+All operators act on the N-dimensional truncation of the harmonic oscillator
+number basis (hbar = m = 1 units).  With p = iP, y = iY and z = Z for the real
+tridiagonals Y = P + Lx and Z = x - RP (x, p: L = R = 0), whose bands
+``_shear_bands`` defines for this module and for model's H.  The builders
+return them as dense complex :class:`OperatorMatrix` values.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ __all__ = [
     "commutator",
     "normalized_commutator_check",
 ]
+
+
+# Largest rounding floor of the commutator check: beyond it the reported
+# defect would be float64 rounding of Z Y - Y Z, not the truncation defect.
+_ROUNDING_FLOOR_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,38 +120,38 @@ def ladder_weights(n_dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, n_dim, dtype=float))
 
 
-def _ladder_bands(basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
-    # sub + super and sub - super skeletons shared by x and p
-    m = ladder_weights(basis.n_dim)
-    return np.diag(m, -1) + np.diag(m, 1), np.diag(m, -1) - np.diag(m, 1)
+def _shear_bands(basis: BasisSpec, params: TransformParams) -> tuple[tuple[float, float], ...]:
+    """(below, above) coefficients (see _tridiagonal) of Y = P + Lx and Z = x - RP, P = -ip."""
+    alpha = basis.scale / math.sqrt(2.0 * basis.freq)
+    beta = basis.scale * math.sqrt(basis.freq / 2.0)
+    y_bands = (beta + params.l_coef * alpha, params.l_coef * alpha - beta)
+    return y_bands, (alpha - params.r_coef * beta, alpha + params.r_coef * beta)
+
+
+def _tridiagonal(n_dim: int, below: float, above: float) -> np.ndarray:
+    """Real N x N array with below*sqrt(k) at (k, k-1), above*sqrt(k) at (k-1, k), zero elsewhere."""
+    m = ladder_weights(n_dim)
+    return np.diag(below * m, -1) + np.diag(above * m, 1)
 
 
 def position_matrix(basis: BasisSpec) -> OperatorMatrix:
     """Coordinate operator: real symmetric tridiagonal, entries s*sqrt(k+1)/sqrt(2w)."""
-    plus, _ = _ladder_bands(basis)
-    x = (basis.scale / math.sqrt(2.0 * basis.freq)) * plus
-    return OperatorMatrix(x.astype(np.complex128))
+    return transformed_position(basis, TransformParams())
 
 
 def momentum_matrix(basis: BasisSpec) -> OperatorMatrix:
     """Momentum operator: purely imaginary, i*s*sqrt(w/2) times (sub - super)."""
-    _, minus = _ladder_bands(basis)
-    p = 1j * basis.scale * math.sqrt(basis.freq / 2.0) * minus
-    return OperatorMatrix(p)
+    return transformed_momentum(basis, TransformParams())
 
 
 def transformed_momentum(basis: BasisSpec, params: TransformParams) -> OperatorMatrix:
-    """Sheared momentum p + iL x (unnormalized; the 1/(1+LR) factor is applied downstream)."""
-    p = momentum_matrix(basis).entries
-    x = position_matrix(basis).entries
-    return OperatorMatrix(p + (1j * params.l_coef) * x)
+    """Sheared momentum p + iL x = iY (unnormalized; the 1/(1+LR) factor is applied downstream)."""
+    return OperatorMatrix(1j * _tridiagonal(basis.n_dim, *_shear_bands(basis, params)[0]))
 
 
 def transformed_position(basis: BasisSpec, params: TransformParams) -> OperatorMatrix:
-    """Sheared coordinate x + iR p; exactly real for real R."""
-    p = momentum_matrix(basis).entries
-    x = position_matrix(basis).entries
-    return OperatorMatrix(x + (1j * params.r_coef) * p)
+    """Sheared coordinate x + iR p = Z; exactly real for real R."""
+    return OperatorMatrix(_tridiagonal(basis.n_dim, *_shear_bands(basis, params)[1]))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -158,28 +164,39 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> CommutatorDefect:
     """Check invariance of the canonical commutator under the shear transform.
 
-    Computes (z y - y z) / (i (1+LR) s^2) and reports how far the first
-    n_dim-1 diagonal entries deviate from 1, the value of the last
-    diagonal entry (the truncation defect, ideally 1 - n_dim), and the
-    largest off-diagonal magnitude.  The s^2 division makes the report
-    independent of the length scale.  Raises ValueError when the
-    normaliser (1+LR) s^2 or the commutator leaves the float64 range.
+    Computes (z y - y z) / (i (1+LR) s^2) = (Z Y - Y Z) / ((1+LR) s^2) in
+    real arithmetic and reports how far the first n_dim-1 diagonal entries
+    deviate from 1, the value of the last diagonal entry (the truncation
+    defect, ideally 1 - n_dim), and the largest off-diagonal magnitude.
+    The s^2 division makes the report independent of the length scale.
+    Raises ValueError when the normaliser (1+LR) s^2 or the commutator
+    leaves the float64 range, and when the rounding floor
+    2 eps max|Y| max|Z| / |(1+LR) s^2| of the product exceeds
+    _ROUNDING_FLOOR_LIMIT: the report would then show rounding, not the
+    commutator (as at L = 1e14, where forming Y = P + Lx loses P).
     """
+    n = basis.n_dim
     norm = (1.0 + params.l_coef * params.r_coef) * basis.scale * basis.scale
-    y = transformed_momentum(basis, params)
-    z = transformed_position(basis, params)
+    y_bands, z_bands = _shear_bands(basis, params)
+    big_y, big_z = _tridiagonal(n, *y_bands), _tridiagonal(n, *z_bands)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = commutator(z, y).entries
+        c = big_z @ big_y
+        c -= big_y @ big_z
     if not (math.isfinite(norm) and norm != 0.0 and np.isfinite(c).all()):
         raise ValueError(f"commutator check overflows float64 or underflows ((1+LR) s^2 = {norm})")
-    c = c / (1j * norm)
-    diag = c.diagonal()
-    off = c - np.diag(diag)
-    n = basis.n_dim
+    # max|Y| and max|Z| both sit on the last ladder weight sqrt(n-1)
+    max_yz = max(map(abs, y_bands)) * max(map(abs, z_bands)) * (n - 1)
+    floor = 2.0 * max_yz / abs(norm) * np.finfo(np.float64).eps
+    if not floor <= _ROUNDING_FLOOR_LIMIT:
+        raise ValueError(f"commutator check is beyond float64 resolution: rounding floor "
+                         f"2 eps max|Y| max|Z| / |(1+LR) s^2| = {floor:.3e} > {_ROUNDING_FLOOR_LIMIT:g}")
+    c /= norm
+    diag = c.diagonal().copy()
+    np.fill_diagonal(c, 0.0)
     return CommutatorDefect(
         n_dim=n,
         max_diag_deviation=float(np.abs(diag[: n - 1] - 1.0).max()),
-        last_diag_entry=float(diag[-1].real),
+        last_diag_entry=float(diag[-1]),
         expected_last=float(1 - n),
-        max_offdiag=float(np.abs(off).max()),
+        max_offdiag=float(np.abs(c).max()),
     )

@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSpec, TransformParams
+from .basis import BasisSpec, TransformParams, _shear_bands
 from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py looks it up here)
 from .eig import _frobenius_norm
 
@@ -72,9 +72,9 @@ class RegimeReport:
 def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal, +2 and -2 bands of H, its only nonzero ones.
 
-    With p = iP: y = iY and z = Z for the real tridiagonals Y = P + Lx and
-    Z = x - RP, so H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal tridiagonal
-    with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
+    With y = iY, z = Z and the (below, above) coefficients (u, v) of the real
+    tridiagonals Y, Z from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal
+    tridiagonal with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
     on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at
     (k, k+2), u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises
     ValueError when N |H|_F overflows float64 (|H|_F scaled by max|entry|),
@@ -82,10 +82,7 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to zero or to a subnormal.
     """
     params, basis = spec.params, spec.basis
-    alpha = basis.scale / math.sqrt(2.0 * basis.freq)
-    beta = basis.scale * math.sqrt(basis.freq / 2.0)
-    u_y, v_y = beta + params.l_coef * alpha, params.l_coef * alpha - beta
-    u_z, v_z = alpha - params.r_coef * beta, alpha + params.r_coef * beta
+    (u_y, v_y), (u_z, v_z) = _shear_bands(basis, params)
     a2, b2, c = params.a_coef * params.a_coef, params.b_coef * params.b_coef, params.norm_c
     levels = np.append(2.0 * np.arange(basis.n_dim - 1) + 1.0, basis.n_dim - 1)
     pairs = np.sqrt(np.arange(1.0, basis.n_dim - 1) * np.arange(2.0, basis.n_dim))

@@ -194,6 +194,41 @@ class TestNormalizedCommutatorCheck:
         np.testing.assert_allclose(defect.last_diag_entry, -39.0, atol=1e-11)
         assert defect.max_offdiag <= 1e-12
 
+    def test_real_shortcut_matches_complex_operators(self):
+        # the real (Z Y - Y Z) / ((1+LR) s^2) against the public complex route
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 30:
+            l_coef, r_coef = rng.uniform(-4.0, 4.0, size=2)
+            if abs(1.0 + l_coef * r_coef) < 0.3:
+                continue
+            basis = BasisSpec(
+                n_dim=int(rng.integers(2, 41)), freq=rng.uniform(0.25, 4.0), scale=rng.uniform(0.5, 2.0)
+            )
+            params = TransformParams(l_coef=l_coef, r_coef=r_coef)
+            c = commutator(transformed_position(basis, params), transformed_momentum(basis, params)).entries
+            c = c / (1j * (1.0 + l_coef * r_coef) * basis.scale**2)
+            diag = c.diagonal()
+            defect = normalized_commutator_check(basis, params)
+            assert abs(defect.max_diag_deviation - np.abs(diag[:-1] - 1.0).max()) <= 1e-12
+            assert abs(defect.last_diag_entry - diag[-1].real) <= 1e-12
+            assert abs(defect.max_offdiag - np.abs(c - np.diag(diag)).max()) <= 1e-12
+            checked += 1
+
+    @pytest.mark.parametrize("l_coef", [1e14, 1e300])
+    def test_rounding_floor_rejected(self, l_coef):
+        # forming Y = P + Lx in float64 loses P: at L = 1e14, N = 100 the
+        # check used to report max |diag - 1| = 2 and a last entry of -98
+        with pytest.raises(ValueError, match="float64 resolution"):
+            normalized_commutator_check(BasisSpec(n_dim=100), TransformParams(l_coef=l_coef))
+
+    def test_large_resolvable_shear_passes(self):
+        # rounding floor 2.2e-7 at L = 1e7, N = 100: below the limit, and the
+        # reported deviation is rounding of that size
+        defect = normalized_commutator_check(BasisSpec(n_dim=100), TransformParams(l_coef=1e7))
+        assert defect.max_diag_deviation <= 1e-6
+        assert abs(defect.last_diag_entry + 99.0) <= 1e-6
+
     def test_singular_normalization_rejected(self):
         with pytest.raises(ValueError):
             TransformParams(l_coef=1.0, r_coef=-1.0)

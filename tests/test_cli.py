@@ -131,7 +131,8 @@ class TestRunText:
             "5", "-9", "395.53", "0", "1000000000000000"
         ]
         assert _fmt2(1e300) == "1.00e+300" and _fmt2(-2.5e16) == "-2.50e+16"
-        text = run(parse_config(["commutator-check", "--L", "1e300", "--N", "10"]))
+        # at w = 1e300, L x is comparable to p, so the check stays resolvable
+        text = run(parse_config(["commutator-check", "--L", "1e300", "--w", "1e300", "--N", "10"]))
         assert text.splitlines()[0] == "commutator check: N=10 L=1.00e+300 R=0"
 
     def test_spectrum_listing(self):
@@ -287,6 +288,13 @@ class TestMainExitCodes:
         monkeypatch.setattr(np.linalg, "eigvals", no_qr)
         assert main(argv.split() + ["--N", "10"]) == 2
         assert "overflows float64" in capsys.readouterr().err
+
+    def test_commutator_rounding_floor_is_config_error(self, capsys):
+        # the check used to exit 0 here with max |diag - 1| = 2: pure rounding
+        assert main(["commutator-check", "--L", "1e14", "--N", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float64 resolution" in captured.err
 
     @pytest.mark.parametrize("w, w_ref", [("1e300", "1e150"), ("1e-300", "1e-150")])
     def test_extreme_frequency_with_finite_entries_solves(self, w, w_ref, capsys):
