@@ -297,6 +297,13 @@ def _fmt2(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _fmt_param(x: float) -> str:
+    """_fmt2 for a parameter or sweep-axis value; a nonzero one that would
+    display as 0 renders in exponent form, so distinct inputs stay distinct."""
+    text = _fmt2(x)
+    return f"{x:.2e}" if text == "0" and x != 0.0 else text
+
+
 def _fmt_value(v: complex) -> str:
     """Compact complex rendering; imaginary part shown only if it displays nonzero."""
     im = _fmt2(abs(v.imag))
@@ -371,7 +378,7 @@ def _render_isospectral(report: IsospectralReport, config: RunConfig) -> Report:
         second_name, second_val = "R", config.r_coef
     else:
         second_name, second_val = "L", config.l_coef
-    prefix = f"{_fmt2(config.capital_w)} | {_fmt2(second_val)} | {_fmt2(config.freq)}"
+    prefix = " | ".join(_fmt_param(x) for x in (config.capital_w, second_val, config.freq))
     lines = [f"W | {second_name} | w | E_n -> H | eps_n | Remarks"]
     for r in rows:
         remark = "iso-spectra" if r.remark is Remark.ISO else "No iso-spectra"
@@ -413,7 +420,8 @@ def _render_spectrum(config: RunConfig) -> Report:
 def _render_commutator(config: RunConfig) -> Report:
     defect = normalized_commutator_check(config.basis, config.params)
     lines = [
-        f"commutator check: N={config.n_dim} L={_fmt2(config.l_coef)} R={_fmt2(config.r_coef)}",
+        f"commutator check: N={config.n_dim} "
+        f"L={_fmt_param(config.l_coef)} R={_fmt_param(config.r_coef)}",
         f"max |diag - 1| over first {defect.n_dim - 1} entries: {defect.max_diag_deviation:.3e}",
         f"last diagonal entry: {_fmt2(defect.last_diag_entry)} (expected 1-N = {_fmt2(defect.expected_last)})",
         f"max off-diagonal magnitude: {defect.max_offdiag:.3e}",
@@ -439,10 +447,12 @@ def _render_duality(config: RunConfig) -> Report:
     lines = [
         (
             f"duality check at N={config.n_dim}: "
-            f"(L={_fmt2(config.l_coef)}, R={_fmt2(config.r_coef)}, A={_fmt2(config.a_coef)}, "
-            f"B={_fmt2(config.b_coef)}, w={_fmt2(config.freq)}) vs "
-            f"(L={_fmt2(dual.l_coef)}, R={_fmt2(dual.r_coef)}, A={_fmt2(dual.a_coef)}, "
-            f"B={_fmt2(dual.b_coef)}, w={_fmt2(1.0 / config.freq)})"
+            f"(L={_fmt_param(config.l_coef)}, R={_fmt_param(config.r_coef)}, "
+            f"A={_fmt_param(config.a_coef)}, B={_fmt_param(config.b_coef)}, "
+            f"w={_fmt_param(config.freq)}) vs "
+            f"(L={_fmt_param(dual.l_coef)}, R={_fmt_param(dual.r_coef)}, "
+            f"A={_fmt_param(dual.a_coef)}, B={_fmt_param(dual.b_coef)}, "
+            f"w={_fmt_param(1.0 / config.freq)})"
         ),
         f"max eigenvalue multiset distance: {distance:.6e}",
         f"hamiltonian norm: {h_norm:.6e} (distance/norm = {rel})",
@@ -465,14 +475,14 @@ def _render_sweep(result: SweepResult, config: RunConfig, axis_name: str) -> Rep
     for p in result.points:
         first_dev = p.first_deviation_index
         lines.append(
-            f"{_fmt2(p.axis_value)} | {p.n_real} | {p.n_complex_pairs} | "
+            f"{_fmt_param(p.axis_value)} | {p.n_real} | {p.n_complex_pairs} | "
             f"{'-' if first_dev is None else first_dev} | {p.max_abs_dev_below_first_deviation:.3e}"
         )
         values = (p.axis_value, p.n_real, p.n_complex_pairs, first_dev,
                   p.max_abs_dev_below_first_deviation)
         table.append(dict(zip(fields, values)))
     for axis_val, msg in result.failures:
-        lines.append(f"{_fmt2(axis_val)} | failed: {msg}")
+        lines.append(f"{_fmt_param(axis_val)} | failed: {msg}")
     doc = {
         "config": _config_echo(config),
         "points": table,

@@ -16,6 +16,7 @@ from nhosc.cli import (
     ConfigError,
     Format,
     _fmt2,
+    _fmt_param,
     main,
     parse_config,
     run,
@@ -134,6 +135,20 @@ class TestRunText:
         # at w = 1e300, L x is comparable to p, so the check stays resolvable
         text = run(parse_config(["commutator-check", "--L", "1e300", "--w", "1e300", "--N", "10"]))
         assert text.splitlines()[0] == "commutator check: N=10 L=1.00e+300 R=0"
+
+    def test_small_parameters_render_nonzero(self):
+        # parameters and sweep points that would round to 0 show in exponent
+        # form; eigenvalue and eps_n cells keep the two-decimal rule
+        assert [_fmt_param(x) for x in (0.0, -0.001, 0.004, 0.01, 5.0, 1e300)] == [
+            "0", "-1.00e-03", "4.00e-03", "0.01", "5", "1.00e+300"
+        ]
+        argv = ["sweep-w", "--L", "3", "--B", "5", "--values", "0.001,0.004", "--N", "10"]
+        cells = [line.split(" | ")[0] for line in run(parse_config(argv)).splitlines()[1:]]
+        assert cells == ["1.00e-03", "4.00e-03"]
+        text = run(parse_config(["table1", "--W", "0.001", "--L", "0.002", "--N", "4"]))
+        assert text.splitlines()[1] == "1.00e-03 | 2.00e-03 | 1.00e-03 | 0 | 0 | No iso-spectra"
+        text = run(parse_config(["duality", "--w", "1e-300", "--N", "4"]))
+        assert "B=1, w=1.00e-300) vs (" in text.splitlines()[0]
 
     def test_spectrum_listing(self):
         text = run(parse_config(["spectrum", "--N", "10", "--count", "3"]))

@@ -21,7 +21,7 @@ from nhosc import (
     hessenberg_reduce,
     position_matrix,
 )
-from nhosc.eig import _francis_qr, _frobenius_norm, real_mask
+from nhosc.eig import _blocks, _francis_qr, _frobenius_norm, real_mask
 
 
 def francis(m, max_sweeps=None):
@@ -237,6 +237,24 @@ class TestEigenvalues:
                 assert multiset_distance(got, want) <= 1e-10
         assert calls == []
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_blocks_come_largest_level_first(self, n):
+        # each block is the symmetrized natural-order block reversed, [::-1, ::-1]
+        a = oscillator_shaped(np.random.default_rng(n), n)
+        blocks = _blocks(a)
+        assert [b.shape for b in blocks] == [((n + 1) // 2,) * 2, (n // 2,) * 2]  # n = 1: 0 x 0 odd
+        for p, block in enumerate(blocks):
+            natural, sub = block[::-1, ::-1], a[p::2, p::2]
+            np.testing.assert_array_equal(np.diagonal(natural), np.diagonal(sub))
+            up, down = np.diagonal(natural, 1), np.diagonal(natural, -1)
+            u, l = np.diagonal(sub, 1), np.diagonal(sub, -1)
+            nz = up != 0.0  # up = sign(u) r and down = sign(l) r; r = 0 where u l = 0
+            np.testing.assert_array_equal(np.sign(up[nz]), np.sign(u[nz]))
+            np.testing.assert_array_equal(np.sign(down[nz]), np.sign(l[nz]))
+            np.testing.assert_array_equal(np.abs(up), np.abs(down))
+            np.testing.assert_allclose(up * down, u * l, rtol=1e-15, atol=0.0)
+            assert np.count_nonzero(np.triu(natural, 2)) + np.count_nonzero(np.tril(natural, -2)) == 0
+
     def test_one_odd_entry_keeps_one_block(self, monkeypatch):
         # one entry off the 0 and +-2 bands, off by one band (i+j odd) or by two
         for row, col in [(2, 5), (0, 4)]:
@@ -351,17 +369,32 @@ class TestRealWindow:
         out = classify(eigenvalues(self.hamiltonian(table1_params, n_dim, freq)))
         assert (out.n_real, out.n_complex) == (n_dim, 0)
 
-    def test_blocks_against_40_digits_off_w_v(self, table1_params):
-        # w=7.9 lies inside the complex window, where u/l = -0.0106, not -1 as at w_v = 4
-        h = self.hamiltonian(table1_params, 50, 7.9)
+    @staticmethod
+    def blocks_in_40_digits(h):
+        """Both parity blocks of h solved by a 40-digit mpmath.eig, unsymmetrized."""
         with mpmath.workdps(40):
-            exact = np.array([
+            return np.array([
                 complex(v)
                 for q in (0, 1)
                 for v in mpmath.eig(mpmath.matrix(h[q::2, q::2].tolist()), left=False, right=False)
             ])
-        # measured 6.2e-15 max|lambda|; the balanced solve was off by 7.5e-10 max|lambda|
+
+    def test_blocks_against_40_digits_off_w_v(self, table1_params):
+        # w=7.9 lies inside the complex window, where u/l = -0.0106, not -1 as at w_v = 4
+        h = self.hamiltonian(table1_params, 50, 7.9)
+        exact = self.blocks_in_40_digits(h)
+        # measured 1.5e-14 max|lambda| (6.2e-15 with the blocks in natural level
+        # order); the balanced solve was off by 7.5e-10 max|lambda|
         assert multiset_distance(eigenvalues(h).values, exact) <= 1e-12 * np.abs(exact).max()
+
+    # w=4 = w_v, where u/l = -1, and w=16 in the real window. Measured 9.3e-12
+    # and 2.4e-15 max|lambda| (1.7e-11 and 1.4e-15 with the blocks in natural
+    # level order); the bounds allow about 10x that.
+    @pytest.mark.parametrize("freq, rel_tol", [(4.0, 1e-10), (16.0, 3e-14)])
+    def test_blocks_against_40_digits_at_n_60(self, table1_params, freq, rel_tol):
+        h = self.hamiltonian(table1_params, 60, freq)
+        exact = self.blocks_in_40_digits(h)
+        assert multiset_distance(eigenvalues(h).values, exact) <= rel_tol * np.abs(exact).max()
 
     def test_pairs_of_the_40_digit_solve(self, table1_params):
         # w=7.9, N=100: the pairs of a 40-digit mpmath.eig of both blocks (about
