@@ -26,7 +26,8 @@ __all__ = [
     "sweep",
 ]
 
-DEFAULT_REPORT_TOL = 1e-3
+# largest |computed - (2n+1)AB| at which a real level counts as Iso
+ISO_TOL = 1e-3
 
 
 class Remark(Enum):
@@ -49,16 +50,13 @@ class IsospectralReport:
 
     Rows are aligned by sorted index (real part, then imaginary part),
     so a conjugate pair occupies two consecutive levels.  A row is Iso
-    only if the value classifies as real and sits within report_tol of
-    the reference.
+    only if the value classifies as real and sits within ISO_TOL of the
+    reference.
     """
 
     rows: list[ReportRow]
     first_deviation_index: int | None
     n_complex_pairs: int
-    params: TransformParams
-    basis: BasisSpec
-    report_tol: float
 
 
 class Axis(Enum):
@@ -84,11 +82,7 @@ class SweepResult:
     failures: list[tuple[float, str]]
 
 
-def isospectral_report(
-    params: TransformParams,
-    basis: BasisSpec,
-    report_tol: float = DEFAULT_REPORT_TOL,
-) -> IsospectralReport:
+def isospectral_report(params: TransformParams, basis: BasisSpec) -> IsospectralReport:
     """Build, solve and compare against the analytic reference levels."""
     # build first, so that a float64 overflow is reported as such
     h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
@@ -102,7 +96,7 @@ def isospectral_report(
     for n, v in enumerate(spec.values):
         eps_n = (2 * n + 1) * ab
         dev = abs(v - eps_n)
-        remark = Remark.ISO if dev <= report_tol and is_real[n] else Remark.NO_ISO
+        remark = Remark.ISO if dev <= ISO_TOL and is_real[n] else Remark.NO_ISO
         if remark is Remark.NO_ISO and first_dev is None:
             first_dev = n
         rows.append(
@@ -112,9 +106,6 @@ def isospectral_report(
         rows=rows,
         first_deviation_index=first_dev,
         n_complex_pairs=classify(spec).n_complex,
-        params=params,
-        basis=basis,
-        report_tol=report_tol,
     )
 
 
@@ -157,13 +148,7 @@ def _summary_point(report: IsospectralReport, axis_value: float) -> SweepPoint:
     )
 
 
-def sweep(
-    params: TransformParams,
-    basis: BasisSpec,
-    axis: Axis,
-    values: Sequence[float],
-    report_tol: float = DEFAULT_REPORT_TOL,
-) -> SweepResult:
+def sweep(params: TransformParams, basis: BasisSpec, axis: Axis, values: Sequence[float]) -> SweepResult:
     """One isospectral summary per axis value, in ascending order.
 
     Each point is `basis` with its `axis` field set to the value.  Every
@@ -176,7 +161,7 @@ def sweep(
     failures: list[tuple[float, str]] = []
     for value, point_basis in grid:
         try:
-            report = isospectral_report(params, point_basis, report_tol)
+            report = isospectral_report(params, point_basis)
             points.append(_summary_point(report, value))
         except (EigensolverError, ValueError) as exc:
             failures.append((value, str(exc)))

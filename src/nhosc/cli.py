@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .analysis import (
-    DEFAULT_REPORT_TOL,
     Axis,
     IsospectralReport,
     Remark,
@@ -69,34 +68,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters; freq is always a concrete number here."""
+    """Fully resolved run parameters: the validated coupling quadruple and
+    basis (whose freq is always a concrete number) and the output settings."""
 
     command: Command
-    n_dim: int = 100
-    scale: float = 1.0
-    freq: float = 1.0
-    l_coef: float = 0.0
-    r_coef: float = 0.0
-    a_coef: float = 1.0
-    b_coef: float = 1.0
+    params: TransformParams
+    basis: BasisSpec
     capital_w: float | None = None
     output_path: str | None = None
     fmt: Format = Format.TEXT
     print_count: int = 50
     sweep_values: tuple[float, ...] = ()
-
-    @property
-    def params(self) -> TransformParams:
-        return TransformParams(
-            l_coef=self.l_coef,
-            r_coef=self.r_coef,
-            a_coef=self.a_coef,
-            b_coef=self.b_coef,
-        )
-
-    @property
-    def basis(self) -> BasisSpec:
-        return BasisSpec(n_dim=self.n_dim, freq=self.freq, scale=self.scale)
 
 
 @dataclass(frozen=True)
@@ -153,82 +135,66 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_table(ns, command: Command) -> dict:
-    """Apply the W-shorthand caption derivations and catch contradictions."""
+def _resolve_table(ns, command: Command) -> tuple[TransformParams, float]:
+    """The --W shorthand: the couplings and the default basis frequency.
+
+    Table 1 is (L, R=0, A=1, B=hypot(W, L)) at w = W.  Table 2 is its
+    transpose dual (L=0, R, A=hypot(W, R), B=1) at w = 1/W, so it is
+    derived as table 1 with L = R, through dual_params.  duality takes
+    the table 2 derivation when only --R is given, table 1 otherwise.
+    """
     w_cap = ns.W
     if w_cap is None:
         raise ConfigError(f"{command.value} requires --W")
     if w_cap <= 0.0:
         raise ConfigError("--W must be positive")
-    if command is Command.TABLE_ONE:
-        for flag in ("A", "R", "B"):
-            if getattr(ns, flag) is not None:
-                raise ConfigError(f"--W fixes --{flag} for table1; remove --{flag}")
-        l_coef = ns.L if ns.L is not None else 0.0
-        coefs = dict(
-            l_coef=l_coef,
-            r_coef=0.0,
-            a_coef=1.0,
-            b_coef=math.hypot(w_cap, l_coef),
-        )
-        default_freq = w_cap
-    else:
-        for flag in ("A", "L", "B"):
-            if getattr(ns, flag) is not None:
-                raise ConfigError(f"--W fixes --{flag} for table2; remove --{flag}")
-        r_coef = ns.R if ns.R is not None else 0.0
-        coefs = dict(
-            l_coef=0.0,
-            r_coef=r_coef,
-            a_coef=math.hypot(w_cap, r_coef),
-            b_coef=1.0,
-        )
-        default_freq = 1.0 / w_cap
-    coefs["capital_w"] = w_cap
-    coefs["default_freq"] = default_freq
-    return coefs
+    dual = command is Command.TABLE_TWO or (
+        command is Command.DUALITY and ns.R is not None and ns.L is None
+    )
+    free = "R" if dual else "L"
+    for flag in ("A", "L" if dual else "R", "B"):
+        if getattr(ns, flag) is not None:
+            raise ConfigError(f"--W fixes --{flag} for {command.value}; remove --{flag}")
+    coef = 0.0 if getattr(ns, free) is None else getattr(ns, free)
+    root = math.hypot(w_cap, coef)
+    for name, value in (("--W", w_cap), (f"--{free}", coef), (f"sqrt(W^2 + {free}^2)", root)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite")
+    params = TransformParams(l_coef=coef, b_coef=root)
+    return (dual_params(params), 1.0 / w_cap) if dual else (params, w_cap)
+
+
+def _validated(cls, **fields):
+    """cls(**fields), with its ValueError raised as a ConfigError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse tokens into a fully resolved RunConfig (derivations and defaults applied)."""
     ns = _build_parser().parse_args(argv)
     command = Command(ns.command)
+    capital_w = getattr(ns, "W", None)
 
-    if command in (Command.TABLE_ONE, Command.TABLE_TWO):
-        derived = _resolve_table(ns, command)
-    elif command is Command.DUALITY and getattr(ns, "W", None) is not None:
-        # W shorthand on duality: table2 derivation when only R is given,
-        # table1 derivation otherwise
-        table = Command.TABLE_TWO if (ns.R is not None and ns.L is None) else Command.TABLE_ONE
-        derived = _resolve_table(ns, table)
+    if command in (Command.TABLE_ONE, Command.TABLE_TWO) or capital_w is not None:
+        params, freq = _resolve_table(ns, command)
     else:
-        derived = dict(
-            l_coef=ns.L if ns.L is not None else 0.0,
-            r_coef=ns.R if ns.R is not None else 0.0,
-            a_coef=ns.A if ns.A is not None else 1.0,
-            b_coef=ns.B if ns.B is not None else 1.0,
-            capital_w=None,
-            default_freq=1.0,
+        params = _validated(
+            TransformParams,
+            l_coef=0.0 if ns.L is None else ns.L,
+            r_coef=0.0 if ns.R is None else ns.R,
+            a_coef=1.0 if ns.A is None else ns.A,
+            b_coef=1.0 if ns.B is None else ns.B,
         )
+        freq = 1.0
 
-    try:
-        params = TransformParams(
-            l_coef=derived["l_coef"],
-            r_coef=derived["r_coef"],
-            a_coef=derived["a_coef"],
-            b_coef=derived["b_coef"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if ns.w is None:
-        freq = derived["default_freq"]
-    elif ns.w == "auto":
-        w_v = variational_frequency(params).w_v
-        if w_v is None:
+    if ns.w == "auto":
+        freq = variational_frequency(params).w_v
+        if freq is None:
             raise ConfigError("--w auto: variational frequency undefined for these parameters")
-        freq = w_v
-    else:
+    elif ns.w is not None:
         try:
             freq = float(ns.w)
         except ValueError as exc:
@@ -265,14 +231,9 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     return RunConfig(
         command=command,
-        n_dim=ns.N,
-        scale=ns.s,
-        freq=freq,
-        l_coef=params.l_coef,
-        r_coef=params.r_coef,
-        a_coef=params.a_coef,
-        b_coef=params.b_coef,
-        capital_w=derived["capital_w"],
+        params=params,
+        basis=_validated(BasisSpec, n_dim=ns.N, freq=freq, scale=ns.s),
+        capital_w=capital_w,
         output_path=ns.out,
         fmt=Format(ns.format),
         print_count=count,
@@ -348,17 +309,18 @@ def _csv_cell(v) -> str:
 
 
 def _config_echo(config: RunConfig) -> dict:
+    params, basis = config.params, config.basis
     echo = {
         "command": config.command.value,
-        "N": config.n_dim,
-        "s": config.scale,
-        "w": config.freq,
-        "L": config.l_coef,
-        "R": config.r_coef,
-        "A": config.a_coef,
-        "B": config.b_coef,
+        "N": basis.n_dim,
+        "s": basis.scale,
+        "w": basis.freq,
+        "L": params.l_coef,
+        "R": params.r_coef,
+        "A": params.a_coef,
+        "B": params.b_coef,
         "W": config.capital_w,
-        "w_v": variational_frequency(config.params).w_v,
+        "w_v": variational_frequency(params).w_v,
         "count": config.print_count,
     }
     if config.sweep_values:
@@ -375,10 +337,10 @@ def _summary_line(summary: dict) -> str:
 def _render_isospectral(report: IsospectralReport, config: RunConfig) -> Report:
     rows = report.rows[: config.print_count]
     if config.command is Command.TABLE_TWO:
-        second_name, second_val = "R", config.r_coef
+        second_name, second_val = "R", config.params.r_coef
     else:
-        second_name, second_val = "L", config.l_coef
-    prefix = " | ".join(_fmt_param(x) for x in (config.capital_w, second_val, config.freq))
+        second_name, second_val = "L", config.params.l_coef
+    prefix = " | ".join(_fmt_param(x) for x in (config.capital_w, second_val, config.basis.freq))
     lines = [f"W | {second_name} | w | E_n -> H | eps_n | Remarks"]
     for r in rows:
         remark = "iso-spectra" if r.remark is Remark.ISO else "No iso-spectra"
@@ -420,8 +382,8 @@ def _render_spectrum(config: RunConfig) -> Report:
 def _render_commutator(config: RunConfig) -> Report:
     defect = normalized_commutator_check(config.basis, config.params)
     lines = [
-        f"commutator check: N={config.n_dim} "
-        f"L={_fmt_param(config.l_coef)} R={_fmt_param(config.r_coef)}",
+        f"commutator check: N={config.basis.n_dim} "
+        f"L={_fmt_param(config.params.l_coef)} R={_fmt_param(config.params.r_coef)}",
         f"max |diag - 1| over first {defect.n_dim - 1} entries: {defect.max_diag_deviation:.3e}",
         f"last diagonal entry: {_fmt2(defect.last_diag_entry)} (expected 1-N = {_fmt2(defect.expected_last)})",
         f"max off-diagonal magnitude: {defect.max_offdiag:.3e}",
@@ -437,22 +399,23 @@ def _render_commutator(config: RunConfig) -> Report:
 
 
 def _render_duality(config: RunConfig) -> Report:
-    distance = duality_check(config.params, config.basis)
-    h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
+    params, basis = config.params, config.basis
+    distance = duality_check(params, basis)
+    h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
     h_norm = _frobenius_norm(h)
     # no relative distance when h_norm = 0: H = 0 (A = B = 0; the build rejects
     # an H that underflows)
     rel = f"{distance / h_norm:.3e}" if h_norm > 0.0 else "-"
-    dual = dual_params(config.params)
+    dual = dual_params(params)
     lines = [
         (
-            f"duality check at N={config.n_dim}: "
-            f"(L={_fmt_param(config.l_coef)}, R={_fmt_param(config.r_coef)}, "
-            f"A={_fmt_param(config.a_coef)}, B={_fmt_param(config.b_coef)}, "
-            f"w={_fmt_param(config.freq)}) vs "
+            f"duality check at N={basis.n_dim}: "
+            f"(L={_fmt_param(params.l_coef)}, R={_fmt_param(params.r_coef)}, "
+            f"A={_fmt_param(params.a_coef)}, B={_fmt_param(params.b_coef)}, "
+            f"w={_fmt_param(basis.freq)}) vs "
             f"(L={_fmt_param(dual.l_coef)}, R={_fmt_param(dual.r_coef)}, "
             f"A={_fmt_param(dual.a_coef)}, B={_fmt_param(dual.b_coef)}, "
-            f"w={_fmt_param(1.0 / config.freq)})"
+            f"w={_fmt_param(1.0 / basis.freq)})"
         ),
         f"max eigenvalue multiset distance: {distance:.6e}",
         f"hamiltonian norm: {h_norm:.6e} (distance/norm = {rel})",
@@ -461,7 +424,7 @@ def _render_duality(config: RunConfig) -> Report:
     doc = {
         "config": _config_echo(config),
         "dual": {"L": dual.l_coef, "R": dual.r_coef, "A": dual.a_coef, "B": dual.b_coef,
-                 "w": 1.0 / config.freq},
+                 "w": 1.0 / basis.freq},
         **row,
     }
     return Report("\n".join(lines), doc, [row])
@@ -497,7 +460,7 @@ def _execute(config: RunConfig) -> Report:
     if config.command is Command.SPECTRUM:
         return _render_spectrum(config)
     if config.command in (Command.TABLE_ONE, Command.TABLE_TWO):
-        report = isospectral_report(config.params, config.basis, DEFAULT_REPORT_TOL)
+        report = isospectral_report(config.params, config.basis)
         return _render_isospectral(report, config)
     if config.command is Command.DUALITY:
         return _render_duality(config)

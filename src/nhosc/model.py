@@ -25,6 +25,8 @@ __all__ = [
     "classify_regime",
 ]
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -77,13 +79,19 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tridiagonal with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
     on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at
     (k, k+2), u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises
-    ValueError when N |H|_F overflows float64 (|H|_F scaled by max|entry|),
-    and when A or B is nonzero (so H is not zero) but every entry underflows
-    to zero or to a subnormal.
+    ValueError when A^2 or B^2 of a nonzero A or B is not a normal float64 (its
+    term would vanish or lose digits before it meets the basis factors), when
+    N |H|_F overflows float64 (|H|_F scaled by max|entry|), and when A or B is
+    nonzero (so H is not zero) but every entry underflows to zero or to a subnormal.
     """
     params, basis = spec.params, spec.basis
     (u_y, v_y), (u_z, v_z) = _shear_bands(basis, params)
     a2, b2, c = params.a_coef * params.a_coef, params.b_coef * params.b_coef, params.norm_c
+    for name, coef, square in (("A", params.a_coef, a2), ("B", params.b_coef, b2)):
+        if not square < math.inf:
+            raise ValueError(f"{name}^2 overflows float64 ({name} = {coef!r})")
+        if coef and square < _TINY:
+            raise ValueError(f"{name}^2 underflows float64 ({name} = {coef!r})")
     levels = np.append(2.0 * np.arange(basis.n_dim - 1) + 1.0, basis.n_dim - 1)
     pairs = np.sqrt(np.arange(1.0, basis.n_dim - 1) * np.arange(2.0, basis.n_dim))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -101,9 +109,8 @@ def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bound = _frobenius_norm(entries) * basis.n_dim
     if not math.isfinite(bound):
         raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {basis}")
-    tiny = np.finfo(np.float64).tiny
-    if (params.a_coef or params.b_coef) and np.abs(entries).max() < tiny:
-        raise ValueError(f"H underflows float64 (no entry reaches {tiny:.3e}) for {params}, {basis}")
+    if (params.a_coef or params.b_coef) and np.abs(entries).max() < _TINY:
+        raise ValueError(f"H underflows float64 (no entry reaches {_TINY:.3e}) for {params}, {basis}")
     return diag, upper, lower
 
 

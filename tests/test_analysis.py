@@ -70,18 +70,18 @@ class TestIsospectralReport:
     def test_hermitian_truncated_run(self):
         # exactly diagonal Hamiltonian: every level except the defective
         # boundary value is exact, and that value lands mid-spectrum
-        report = isospectral_report(
-            TransformParams(), BasisSpec(n_dim=50), report_tol=1e-6
-        )
+        report = isospectral_report(TransformParams(), BasisSpec(n_dim=50))
         for n in range(25):
             assert report.rows[n].remark is Remark.ISO
+            assert report.rows[n].abs_dev <= 1e-6
         assert report.first_deviation_index == 25
         assert report.n_complex_pairs == 0
 
     def test_hermitian_deviation_against_doubled_basis(self):
         # doubled-N reference: the N=100 sorted values are the converged
         # levels, so the N=50 deviations equal the sorted-value shifts
-        small = isospectral_report(TransformParams(), BasisSpec(n_dim=50), report_tol=1e-6)
+        small = isospectral_report(TransformParams(), BasisSpec(n_dim=50))
+        assert all(r.abs_dev <= 1e-6 for r in small.rows[: small.first_deviation_index])
         h_big = build_hamiltonian(
             HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=100))
         )
@@ -94,7 +94,8 @@ class TestIsospectralReport:
         # the Hermitian-limit H is the diagonal 1, 3, ..., 37 with the
         # truncation-edge entry N-1 = 19 last, so 19 is a double eigenvalue;
         # sorted-index alignment equals nearest-reference alignment below it
-        report = isospectral_report(TransformParams(), BasisSpec(n_dim=20), report_tol=1e-6)
+        report = isospectral_report(TransformParams(), BasisSpec(n_dim=20))
+        assert all(r.abs_dev <= 1e-6 for r in report.rows[: report.first_deviation_index])
         values = np.array([r.computed.real for r in report.rows])
         exact = np.sort(np.append(2.0 * np.arange(19) + 1.0, 19.0))
         np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0.0)
@@ -216,9 +217,8 @@ class TestSweepTruncation:
         assert result.points[0].n_real + 2 * result.points[0].n_complex_pairs == 2
 
     def test_hermitian_first_deviation_grows(self):
-        result = sweep(
-            TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [50, 100], report_tol=1e-6
-        )
+        result = sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [50, 100])
+        assert all(p.max_abs_dev_below_first_deviation <= 1e-6 for p in result.points)
         first = [p.first_deviation_index for p in result.points]
         assert first[0] is not None and first[1] is not None
         assert first[1] > first[0]

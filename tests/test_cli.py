@@ -6,10 +6,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from nhosc import EigensolverError, HamiltonianSpec, build_hamiltonian, eigenvalues
+from nhosc import (
+    EigensolverError,
+    HamiltonianSpec,
+    TransformParams,
+    build_hamiltonian,
+    dual_params,
+    eigenvalues,
+)
 from nhosc.cli import (
     MAX_N,
     Command,
@@ -28,30 +35,30 @@ class TestParseConfig:
     def test_table_one_derivation(self):
         config = parse_config(["table1", "--W", "4", "--L", "3"])
         assert config.command is Command.TABLE_ONE
-        assert config.a_coef == 1.0 and config.r_coef == 0.0
-        assert config.b_coef == 5.0
-        assert config.freq == 4.0
-        assert config.n_dim == 100
+        assert config.params.a_coef == 1.0 and config.params.r_coef == 0.0
+        assert config.params.b_coef == 5.0
+        assert config.basis.freq == 4.0
+        assert config.basis.n_dim == 100
         assert config.print_count == 50
 
     def test_table_two_derivation(self):
         config = parse_config(["table2", "--W", "3", "--R", "4"])
-        assert config.b_coef == 1.0 and config.l_coef == 0.0
-        assert config.a_coef == 5.0
-        np.testing.assert_allclose(config.freq, 1.0 / 3.0)
+        assert config.params.b_coef == 1.0 and config.params.l_coef == 0.0
+        assert config.params.a_coef == 5.0
+        np.testing.assert_allclose(config.basis.freq, 1.0 / 3.0)
 
     def test_spectrum_explicit(self):
         config = parse_config(
             ["spectrum", "--L", "0", "--R", "0", "--A", "1", "--B", "1", "--w", "1", "--N", "50"]
         )
         assert config.command is Command.SPECTRUM
-        assert config.n_dim == 50
+        assert config.basis.n_dim == 50
         assert config.print_count == 50
-        assert config.freq == 1.0
+        assert config.basis.freq == 1.0
 
     def test_auto_frequency(self):
         config = parse_config(["spectrum", "--L", "3", "--B", "5", "--w", "auto"])
-        assert config.freq == 4.0
+        assert config.basis.freq == 4.0
 
     def test_auto_frequency_undefined(self):
         with pytest.raises(ConfigError):
@@ -95,13 +102,66 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite"):
             parse_config([command, "--values", values])
 
+    @pytest.mark.parametrize("flag", ["w", "s"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_frequency_and_scale(self, flag, value):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(["spectrum", f"--{flag}={value}"])
+
+    @given(
+        w_cap=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        coef=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_table_two_is_table_one_dual(self, w_cap, coef):
+        assume(math.isfinite(math.hypot(w_cap, coef)) and 1.0 / w_cap < math.inf)
+        one = parse_config(["table1", f"--W={w_cap!r}", f"--L={coef!r}"])
+        two = parse_config(["table2", f"--W={w_cap!r}", f"--R={coef!r}"])
+        assert two.params == dual_params(one.params)
+        assert two.params == TransformParams(
+            l_coef=0.0, r_coef=coef, a_coef=math.hypot(w_cap, coef), b_coef=1.0
+        )
+        assert (one.basis.freq, two.basis.freq) == (w_cap, 1.0 / w_cap)
+
+    @pytest.mark.parametrize(
+        "flags, table",
+        [([], "table1"), (["--L", "3"], "table1"), (["--R", "3"], "table2")],
+    )
+    def test_duality_shorthand_derivation(self, flags, table):
+        # table2's derivation exactly when only --R is given
+        duality = parse_config(["duality", "--W", "4", *flags])
+        resolved = parse_config([table, "--W", "4", *flags])
+        assert (duality.params, duality.basis) == (resolved.params, resolved.basis)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("table1 --W inf", "--W must be finite"),
+            ("table1 --W 4 --L nan", "--L must be finite"),
+            ("table2 --W nan --R 3", "--W must be finite"),
+            ("table2 --W 4 --R nan", "--R must be finite"),
+            ("table2 --W 4 --R=-inf", "--R must be finite"),
+            ("duality --W inf --R 3", "--W must be finite"),
+            ("duality --W 4 --R inf", "--R must be finite"),
+            ("duality --W 4 --L inf", "--L must be finite"),
+            ("table2 --W 1.5e308 --R 1.5e308", "sqrt(W^2 + R^2) must be finite"),
+            ("duality --W 4 --A 2", "--W fixes --A for duality"),
+            ("duality --W 4 --L 3 --R 3", "--W fixes --R for duality"),
+        ],
+    )
+    def test_table_errors_name_the_flags_given(self, argv, message):
+        # never a field of the derived (or dual) coupling quadruple
+        with pytest.raises(ConfigError) as info:
+            parse_config(argv.split())
+        assert message in str(info.value) and "_coef" not in str(info.value)
+
     def test_singular_normalization(self):
         with pytest.raises(ConfigError):
             parse_config(["spectrum", "--L", "1", "--R", "-1"])
 
     def test_basis_size_limit(self):
         # parse_config allocates nothing, so the rejected sizes cost nothing
-        assert parse_config(["commutator-check", "--N", str(MAX_N)]).n_dim == MAX_N
+        assert parse_config(["commutator-check", "--N", str(MAX_N)]).basis.n_dim == MAX_N
         assert parse_config(["sweep-n", "--values", f"2,{MAX_N}"]).sweep_values == (2, MAX_N)
         with pytest.raises(ConfigError, match="MAX_N"):
             parse_config(["commutator-check", "--N", str(MAX_N + 1)])
@@ -335,7 +395,7 @@ class TestMainExitCodes:
         # near DBL_MAX and overflow a column sum in balance.
         config = parse_config(argv.split())
         h_ref = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
-        s_edge = math.sqrt(np.finfo(np.float64).max / (config.n_dim * _frobenius_norm(h_ref)))
+        s_edge = math.sqrt(np.finfo(np.float64).max / (config.basis.n_dim * _frobenius_norm(h_ref)))
 
         assert main(argv.split() + ["--s", repr(0.97 * s_edge), "--format", "json"]) == 0
         got = [complex(r["re"], r["im"]) for r in json.loads(capsys.readouterr().out)["values"]]
@@ -357,6 +417,21 @@ class TestMainExitCodes:
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
         assert "underflows float64" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # H is diagonal here, (2n+1)e-200 exactly: B^2 would vanish
+            ("spectrum --B 1e-200 --w 1e-200 --N 6", "B^2 underflows float64"),
+            ("table1 --W 1e-200 --N 6", "B^2 underflows float64"),
+            ("table1 --W 1e200 --N 6", "B^2 overflows float64"),
+            ("table2 --W 4 --R 1e308", "A^2 overflows float64"),
+        ],
+    )
+    def test_coefficient_square_out_of_range_is_config_error(self, argv, message, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_duality_of_zero_hamiltonian(self, capsys):
         assert main(["duality", "--A", "0", "--B", "0", "--N", "6"]) == 0

@@ -105,6 +105,32 @@ class TestBuildHamiltonian:
             np.sort(eigenvalues(big).values), 1e156 * np.sort(eigenvalues(ref).values), rtol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (TransformParams(a_coef=1e200), r"A\^2 overflows"),
+            (TransformParams(b_coef=-1e155), r"B\^2 overflows"),
+            (TransformParams(a_coef=1e-170), r"A\^2 underflows"),
+            (TransformParams(b_coef=1e-155), r"B\^2 underflows"),  # B^2 is subnormal
+        ],
+    )
+    def test_coefficient_square_out_of_normal_range_is_rejected(self, params, message):
+        # A^2 and B^2 are formed before they meet the basis factors: an
+        # underflowed square would drop its term from H, an overflowed one
+        # would reach H as inf or nan
+        with pytest.raises(ValueError, match=message):
+            build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=6)))
+
+    def test_coefficient_square_in_normal_range_is_kept(self):
+        # B^2 = 1e-300 is normal: at w = B/A the +-2 bands cancel to rounding
+        # and H is the diagonal (2n+1)AB, with the edge entry (N-1)AB
+        params = TransformParams(b_coef=1e-150)
+        h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=6, freq=1e-150)))
+        np.testing.assert_allclose(np.diag(h), 1e-150 * np.array([1, 3, 5, 7, 9, 5]), rtol=1e-14)
+        assert np.abs(h - np.diag(np.diag(h))).max() <= 1e-14 * 1e-150
+        zero_b = TransformParams(b_coef=0.0)
+        assert np.abs(build_hamiltonian(HamiltonianSpec(params=zero_b, basis=BasisSpec(n_dim=6)))).max() > 0
+
     def test_norm_c_field(self):
         np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
 
