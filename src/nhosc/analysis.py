@@ -129,7 +129,7 @@ def duality_check(params: TransformParams, basis: BasisSpec) -> float:
     eigenvalue conditioning.
     """
     h_a = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
-    dual_basis = BasisSpec(n_dim=basis.n_dim, freq=1.0 / basis.freq, scale=basis.scale)
+    dual_basis = BasisSpec(n_dim=basis.n_dim, freq=1.0 / basis.freq)
     h_b = build_hamiltonian(HamiltonianSpec(params=dual_params(params), basis=dual_basis))
     return float(np.abs(eigenvalues(h_a).values - eigenvalues(h_b).values).max())
 

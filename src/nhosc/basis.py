@@ -1,16 +1,17 @@
 """Truncated Fock-basis operator matrices and commutator checks.
 
 All operators act on the N-dimensional truncation of the harmonic oscillator
-number basis (hbar = m = 1 units).  With p = iP, y = iY and z = Z for the real
-tridiagonals Y = P + Lx and Z = x - RP (x, p: L = R = 0), whose bands
-``_shear_bands`` defines for this module and for model's H.  The builders
-return them as dense complex :class:`OperatorMatrix` values.
+number basis (hbar = m = 1, so the basis frequency w alone fixes x and p).  With
+p = iP, y = iY and z = Z for the real tridiagonals Y = P + Lx and Z = x - RP (x, p:
+L = R = 0), whose bands ``_shear_bands`` defines for this module and for model's H.
+The builders return them as dense complex :class:`OperatorMatrix` values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,19 +37,17 @@ _ROUNDING_FLOOR_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Truncated oscillator basis: dimension, basis frequency and length scale."""
+    """Truncated oscillator basis: dimension and basis frequency (hbar = m = 1)."""
 
     n_dim: int
     freq: float = 1.0
-    scale: float = 1.0
+    scale: ClassVar[float] = 1.0  # not a field: benchmarks/workloads.h_norm still reads it
 
     def __post_init__(self):
         if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim < 2:
             raise ValueError(f"n_dim must be an integer >= 2, got {self.n_dim!r}")
         if not (self.freq > 0.0) or not math.isfinite(self.freq):
             raise ValueError(f"freq must be positive and finite, got {self.freq}")
-        if not (self.scale > 0.0) or not math.isfinite(self.scale):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,7 @@ def ladder_weights(n_dim: int) -> np.ndarray:
 
 def _shear_bands(basis: BasisSpec, params: TransformParams) -> tuple[tuple[float, float], ...]:
     """(below, above) coefficients (see _tridiagonal) of Y = P + Lx and Z = x - RP, P = -ip."""
-    alpha = basis.scale / math.sqrt(2.0 * basis.freq)
-    beta = basis.scale * math.sqrt(basis.freq / 2.0)
+    alpha, beta = 1.0 / math.sqrt(2.0 * basis.freq), math.sqrt(basis.freq / 2.0)
     y_bands = (beta + params.l_coef * alpha, params.l_coef * alpha - beta)
     return y_bands, (alpha - params.r_coef * beta, alpha + params.r_coef * beta)
 
@@ -135,12 +133,12 @@ def _tridiagonal(n_dim: int, below: float, above: float) -> np.ndarray:
 
 
 def position_matrix(basis: BasisSpec) -> OperatorMatrix:
-    """Coordinate operator: real symmetric tridiagonal, entries s*sqrt(k+1)/sqrt(2w)."""
+    """Coordinate operator: real symmetric tridiagonal, entries sqrt(k+1)/sqrt(2w)."""
     return transformed_position(basis, TransformParams())
 
 
 def momentum_matrix(basis: BasisSpec) -> OperatorMatrix:
-    """Momentum operator: purely imaginary, i*s*sqrt(w/2) times (sub - super)."""
+    """Momentum operator: purely imaginary, i*sqrt(w/2) times (sub - super)."""
     return transformed_momentum(basis, TransformParams())
 
 
@@ -164,32 +162,30 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> CommutatorDefect:
     """Check invariance of the canonical commutator under the shear transform.
 
-    Computes (z y - y z) / (i (1+LR) s^2) = (Z Y - Y Z) / ((1+LR) s^2) in
-    real arithmetic and reports how far the first n_dim-1 diagonal entries
+    Computes (z y - y z) / (i (1+LR)) = (Z Y - Y Z) / (1+LR) in real
+    arithmetic and reports how far the first n_dim-1 diagonal entries
     deviate from 1, the value of the last diagonal entry (the truncation
     defect, ideally 1 - n_dim), and the largest off-diagonal magnitude.
-    The s^2 division makes the report independent of the length scale.
-    Raises ValueError when the normaliser (1+LR) s^2 or the commutator
-    leaves the float64 range, and when the rounding floor
-    2 eps max|Y| max|Z| / |(1+LR) s^2| of the product exceeds
-    _ROUNDING_FLOOR_LIMIT: the report would then show rounding, not the
-    commutator (as at L = 1e14, where forming Y = P + Lx loses P).
+    Raises ValueError when 1+LR or the commutator overflows float64, and
+    when the rounding floor 2 eps max|Y| max|Z| / |1+LR| of the product
+    exceeds _ROUNDING_FLOOR_LIMIT: the report would then show rounding, not
+    the commutator (as at L = 1e14, where forming Y = P + Lx loses P).
     """
     n = basis.n_dim
-    norm = (1.0 + params.l_coef * params.r_coef) * basis.scale * basis.scale
+    norm = 1.0 + params.l_coef * params.r_coef
     y_bands, z_bands = _shear_bands(basis, params)
     big_y, big_z = _tridiagonal(n, *y_bands), _tridiagonal(n, *z_bands)
     with np.errstate(over="ignore", invalid="ignore"):
         c = big_z @ big_y
         c -= big_y @ big_z
-    if not (math.isfinite(norm) and norm != 0.0 and np.isfinite(c).all()):
-        raise ValueError(f"commutator check overflows float64 or underflows ((1+LR) s^2 = {norm})")
+    if not (math.isfinite(norm) and np.isfinite(c).all()):
+        raise ValueError(f"commutator check overflows float64 (1+LR = {norm})")
     # max|Y| and max|Z| both sit on the last ladder weight sqrt(n-1)
     max_yz = max(map(abs, y_bands)) * max(map(abs, z_bands)) * (n - 1)
     floor = 2.0 * max_yz / abs(norm) * np.finfo(np.float64).eps
     if not floor <= _ROUNDING_FLOOR_LIMIT:
         raise ValueError(f"commutator check is beyond float64 resolution: rounding floor "
-                         f"2 eps max|Y| max|Z| / |(1+LR) s^2| = {floor:.3e} > {_ROUNDING_FLOOR_LIMIT:g}")
+                         f"2 eps max|Y| max|Z| / |1+LR| = {floor:.3e} > {_ROUNDING_FLOOR_LIMIT:g}")
     c /= norm
     diag = c.diagonal().copy()
     np.fill_diagonal(c, 0.0)

@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
 from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
-from .model import HamiltonianSpec, build_hamiltonian, variational_frequency
+from .model import HamiltonianSpec, _coefficient_squares, build_hamiltonian, variational_frequency
 
 __all__ = [
     "Command",
@@ -105,7 +105,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--N", type=int, default=100, help="basis truncation size")
-    common.add_argument("--s", type=float, default=1.0, help="length scale")
     common.add_argument("--w", default=None, help="basis frequency, or 'auto' for the variational one")
     common.add_argument("--L", type=float, default=None)
     common.add_argument("--R", type=float, default=None)
@@ -156,12 +155,13 @@ def _resolve_table(ns, command: Command) -> tuple[TransformParams, float]:
         if getattr(ns, flag) is not None:
             raise ConfigError(f"--W fixes --{flag} for {command.value}; remove --{flag}")
     coef = 0.0 if getattr(ns, free) is None else getattr(ns, free)
-    root = math.hypot(w_cap, coef)
-    for name, value in (("--W", w_cap), (f"--{free}", coef), (f"sqrt(W^2 + {free}^2)", root)):
+    root, freq = math.hypot(w_cap, coef), 1.0 / w_cap if dual else w_cap
+    checks = (("--W", w_cap), (f"--{free}", coef), (f"sqrt(W^2 + {free}^2)", root), ("1/W of --W", freq))
+    for name, value in checks:
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite")
     params = TransformParams(l_coef=coef, b_coef=root)
-    return (dual_params(params), 1.0 / w_cap) if dual else (params, w_cap)
+    return (dual_params(params) if dual else params), freq
 
 
 def _validated(cls, **fields):
@@ -193,6 +193,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     if ns.w == "auto":
         freq = variational_frequency(params).w_v
         if freq is None:
+            _validated(_coefficient_squares, params=params)  # names an out-of-range A^2 or B^2
             raise ConfigError("--w auto: variational frequency undefined for these parameters")
     elif ns.w is not None:
         try:
@@ -206,8 +207,6 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise ConfigError(f"--N must be >= 2, got {ns.N}")
     if ns.N > MAX_N:
         raise ConfigError(f"--N must be <= MAX_N = {MAX_N}, got {ns.N}")
-    if ns.s <= 0.0:
-        raise ConfigError(f"--s must be positive, got {ns.s}")
 
     if ns.count is None:
         count = min(50, ns.N)
@@ -232,7 +231,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     return RunConfig(
         command=command,
         params=params,
-        basis=_validated(BasisSpec, n_dim=ns.N, freq=freq, scale=ns.s),
+        basis=_validated(BasisSpec, n_dim=ns.N, freq=freq),
         capital_w=capital_w,
         output_path=ns.out,
         fmt=Format(ns.format),
@@ -313,7 +312,6 @@ def _config_echo(config: RunConfig) -> dict:
     echo = {
         "command": config.command.value,
         "N": basis.n_dim,
-        "s": basis.scale,
         "w": basis.freq,
         "L": params.l_coef,
         "R": params.r_coef,

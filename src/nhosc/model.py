@@ -71,27 +71,32 @@ class RegimeReport:
     ab_plus_csq: float
 
 
+def _coefficient_squares(params: TransformParams) -> tuple[float, float]:
+    """(A^2, B^2); ValueError if a nonzero A or B has a square outside the normal float64 range."""
+    for name, coef in (("A", params.a_coef), ("B", params.b_coef)):
+        if not coef * coef < math.inf:
+            raise ValueError(f"{name}^2 overflows float64 ({name} = {coef!r})")
+        if coef and coef * coef < _TINY:
+            raise ValueError(f"{name}^2 underflows float64 ({name} = {coef!r})")
+    return params.a_coef * params.a_coef, params.b_coef * params.b_coef
+
+
 def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal, +2 and -2 bands of H, its only nonzero ones.
 
     With y = iY, z = Z and the (below, above) coefficients (u, v) of the real
     tridiagonals Y, Z from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal
     tridiagonal with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
-    on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at
-    (k, k+2), u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises
-    ValueError when A^2 or B^2 of a nonzero A or B is not a normal float64 (its
-    term would vanish or lose digits before it meets the basis factors), when
-    N |H|_F overflows float64 (|H|_F scaled by max|entry|), and when A or B is
-    nonzero (so H is not zero) but every entry underflows to zero or to a subnormal.
+    on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at (k, k+2),
+    u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises ValueError as
+    _coefficient_squares does (the term of H would vanish or lose digits before it
+    meets the basis factors), when N |H|_F overflows float64 (|H|_F scaled by
+    max|entry|), and when A or B is nonzero (so H is not zero) but every entry
+    underflows to zero or to a subnormal.
     """
     params, basis = spec.params, spec.basis
     (u_y, v_y), (u_z, v_z) = _shear_bands(basis, params)
-    a2, b2, c = params.a_coef * params.a_coef, params.b_coef * params.b_coef, params.norm_c
-    for name, coef, square in (("A", params.a_coef, a2), ("B", params.b_coef, b2)):
-        if not square < math.inf:
-            raise ValueError(f"{name}^2 overflows float64 ({name} = {coef!r})")
-        if coef and square < _TINY:
-            raise ValueError(f"{name}^2 underflows float64 ({name} = {coef!r})")
+    (a2, b2), c = _coefficient_squares(params), params.norm_c
     levels = np.append(2.0 * np.arange(basis.n_dim - 1) + 1.0, basis.n_dim - 1)
     pairs = np.sqrt(np.arange(1.0, basis.n_dim - 1) * np.arange(2.0, basis.n_dim))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -128,12 +133,12 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -> float:
     """Diagonal entry (level, level) of the Hamiltonian built at basis frequency trial_freq.
 
-    For interior levels this equals C s^2 (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w];
+    For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w];
     the cross term contributes nothing on the diagonal.
     """
     if not 0 <= level < spec.basis.n_dim:
         raise IndexError(f"level {level} outside basis of dimension {spec.basis.n_dim}")
-    basis = BasisSpec(n_dim=spec.basis.n_dim, freq=trial_freq, scale=spec.basis.scale)
+    basis = BasisSpec(n_dim=spec.basis.n_dim, freq=trial_freq)
     return float(_bands(HamiltonianSpec(params=spec.params, basis=basis))[0][level])
 
 

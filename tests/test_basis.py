@@ -65,8 +65,8 @@ class TestPositionMatrix:
         np.testing.assert_allclose(np.diag(x.real, 1), [2**-0.5, 1.0])
 
     def test_symmetric_and_real(self):
-        for n, w, s in [(5, 1.0, 1.0), (8, 0.25, 2.0)]:
-            op = position_matrix(BasisSpec(n_dim=n, freq=w, scale=s))
+        for n, w in [(5, 1.0), (8, 0.25)]:
+            op = position_matrix(BasisSpec(n_dim=n, freq=w))
             assert np.all(op.entries.imag == 0.0)
             np.testing.assert_array_equal(op.entries, op.entries.T)
 
@@ -187,27 +187,27 @@ class TestNormalizedCommutatorCheck:
     @pytest.mark.parametrize("w", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("s", [1.0, 2.0])
     def test_independent_of_frequency_and_scale(self, w, s):
+        # s scales A and B together, which scales H by s^2; the commutator
+        # of the sheared x and p reads neither
         defect = normalized_commutator_check(
-            BasisSpec(n_dim=40, freq=w, scale=s), TransformParams(l_coef=3.0, r_coef=4.0)
+            BasisSpec(n_dim=40, freq=w), TransformParams(l_coef=3.0, r_coef=4.0, a_coef=s, b_coef=s)
         )
         assert defect.max_diag_deviation <= 1e-12
         np.testing.assert_allclose(defect.last_diag_entry, -39.0, atol=1e-11)
         assert defect.max_offdiag <= 1e-12
 
     def test_real_shortcut_matches_complex_operators(self):
-        # the real (Z Y - Y Z) / ((1+LR) s^2) against the public complex route
+        # the real (Z Y - Y Z) / (1+LR) against the public complex route
         rng = np.random.default_rng(8)
         checked = 0
         while checked < 30:
             l_coef, r_coef = rng.uniform(-4.0, 4.0, size=2)
             if abs(1.0 + l_coef * r_coef) < 0.3:
                 continue
-            basis = BasisSpec(
-                n_dim=int(rng.integers(2, 41)), freq=rng.uniform(0.25, 4.0), scale=rng.uniform(0.5, 2.0)
-            )
+            basis = BasisSpec(n_dim=int(rng.integers(2, 41)), freq=rng.uniform(0.25, 4.0))
             params = TransformParams(l_coef=l_coef, r_coef=r_coef)
             c = commutator(transformed_position(basis, params), transformed_momentum(basis, params)).entries
-            c = c / (1j * (1.0 + l_coef * r_coef) * basis.scale**2)
+            c = c / (1j * (1.0 + l_coef * r_coef))
             diag = c.diagonal()
             defect = normalized_commutator_check(basis, params)
             assert abs(defect.max_diag_deviation - np.abs(diag[:-1] - 1.0).max()) <= 1e-12
@@ -259,8 +259,8 @@ class TestSpecValidation:
             BasisSpec(n_dim=4.5)
         with pytest.raises(ValueError):
             BasisSpec(n_dim=10, freq=0.0)
-        with pytest.raises(ValueError):
-            BasisSpec(n_dim=10, scale=-1.0)
+        with pytest.raises(TypeError):  # hbar = m = 1: the basis frequency alone fixes x and p
+            BasisSpec(n_dim=4, scale=2.0)
 
     def test_operator_matrix_must_be_square(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,18 @@ from nhosc.cli import (
 from nhosc.eig import _frobenius_norm
 
 
+_COMMANDS = ["commutator-check", "spectrum", "table1", "table2", "sweep-w", "sweep-n", "duality"]
+_SMALL_RUNS = {
+    "commutator-check": "--N 8 --L 1.5 --R 0.5",
+    "spectrum": "--N 12 --L 3 --B 5 --w auto",
+    "table1": "--W 4 --L 3 --N 20",
+    "table2": "--W 4 --R 3 --N 20",
+    "sweep-w": "--L 3 --B 5 --N 12 --values 2,4",
+    "sweep-n": "--L 3 --B 5 --w 4 --values 12,8",
+    "duality": "--W 4 --L 3 --N 12",
+}
+
+
 class TestParseConfig:
     def test_table_one_derivation(self):
         config = parse_config(["table1", "--W", "4", "--L", "3"])
@@ -102,7 +114,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite"):
             parse_config([command, "--values", values])
 
-    @pytest.mark.parametrize("flag", ["w", "s"])
+    # --s of any value is an unknown flag (test_scale_flag_is_unrecognized)
+    @pytest.mark.parametrize("flag", ["w"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_frequency_and_scale(self, flag, value):
         with pytest.raises(ConfigError, match="finite"):
@@ -114,8 +127,13 @@ class TestParseConfig:
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_table_two_is_table_one_dual(self, w_cap, coef):
-        assume(math.isfinite(math.hypot(w_cap, coef)) and 1.0 / w_cap < math.inf)
+        assume(math.isfinite(math.hypot(w_cap, coef)))
         one = parse_config(["table1", f"--W={w_cap!r}", f"--L={coef!r}"])
+        if 1.0 / w_cap == math.inf:
+            # table 2's basis frequency 1/W overflows: an error naming --W
+            with pytest.raises(ConfigError, match="1/W of --W must be finite"):
+                parse_config(["table2", f"--W={w_cap!r}", f"--R={coef!r}"])
+            return
         two = parse_config(["table2", f"--W={w_cap!r}", f"--R={coef!r}"])
         assert two.params == dual_params(one.params)
         assert two.params == TransformParams(
@@ -147,6 +165,8 @@ class TestParseConfig:
             ("table2 --W 1.5e308 --R 1.5e308", "sqrt(W^2 + R^2) must be finite"),
             ("duality --W 4 --A 2", "--W fixes --A for duality"),
             ("duality --W 4 --L 3 --R 3", "--W fixes --R for duality"),
+            ("table2 --W 5e-324", "1/W of --W must be finite"),
+            ("duality --W 5e-324 --R 3", "1/W of --W must be finite"),
         ],
     )
     def test_table_errors_name_the_flags_given(self, argv, message):
@@ -290,6 +310,9 @@ class TestExportFormats:
             ["table1", "--W", "4", "--L", "3", "--format", "json", "--out", str(out2)]
         ))
         assert json.loads(out2.read_text())["config"]["w_v"] == 4.0
+        # A^2 overflows, so w_v is undefined; commutator-check does not use A
+        doc = run(parse_config(["commutator-check", "--A", "1e200", "--N", "6", "--format", "json"]))
+        assert json.loads(doc)["config"]["w_v"] is None
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -310,6 +333,14 @@ class TestMainExitCodes:
     def test_config_error(self, capsys):
         assert main(["table1", "--W", "4", "--B", "5"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_scale_flag_is_unrecognized(self, command, capsys):
+        # x and p are fixed by w alone (hbar = m = 1): a factor s on both
+        # would act as hbar = s^2 against the (2n+1)AB reference
+        assert main([command, *_SMALL_RUNS[command].split(), "--s", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --s 2" in captured.err and captured.out == ""
 
     def test_undefined_auto_frequency_is_config_error(self, capsys):
         assert main(["spectrum", "--L", "2", "--w", "auto"]) == 2
@@ -344,13 +375,13 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            "spectrum --s 1e300",
-            "spectrum --w 1e-300 --s 1e5",
-            "spectrum --w 1e300 --s 1e5",
+            "spectrum --A 1e154 --B 1e154",
+            "spectrum --w 1e-300 --B 1e5",
+            "spectrum --w 1e300 --A 1e5",
             "spectrum --A 1e200",
             "spectrum --L 1e200 --R 1e200",
-            "commutator-check --s 1e300",
-            "commutator-check --s 1e-300",
+            "commutator-check --w 1e10 --R 1e300",
+            "commutator-check --R 1e300 --L 1e300",  # 1+LR overflows
             "commutator-check --L 1e300 --w 1e-10",
             "table1 --W 1e300",
             "table1 --W 4 --L 1e300",
@@ -389,17 +420,22 @@ class TestMainExitCodes:
     )
     def test_overflow_bound_edge(self, argv, monkeypatch, capsys):
         # the build accepts H while N |H|_F is finite, which keeps every row,
-        # column and trace sum of the solve finite.  H scales as s^2, so the
-        # edge is s_edge = sqrt(DBL_MAX / (N |H(s=1)|_F)).  The second case
-        # has one dominant entry H_20: with only |H|_F kept finite, it could
-        # near DBL_MAX and overflow a column sum in balance.
+        # column and trace sum of the solve finite.  H scales as t^2 when A
+        # and B both scale by t, so the edge is t_edge = sqrt(DBL_MAX / (N
+        # |H(t=1)|_F)).  The second case has one dominant entry H_20: with
+        # only |H|_F kept finite, it could near DBL_MAX and overflow a column
+        # sum in balance.
         config = parse_config(argv.split())
         h_ref = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
-        s_edge = math.sqrt(np.finfo(np.float64).max / (config.basis.n_dim * _frobenius_norm(h_ref)))
+        t_edge = math.sqrt(np.finfo(np.float64).max / (config.basis.n_dim * _frobenius_norm(h_ref)))
 
-        assert main(argv.split() + ["--s", repr(0.97 * s_edge), "--format", "json"]) == 0
+        def scaled(t):  # later flags override earlier ones
+            a_coef, b_coef = t * config.params.a_coef, t * config.params.b_coef
+            return argv.split() + ["--A", repr(a_coef), "--B", repr(b_coef)]
+
+        assert main(scaled(0.97 * t_edge) + ["--format", "json"]) == 0
         got = [complex(r["re"], r["im"]) for r in json.loads(capsys.readouterr().out)["values"]]
-        want = (0.97 * s_edge) ** 2 * np.sort_complex(eigenvalues(h_ref).values)
+        want = (0.97 * t_edge) ** 2 * np.sort_complex(eigenvalues(h_ref).values)
         assert np.all(np.isfinite(got)) and np.abs(got).max() > 1e306
         np.testing.assert_allclose(np.sort_complex(got), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
@@ -407,11 +443,13 @@ class TestMainExitCodes:
             pytest.fail("QR ran on an overflowed matrix")
 
         monkeypatch.setattr(np.linalg, "eigvals", no_qr)
-        assert main(argv.split() + ["--s", repr(1.03 * s_edge)]) == 2
-        assert "overflows float64" in capsys.readouterr().err
+        assert main(scaled(1.03 * t_edge)) == 2
+        assert "H overflows float64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv", ["spectrum --s 1e-300 --N 6", "spectrum --s 1e-160 --N 6 --format json"]
+        # A^2 and B^2 are normal; the basis factor 1/(2w) or w/2 takes H below them
+        "argv",
+        ["spectrum --A 0 --B 1e-153 --w 1e12 --N 6", "spectrum --A 1e-153 --B 0 --w 1e-12 --N 6 --format json"],
     )
     def test_float64_underflow_is_config_error(self, argv, capsys):
         assert main(argv.split()) == 2
@@ -426,6 +464,9 @@ class TestMainExitCodes:
             ("table1 --W 1e-200 --N 6", "B^2 underflows float64"),
             ("table1 --W 1e200 --N 6", "B^2 overflows float64"),
             ("table2 --W 4 --R 1e308", "A^2 overflows float64"),
+            # --w auto names the square, not an undefined frequency
+            ("spectrum --B 1e-200 --w auto --N 6", "B^2 underflows float64"),
+            ("spectrum --A 1e200 --w auto --N 6", "A^2 overflows float64"),
         ],
     )
     def test_coefficient_square_out_of_range_is_config_error(self, argv, message, capsys):
@@ -439,24 +480,14 @@ class TestMainExitCodes:
 
     def test_duality_of_tiny_hamiltonian(self, capsys):
         # entries near 1e-170 are normal floats whose squares underflow
-        assert main(["duality", "--s", "1e-85", "--N", "6", "--format", "json"]) == 0
+        tiny = ["duality", "--A", "1e-85", "--B", "1e-85", "--N", "6"]
+        assert main(tiny + ["--format", "json"]) == 0
         h_norm = json.loads(capsys.readouterr().out)["h_norm"]
         assert 1e-171 < h_norm < 1e-167
-        assert main(["duality", "--s", "1e-85", "--N", "6"]) == 0
+        assert main(tiny) == 0
         out = capsys.readouterr().out
         assert "hamiltonian norm: 0.0" not in out
         assert "distance/norm = 0.000e+00" in out
-
-
-_SMALL_RUNS = {
-    "commutator-check": "--N 8 --L 1.5 --R 0.5",
-    "spectrum": "--N 12 --L 3 --B 5 --w auto",
-    "table1": "--W 4 --L 3 --N 20",
-    "table2": "--W 4 --R 3 --N 20",
-    "sweep-w": "--L 3 --B 5 --N 12 --values 2,4",
-    "sweep-n": "--L 3 --B 5 --w 4 --values 12,8",
-    "duality": "--W 4 --L 3 --N 12",
-}
 
 
 def _dash(v):
@@ -503,7 +534,6 @@ def test_formats_agree(command, tmp_path, capsys):
     assert got == want
 
 
-_COMMANDS = ["commutator-check", "spectrum", "table1", "table2", "sweep-w", "sweep-n", "duality"]
 _SPECIAL = [0.0, -1.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), float("-inf")]
 _NUMBERS = st.one_of(st.floats(-20.0, 20.0), st.sampled_from(_SPECIAL))
 # sweep-n values are basis sizes: only small ones, or ones parse_config rejects
@@ -514,7 +544,7 @@ _SIZES = st.one_of(st.integers(2, 12).map(float), st.sampled_from([0.0, -3.0, 2.
 def _argv(draw):
     command = draw(st.sampled_from(_COMMANDS))
     argv = [command, f"--N={draw(st.integers(2, 12))}"]
-    for flag in draw(st.sets(st.sampled_from(["s", "w", "L", "R", "A", "B", "W", "count"]))):
+    for flag in draw(st.sets(st.sampled_from(["w", "L", "R", "A", "B", "W", "count"]))):
         if flag == "count":
             value = draw(st.integers(0, 14))
         elif flag == "w":

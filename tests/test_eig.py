@@ -294,9 +294,9 @@ class TestEigenvalues:
 
     def test_tiny_hamiltonian_has_positive_tolerance(self):
         # entries near 1e-170 are normal floats whose squares underflow
-        h = build_hamiltonian(
-            HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=6, scale=1e-85))
-        )
+        h = build_hamiltonian(HamiltonianSpec(
+            params=TransformParams(a_coef=1e-85, b_coef=1e-85), basis=BasisSpec(n_dim=6)
+        ))
         assert 0.0 < np.abs(h).max() < 1e-160
         spec = eigenvalues(h)
         assert spec.classify_tol > 0.0

@@ -33,7 +33,7 @@ def hermitian_equivalent(params, n_dim):
     x = position_matrix(basis).entries.real
     m = np.sqrt(np.arange(1, n_dim))
     t_minus = np.diag(m, -1) - np.diag(m, 1)
-    p_sq = -(basis.freq / 2.0) * (t_minus @ t_minus) * basis.scale**2
+    p_sq = -(basis.freq / 2.0) * (t_minus @ t_minus)
     return a * p_sq + (b + c * c / a) * (x @ x)
 
 
@@ -93,11 +93,12 @@ class TestBuildHamiltonian:
 
     def test_entries_whose_squares_overflow_are_accepted(self):
         # entries near 1e157 are finite though their squares are not; H and
-        # its values scale as s^2
-        params = TransformParams(l_coef=3.0, b_coef=5.0)
+        # its values scale as t^2 when A and B both scale by t
         big, ref = (
-            build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=40, scale=s)))
-            for s in (1e78, 1.0)
+            build_hamiltonian(HamiltonianSpec(
+                params=TransformParams(l_coef=3.0, a_coef=t, b_coef=5.0 * t), basis=BasisSpec(n_dim=40)
+            ))
+            for t in (1e78, 1.0)
         )
         assert np.abs(big).max() > 1e157
         np.testing.assert_allclose(big, 1e156 * ref, rtol=1e-14, atol=0.0)
@@ -149,7 +150,6 @@ class TestBuildHamiltonian:
             basis = BasisSpec(
                 n_dim=int(rng.integers(2, 401)),
                 freq=float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))),
-                scale=float(rng.uniform(0.5, 2.0)),
             )
             y = transformed_momentum(basis, params).entries
             z = transformed_position(basis, params).entries
@@ -166,11 +166,9 @@ class TestDiagonalExpectation:
         for _ in range(10):
             l_coef, r_coef = rng.uniform(-0.5, 0.5, size=2)
             params = TransformParams(l_coef, r_coef, *rng.uniform(0.5, 2.0, size=2))
-            scale, w = rng.uniform(0.5, 2.0), rng.uniform(0.3, 4.0)
-            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30, scale=scale))
-            h = build_hamiltonian(
-                HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30, freq=w, scale=scale))
-            )
+            w = rng.uniform(0.3, 4.0)
+            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30))
+            h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30, freq=w)))
             levels = [diagonal_expectation(spec, n, w) for n in range(30)]
             np.testing.assert_array_equal(levels, np.diagonal(h))
 
