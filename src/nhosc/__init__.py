@@ -1,10 +1,10 @@
 """Truncated Fock-basis spectra of non-Hermitian quadratic oscillators.
 
-Builds coordinate/momentum matrices and their sheared (non-Hermitian)
-transforms in a truncated oscillator basis, verifies commutator
-invariance including the truncation defect, assembles the general
-quadratic Hamiltonian, and diagonalizes it with a dense nonsymmetric
-eigensolver to study where the real spectrum develops conjugate pairs.
+Defines the sheared (non-Hermitian) coordinate and momentum of a truncated
+oscillator basis as real tridiagonals, verifies commutator invariance
+including the truncation defect, builds the general quadratic Hamiltonian
+as a real banded matrix, and solves it to study where the real spectrum
+develops conjugate pairs.
 """
 
 from .analysis import (
@@ -22,15 +22,9 @@ from .analysis import (
 from .basis import (
     BasisSpec,
     CommutatorDefect,
-    OperatorMatrix,
     TransformParams,
-    commutator,
     ladder_weights,
-    momentum_matrix,
     normalized_commutator_check,
-    position_matrix,
-    transformed_momentum,
-    transformed_position,
 )
 from .eig import (
     ClassifiedSpectrum,
@@ -47,7 +41,6 @@ from .model import (
     Regime,
     RegimeReport,
     VariationalResult,
-    analytic_level,
     build_hamiltonian,
     classify_regime,
     diagonal_expectation,
@@ -65,7 +58,6 @@ __all__ = [
     "EigensolverError",
     "HamiltonianSpec",
     "IsospectralReport",
-    "OperatorMatrix",
     "Regime",
     "RegimeReport",
     "Remark",
@@ -75,12 +67,10 @@ __all__ = [
     "SweepResult",
     "TransformParams",
     "VariationalResult",
-    "analytic_level",
     "balance",
     "build_hamiltonian",
     "classify",
     "classify_regime",
-    "commutator",
     "diagonal_expectation",
     "dual_params",
     "duality_check",
@@ -88,11 +78,7 @@ __all__ = [
     "hessenberg_reduce",
     "isospectral_report",
     "ladder_weights",
-    "momentum_matrix",
     "normalized_commutator_check",
-    "position_matrix",
     "sweep",
-    "transformed_momentum",
-    "transformed_position",
     "variational_frequency",
 ]

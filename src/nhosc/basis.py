@@ -1,10 +1,9 @@
-"""Truncated Fock-basis operator matrices and commutator checks.
+"""Truncated Fock basis, coupling parameters and the commutator check.
 
 All operators act on the N-dimensional truncation of the harmonic oscillator
 number basis (hbar = m = 1, so the basis frequency w alone fixes x and p).  With
 p = iP, y = iY and z = Z for the real tridiagonals Y = P + Lx and Z = x - RP (x, p:
 L = R = 0), whose bands ``_shear_bands`` defines for this module and for model's H.
-The builders return them as dense complex :class:`OperatorMatrix` values.
 """
 
 from __future__ import annotations
@@ -18,14 +17,8 @@ import numpy as np
 __all__ = [
     "BasisSpec",
     "TransformParams",
-    "OperatorMatrix",
     "CommutatorDefect",
     "ladder_weights",
-    "position_matrix",
-    "momentum_matrix",
-    "transformed_momentum",
-    "transformed_position",
-    "commutator",
     "normalized_commutator_check",
 ]
 
@@ -78,24 +71,6 @@ class TransformParams:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense square complex matrix of a basis operator, frozen on construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.complex128)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"entries must be square, got shape {e.shape}")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class CommutatorDefect:
     """Defect report of the normalized coordinate/momentum commutator.
 
@@ -132,31 +107,10 @@ def _tridiagonal(n_dim: int, below: float, above: float) -> np.ndarray:
     return np.diag(below * m, -1) + np.diag(above * m, 1)
 
 
-def position_matrix(basis: BasisSpec) -> OperatorMatrix:
-    """Coordinate operator: real symmetric tridiagonal, entries sqrt(k+1)/sqrt(2w)."""
-    return transformed_position(basis, TransformParams())
-
-
-def momentum_matrix(basis: BasisSpec) -> OperatorMatrix:
-    """Momentum operator: purely imaginary, i*sqrt(w/2) times (sub - super)."""
-    return transformed_momentum(basis, TransformParams())
-
-
-def transformed_momentum(basis: BasisSpec, params: TransformParams) -> OperatorMatrix:
-    """Sheared momentum p + iL x = iY (unnormalized; the 1/(1+LR) factor is applied downstream)."""
-    return OperatorMatrix(1j * _tridiagonal(basis.n_dim, *_shear_bands(basis, params)[0]))
-
-
-def transformed_position(basis: BasisSpec, params: TransformParams) -> OperatorMatrix:
-    """Sheared coordinate x + iR p = Z; exactly real for real R."""
-    return OperatorMatrix(_tridiagonal(basis.n_dim, *_shear_bands(basis, params)[1]))
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Matrix commutator a@b - b@a."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries)
+# not in __all__: benchmarks/test_bench.py still looks it up as model.transformed_momentum
+def transformed_momentum(basis: BasisSpec, params: TransformParams) -> np.ndarray:
+    """Sheared momentum p + iL x = iY as a dense complex array (unnormalized)."""
+    return 1j * _tridiagonal(basis.n_dim, *_shear_bands(basis, params)[0])
 
 
 def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> CommutatorDefect:

@@ -227,6 +227,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             if any(v != int(v) or not 2 <= v <= MAX_N for v in sweep_values):
                 raise ConfigError(f"sweep-n values must be integers from 2 to MAX_N = {MAX_N}")
             sweep_values = tuple(int(v) for v in sweep_values)
+        elif not all(v > 0.0 for v in sweep_values):
+            raise ConfigError(f"--values must be positive basis frequencies for sweep-w, got {ns.values!r}")
 
     return RunConfig(
         command=command,

@@ -10,9 +10,7 @@ Any other matrix is one block: diagonal balancing (Parlett-Reinsch, radix
 2) and Householder reduction to upper Hessenberg form in this module.
 LAPACK's QR stage (``np.linalg.eigvals``) solves each block.  The spectrum
 comes back sorted by (Re, Im), its complex values in exact conjugate pairs,
-which classify matches by sorting.  The private Francis double-shift QR
-(``_francis_qr``) is the independent reference the tests check the
-pipeline against.  Eigenvalues only.
+which classify matches by sorting.  Eigenvalues only.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "real_mask",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
 _TOL_REL = 1e-10  # relative realness threshold of real_mask
 
 
@@ -43,15 +40,7 @@ class EigensolverError(RuntimeError):
 
 
 class ConvergenceError(EigensolverError):
-    """QR iteration did not converge.
-
-    subdiagonal_index is the stuck subdiagonal row when the reference Francis
-    QR ran out of sweeps, and None when LAPACK gave up (it names no index).
-    """
-
-    def __init__(self, message: str, subdiagonal_index: int | None = None):
-        self.subdiagonal_index = subdiagonal_index
-        super().__init__(message)
+    """LAPACK's QR iteration did not converge."""
 
 
 @dataclass(frozen=True)
@@ -169,151 +158,6 @@ def hessenberg_reduce(m) -> np.ndarray:
         h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v)
         h[k + 2 :, k] = 0.0
     return h
-
-
-def _francis_qr(h: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Implicit double-shift QR on an upper Hessenberg matrix (eigenvalues only).
-
-    Follows the classic EISPACK hqr scheme: deflate converged 1x1/2x2
-    trailing blocks, form the Francis double shift from the trailing
-    2x2, chase the bulge with 3x3 reflectors.  Exceptional shifts kick
-    in every 10 stalled sweeps on the same block; exceeding max_sweeps
-    raises ConvergenceError naming the stuck subdiagonal.
-    """
-    a = h.copy()
-    n = a.shape[0]
-    wr = np.zeros(n)
-    wi = np.zeros(n)
-    anorm = np.abs(np.triu(a, -1)).sum()
-    if anorm == 0.0:
-        return wr + 1j * wi
-    total = 0
-    t = 0.0
-    nn = n - 1
-    while nn >= 0:
-        its = 0
-        while True:
-            # find the highest l with a negligible subdiagonal below it
-            l = nn
-            while l >= 1:
-                s = abs(a[l - 1, l - 1]) + abs(a[l, l])
-                if s == 0.0:
-                    s = anorm
-                if abs(a[l, l - 1]) <= _EPS * s:
-                    a[l, l - 1] = 0.0
-                    break
-                l -= 1
-            x = a[nn, nn]
-            if l == nn:  # 1x1 block deflated: one real eigenvalue
-                wr[nn] = x + t
-                nn -= 1
-                break
-            y = a[nn - 1, nn - 1]
-            w = a[nn, nn - 1] * a[nn - 1, nn]
-            if l == nn - 1:  # 2x2 block deflated: real pair or conjugate pair
-                p = 0.5 * (y - x)
-                q = p * p + w
-                z = math.sqrt(abs(q))
-                x += t
-                if q >= 0.0:
-                    z = p + math.copysign(z, p)
-                    wr[nn - 1] = wr[nn] = x + z
-                    if z != 0.0:
-                        wr[nn] = x - w / z
-                else:
-                    wr[nn - 1] = wr[nn] = x + p
-                    wi[nn - 1] = -z
-                    wi[nn] = z
-                nn -= 2
-                break
-            if total >= max_sweeps:
-                raise ConvergenceError(
-                    f"QR iteration did not converge within {total} sweeps; "
-                    f"stuck at subdiagonal index {nn}",
-                    nn,
-                )
-            if its != 0 and its % 10 == 0:
-                # exceptional shift against cycling
-                t += x
-                for i in range(nn + 1):
-                    a[i, i] -= x
-                s = abs(a[nn, nn - 1]) + abs(a[nn - 1, nn - 2])
-                y = x = 0.75 * s
-                w = -0.4375 * s * s
-            its += 1
-            total += 1
-            # start the bulge as high as two consecutive small subdiagonals allow
-            m = nn - 2
-            while m >= l:
-                z = a[m, m]
-                r = x - z
-                s = y - z
-                p = (r * s - w) / a[m + 1, m] + a[m, m + 1]
-                q = a[m + 1, m + 1] - z - r - s
-                r = a[m + 2, m + 1]
-                s = abs(p) + abs(q) + abs(r)
-                p /= s
-                q /= s
-                r /= s
-                if m == l:
-                    break
-                u = abs(a[m, m - 1]) * (abs(q) + abs(r))
-                v = abs(p) * (abs(a[m - 1, m - 1]) + abs(z) + abs(a[m + 1, m + 1]))
-                if u <= _EPS * v:
-                    break
-                m -= 1
-            for i in range(m + 2, nn + 1):
-                a[i, i - 2] = 0.0
-                if i > m + 2:
-                    a[i, i - 3] = 0.0
-            # chase the bulge: double QR step on rows l..nn, columns m..nn
-            for k in range(m, nn):
-                if k != m:
-                    p = a[k, k - 1]
-                    q = a[k + 1, k - 1]
-                    r = a[k + 2, k - 1] if k != nn - 1 else 0.0
-                    x = abs(p) + abs(q) + abs(r)
-                    if x == 0.0:
-                        continue
-                    p /= x
-                    q /= x
-                    r /= x
-                s = math.copysign(math.sqrt(p * p + q * q + r * r), p)
-                if s == 0.0:
-                    continue
-                if k == m:
-                    if l != m:
-                        a[k, k - 1] = -a[k, k - 1]
-                else:
-                    a[k, k - 1] = -s * x
-                p += s
-                x = p / s
-                y = q / s
-                z = r / s
-                q /= p
-                r /= p
-                hi = min(nn, k + 3) + 1
-                if k == nn - 1:
-                    row = a[k, k : nn + 1] + q * a[k + 1, k : nn + 1]
-                    a[k, k : nn + 1] -= row * x
-                    a[k + 1, k : nn + 1] -= row * y
-                    col = x * a[l:hi, k] + y * a[l:hi, k + 1]
-                    a[l:hi, k] -= col
-                    a[l:hi, k + 1] -= col * q
-                else:
-                    row = (
-                        a[k, k : nn + 1]
-                        + q * a[k + 1, k : nn + 1]
-                        + r * a[k + 2, k : nn + 1]
-                    )
-                    a[k, k : nn + 1] -= row * x
-                    a[k + 1, k : nn + 1] -= row * y
-                    a[k + 2, k : nn + 1] -= row * z
-                    col = x * a[l:hi, k] + y * a[l:hi, k + 1] + z * a[l:hi, k + 2]
-                    a[l:hi, k] -= col
-                    a[l:hi, k + 1] -= col * q
-                    a[l:hi, k + 2] -= col * r
-    return wr + 1j * wi
 
 
 def _blocks(a: np.ndarray) -> list[np.ndarray]:

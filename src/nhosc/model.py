@@ -1,5 +1,5 @@
 """General non-Hermitian quadratic oscillator: real banded Hamiltonian builder,
-variational frequency, regime classification and the analytic reference spectrum."""
+variational frequency and regime classification."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ __all__ = [
     "build_hamiltonian",
     "diagonal_expectation",
     "variational_frequency",
-    "analytic_level",
     "classify_regime",
 ]
 
@@ -45,8 +44,6 @@ class VariationalResult:
     """
 
     w_v: float | None
-    numerator: float
-    denominator: float
 
 
 class Regime(Enum):
@@ -142,24 +139,27 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     return float(_bands(HamiltonianSpec(params=spec.params, basis=basis))[0][level])
 
 
-def variational_frequency(params: TransformParams) -> VariationalResult:
-    """Stationary basis frequency sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2))."""
+def _quadratic_form(params: TransformParams) -> tuple[float, float, float]:
+    """(A^2 - R^2 B^2, B^2 - L^2 A^2, L A^2 + R B^2): the p^2, x^2 and cross
+    coefficients of H before the factor C."""
     # products, not **: float64 overflow then gives inf/nan instead of OverflowError
     a2, b2 = params.a_coef * params.a_coef, params.b_coef * params.b_coef
-    num = b2 - params.l_coef * params.l_coef * a2
-    den = a2 - params.r_coef * params.r_coef * b2
+    l_coef, r_coef = params.l_coef, params.r_coef
+    return a2 - r_coef * r_coef * b2, b2 - l_coef * l_coef * a2, l_coef * a2 + r_coef * b2
+
+
+def variational_frequency(params: TransformParams) -> VariationalResult:
+    """Stationary basis frequency sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2))."""
+    den, num, _ = _quadratic_form(params)
     if den == 0.0 or not 0.0 < num / den < math.inf:
-        return VariationalResult(w_v=None, numerator=num, denominator=den)
-    return VariationalResult(w_v=math.sqrt(num / den), numerator=num, denominator=den)
+        return VariationalResult(w_v=None)
+    return VariationalResult(w_v=math.sqrt(num / den))
 
 
 def classify_regime(params: TransformParams) -> RegimeReport:
     """Expand the quadratic family and classify reality of its spectrum."""
     c_norm = params.norm_c
-    a2, b2 = params.a_coef * params.a_coef, params.b_coef * params.b_coef
-    coef_p2 = c_norm * (a2 - params.r_coef * params.r_coef * b2)
-    coef_x2 = c_norm * (b2 - params.l_coef * params.l_coef * a2)
-    coef_cross = c_norm * (params.l_coef * a2 + params.r_coef * b2)
+    coef_p2, coef_x2, coef_cross = (c_norm * q for q in _quadratic_form(params))
     regime = Regime.REAL_SPECTRUM if coef_p2 > 0.0 and coef_x2 > 0.0 else Regime.BROKEN
     return RegimeReport(
         coef_p2=coef_p2,
@@ -169,15 +169,3 @@ def classify_regime(params: TransformParams) -> RegimeReport:
         ab_plus_csq=coef_p2 * coef_x2 + coef_cross * coef_cross,
     )
 
-
-def analytic_level(params: TransformParams, level: int) -> float:
-    """Reference eigenvalue (2n+1) A B of the equivalent Hermitian oscillator.
-
-    Only defined in the real-spectrum regime; raises otherwise.
-    """
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    report = classify_regime(params)
-    if report.regime is not Regime.REAL_SPECTRUM:
-        raise ValueError("no real analytic spectrum in the broken regime")
-    return (2 * level + 1) * params.a_coef * params.b_coef

@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from nhosc import (
-    BasisSpec,
-    OperatorMatrix,
-    TransformParams,
-    commutator,
-    ladder_weights,
-    momentum_matrix,
-    normalized_commutator_check,
-    position_matrix,
-    transformed_momentum,
-    transformed_position,
-)
+import oracles
+from nhosc import BasisSpec, TransformParams, ladder_weights, normalized_commutator_check
+from nhosc.basis import _shear_bands, _tridiagonal
 
 
 def naive_matmul(a, b):
@@ -28,11 +19,27 @@ def naive_matmul(a, b):
     return out
 
 
-def truncated_xp_commutator(n, s=1.0):
-    """Closed form i s^2 (I - N e_last) of the truncated ladder algebra."""
-    c = 1j * s * s * np.eye(n, dtype=complex)
-    c[-1, -1] = 1j * s * s * (1 - n)
+def truncated_xp_commutator(n):
+    """Closed form i (I - N e_last) of the truncated ladder algebra."""
+    c = 1j * np.eye(n, dtype=complex)
+    c[-1, -1] = 1j * (1 - n)
     return c
+
+
+def library_yz(basis, params):
+    """The library's real tridiagonals Y, Z, with y = iY and z = Z."""
+    y_bands, z_bands = _shear_bands(basis, params)
+    return _tridiagonal(basis.n_dim, *y_bands), _tridiagonal(basis.n_dim, *z_bands)
+
+
+def both_x(basis):
+    """x from the oracle and from the library (Z at R = 0)."""
+    return oracles.position(basis.n_dim, basis.freq), library_yz(basis, TransformParams())[1]
+
+
+def both_p(basis):
+    """p from the oracle and from the library (iY at L = 0)."""
+    return oracles.momentum(basis.n_dim, basis.freq), 1j * library_yz(basis, TransformParams())[0]
 
 
 class TestLadderWeights:
@@ -52,118 +59,112 @@ class TestLadderWeights:
 
 class TestPositionMatrix:
     def test_two_by_two(self):
-        x = position_matrix(BasisSpec(n_dim=2)).entries
-        np.testing.assert_allclose(x.real, [[0, 2**-0.5], [2**-0.5, 0]], atol=1e-15)
-        assert np.all(x.imag == 0.0)
+        for x in both_x(BasisSpec(n_dim=2)):
+            np.testing.assert_allclose(x.real, [[0, 2**-0.5], [2**-0.5, 0]], atol=1e-15)
+            assert np.all(x.imag == 0.0)
 
     def test_frequency_scaling(self):
-        x = position_matrix(BasisSpec(n_dim=2, freq=4.0)).entries
-        np.testing.assert_allclose(x[0, 1].real, 1.0 / np.sqrt(8.0))
+        for x in both_x(BasisSpec(n_dim=2, freq=4.0)):
+            np.testing.assert_allclose(x[0, 1].real, 1.0 / np.sqrt(8.0))
 
     def test_superdiagonal_n3(self):
-        x = position_matrix(BasisSpec(n_dim=3)).entries
-        np.testing.assert_allclose(np.diag(x.real, 1), [2**-0.5, 1.0])
+        for x in both_x(BasisSpec(n_dim=3)):
+            np.testing.assert_allclose(np.diag(x.real, 1), [2**-0.5, 1.0])
 
     def test_symmetric_and_real(self):
         for n, w in [(5, 1.0), (8, 0.25)]:
-            op = position_matrix(BasisSpec(n_dim=n, freq=w))
-            assert np.all(op.entries.imag == 0.0)
-            np.testing.assert_array_equal(op.entries, op.entries.T)
+            for x in both_x(BasisSpec(n_dim=n, freq=w)):
+                assert np.all(x.imag == 0.0)
+                np.testing.assert_array_equal(x, x.T)
 
 
 class TestMomentumMatrix:
     def test_two_by_two(self):
-        p = momentum_matrix(BasisSpec(n_dim=2)).entries
-        np.testing.assert_allclose(p, [[0, -1j * 2**-0.5], [1j * 2**-0.5, 0]], atol=1e-15)
+        for p in both_p(BasisSpec(n_dim=2)):
+            np.testing.assert_allclose(p, [[0, -1j * 2**-0.5], [1j * 2**-0.5, 0]], atol=1e-15)
 
     def test_frequency_scaling(self):
-        p = momentum_matrix(BasisSpec(n_dim=2, freq=4.0)).entries
-        np.testing.assert_allclose(p[1, 0], 1j * np.sqrt(2.0))
+        for p in both_p(BasisSpec(n_dim=2, freq=4.0)):
+            np.testing.assert_allclose(p[1, 0], 1j * np.sqrt(2.0))
 
     def test_antisymmetric_skeleton_and_hermitian(self):
         # transpose(p) = -p while conj(transpose(p)) = p: both hold exactly
         for n in (2, 5, 9):
-            p = momentum_matrix(BasisSpec(n_dim=n, freq=2.0)).entries
-            np.testing.assert_array_equal(p.T, -p)
-            np.testing.assert_array_equal(p.conj().T, p)
+            for p in both_p(BasisSpec(n_dim=n, freq=2.0)):
+                np.testing.assert_array_equal(p.T, -p)
+                np.testing.assert_array_equal(p.conj().T, p)
 
     def test_purely_imaginary(self):
-        op = momentum_matrix(BasisSpec(n_dim=6))
-        assert np.any(op.entries.imag != 0.0)
-        assert np.all(op.entries.real == 0.0)
+        for p in both_p(BasisSpec(n_dim=6)):
+            assert np.any(p.imag != 0.0)
+            assert np.all(p.real == 0.0)
 
 
 class TestTransformedOperators:
     def test_identity_transforms(self):
+        # at w = 2 the factors 1/sqrt(2w) and sqrt(w/2) are exact, so both
+        # routes give the same floats
         basis = BasisSpec(n_dim=5, freq=2.0)
-        ident = TransformParams()
-        np.testing.assert_array_equal(
-            transformed_momentum(basis, ident).entries, momentum_matrix(basis).entries
-        )
-        np.testing.assert_array_equal(
-            transformed_position(basis, ident).entries, position_matrix(basis).entries
-        )
+        big_y, big_z = library_yz(basis, TransformParams())
+        np.testing.assert_array_equal(1j * big_y, oracles.momentum(5, 2.0))
+        np.testing.assert_array_equal(big_z, oracles.position(5, 2.0))
 
     def test_sheared_momentum_entry(self):
         basis = BasisSpec(n_dim=2, freq=4.0)
-        y = transformed_momentum(basis, TransformParams(l_coef=3.0)).entries
-        np.testing.assert_allclose(y[1, 0], 1j * (np.sqrt(2.0) + 3.0 / np.sqrt(8.0)))
+        params = TransformParams(l_coef=3.0)
+        expected = 1j * (np.sqrt(2.0) + 3.0 / np.sqrt(8.0))
+        np.testing.assert_allclose(oracles.sheared(2, 4.0, 3.0, 0.0)[0][1, 0], expected)
+        np.testing.assert_allclose(1j * library_yz(basis, params)[0][1, 0], expected)
 
     def test_sheared_momentum_purely_imaginary(self):
+        # the oracle's complex y = p + iLx against the library's real Y, y = iY
         for n in (2, 7, 30):
-            y = transformed_momentum(BasisSpec(n_dim=n), TransformParams(l_coef=3.0))
-            assert np.all(y.entries.real == 0.0)
-            assert np.any(y.entries.imag != 0.0)
+            y = oracles.sheared(n, 1.0, 3.0, 0.0)[0]
+            assert np.all(y.real == 0.0)
+            assert np.any(y.imag != 0.0)
+            big_y = library_yz(BasisSpec(n_dim=n), TransformParams(l_coef=3.0))[0]
+            assert big_y.dtype == np.float64
+            np.testing.assert_allclose(big_y, y.imag, rtol=1e-15, atol=0.0)
 
     def test_sheared_position_entries(self):
-        basis = BasisSpec(n_dim=2)
-        z = transformed_position(basis, TransformParams(r_coef=3.0)).entries
-        np.testing.assert_allclose(z[0, 1].real, 4.0 / np.sqrt(2.0))
-        np.testing.assert_allclose(z[1, 0].real, -2.0 / np.sqrt(2.0))
+        z_oracle = oracles.sheared(2, 1.0, 0.0, 3.0)[1]
+        z_library = library_yz(BasisSpec(n_dim=2), TransformParams(r_coef=3.0))[1]
+        for z in (z_oracle, z_library):
+            np.testing.assert_allclose(z[0, 1].real, 4.0 / np.sqrt(2.0))
+            np.testing.assert_allclose(z[1, 0].real, -2.0 / np.sqrt(2.0))
 
     def test_sheared_position_real(self):
         for r in (-2.0, 0.5, 3.0):
-            z = transformed_position(BasisSpec(n_dim=6), TransformParams(r_coef=r))
-            assert np.all(z.entries.imag == 0.0)
+            z = oracles.sheared(6, 1.0, 0.0, r)[1]
+            assert np.all(z.imag == 0.0)
+            big_z = library_yz(BasisSpec(n_dim=6), TransformParams(r_coef=r))[1]
+            np.testing.assert_allclose(big_z, z.real, rtol=1e-15, atol=0.0)
 
 
 class TestCommutator:
     def test_identity_commutes(self):
-        m = position_matrix(BasisSpec(n_dim=4))
-        ident = OperatorMatrix(np.eye(4, dtype=complex))
-        np.testing.assert_array_equal(commutator(ident, m).entries, np.zeros((4, 4)))
-
-    def test_dimension_mismatch(self):
-        a = position_matrix(BasisSpec(n_dim=3))
-        b = position_matrix(BasisSpec(n_dim=4))
-        with pytest.raises(ValueError):
-            commutator(a, b)
+        for x in both_x(BasisSpec(n_dim=4)):
+            np.testing.assert_array_equal(oracles.commutator(np.eye(4), x), np.zeros((4, 4)))
 
     def test_xp_commutator_n3(self):
         basis = BasisSpec(n_dim=3)
-        c = commutator(position_matrix(basis), momentum_matrix(basis)).entries
-        np.testing.assert_allclose(c, 1j * np.diag([1.0, 1.0, -2.0]), atol=1e-15)
+        for x, p in zip(both_x(basis), both_p(basis)):
+            np.testing.assert_allclose(oracles.commutator(x, p), 1j * np.diag([1.0, 1.0, -2.0]), atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 4, 7, 10])
     def test_xp_closed_form(self, n):
         basis = BasisSpec(n_dim=n)
-        x = position_matrix(basis).entries
-        p = momentum_matrix(basis).entries
-        brute = naive_matmul(x, p) - naive_matmul(p, x)
-        np.testing.assert_allclose(brute, truncated_xp_commutator(n), atol=1e-13)
-        c = commutator(position_matrix(basis), momentum_matrix(basis)).entries
-        np.testing.assert_allclose(c, truncated_xp_commutator(n), atol=1e-13)
+        for x, p in zip(both_x(basis), both_p(basis)):
+            brute = naive_matmul(x, p) - naive_matmul(p, x)
+            np.testing.assert_allclose(brute, truncated_xp_commutator(n), atol=1e-13)
+            np.testing.assert_allclose(oracles.commutator(x, p), truncated_xp_commutator(n), atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_products_match_naive_oracle(self, n):
         basis = BasisSpec(n_dim=n, freq=2.0)
         params = TransformParams(l_coef=1.5, r_coef=-0.5)
-        mats = [
-            position_matrix(basis).entries,
-            momentum_matrix(basis).entries,
-            transformed_momentum(basis, params).entries,
-            transformed_position(basis, params).entries,
-        ]
+        big_y, big_z = library_yz(basis, params)
+        mats = [*both_x(basis), *both_p(basis), *oracles.sheared(n, 2.0, 1.5, -0.5), 1j * big_y, big_z]
         for a in mats:
             for b in mats:
                 np.testing.assert_allclose(a @ b, naive_matmul(a, b), atol=1e-13)
@@ -197,7 +198,7 @@ class TestNormalizedCommutatorCheck:
         assert defect.max_offdiag <= 1e-12
 
     def test_real_shortcut_matches_complex_operators(self):
-        # the real (Z Y - Y Z) / (1+LR) against the public complex route
+        # the real (Z Y - Y Z) / (1+LR) against the oracle's complex z y - y z
         rng = np.random.default_rng(8)
         checked = 0
         while checked < 30:
@@ -206,8 +207,8 @@ class TestNormalizedCommutatorCheck:
                 continue
             basis = BasisSpec(n_dim=int(rng.integers(2, 41)), freq=rng.uniform(0.25, 4.0))
             params = TransformParams(l_coef=l_coef, r_coef=r_coef)
-            c = commutator(transformed_position(basis, params), transformed_momentum(basis, params)).entries
-            c = c / (1j * (1.0 + l_coef * r_coef))
+            y, z = oracles.sheared(basis.n_dim, basis.freq, l_coef, r_coef)
+            c = oracles.commutator(z, y) / (1j * (1.0 + l_coef * r_coef))
             diag = c.diagonal()
             defect = normalized_commutator_check(basis, params)
             assert abs(defect.max_diag_deviation - np.abs(diag[:-1] - 1.0).max()) <= 1e-12
@@ -234,20 +235,18 @@ class TestNormalizedCommutatorCheck:
             TransformParams(l_coef=1.0, r_coef=-1.0)
 
     def test_commutator_bilinearity(self):
-        # (z y - y z) = (1+LR) (x p - p x) entrywise
+        # (z y - y z) = (1+LR) (x p - p x) entrywise: the library's z = Z and
+        # y = iY against the oracle's x and p
         rng = np.random.default_rng(11)
         basis = BasisSpec(n_dim=30, freq=2.0)
-        x = position_matrix(basis).entries
-        p = momentum_matrix(basis).entries
-        base = x @ p - p @ x
+        base = oracles.commutator(oracles.position(30, 2.0), oracles.momentum(30, 2.0))
         for _ in range(25):
             l_coef, r_coef = rng.uniform(-4.0, 4.0, size=2)
             if abs(1.0 + l_coef * r_coef) < 1e-2:
                 continue
             params = TransformParams(l_coef=l_coef, r_coef=r_coef)
-            y = transformed_momentum(basis, params).entries
-            z = transformed_position(basis, params).entries
-            lhs = z @ y - y @ z
+            big_y, big_z = library_yz(basis, params)
+            lhs = 1j * (big_z @ big_y - big_y @ big_z)
             np.testing.assert_allclose(lhs, (1.0 + l_coef * r_coef) * base, atol=1e-12)
 
 
@@ -261,12 +260,3 @@ class TestSpecValidation:
             BasisSpec(n_dim=10, freq=0.0)
         with pytest.raises(TypeError):  # hbar = m = 1: the basis frequency alone fixes x and p
             BasisSpec(n_dim=4, scale=2.0)
-
-    def test_operator_matrix_must_be_square(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.zeros((2, 3)))
-
-    def test_entries_frozen(self):
-        x = position_matrix(BasisSpec(n_dim=3))
-        with pytest.raises(ValueError):
-            x.entries[0, 0] = 1.0

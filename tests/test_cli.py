@@ -167,6 +167,8 @@ class TestParseConfig:
             ("duality --W 4 --L 3 --R 3", "--W fixes --R for duality"),
             ("table2 --W 5e-324", "1/W of --W must be finite"),
             ("duality --W 5e-324 --R 3", "1/W of --W must be finite"),
+            ("sweep-w --L 3 --B 5 --values 0,4 --N 20", "--values must be positive"),
+            ("sweep-w --L 3 --B 5 --values -1 --N 20", "--values must be positive"),
         ],
     )
     def test_table_errors_name_the_flags_given(self, argv, message):

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import oracles
 from nhosc import (
     BasisSpec,
     HamiltonianSpec,
     Regime,
     TransformParams,
-    analytic_level,
     build_hamiltonian,
     classify_regime,
     diagonal_expectation,
     eigenvalues,
-    position_matrix,
-    transformed_momentum,
-    transformed_position,
+    isospectral_report,
     variational_frequency,
 )
 
@@ -30,7 +28,7 @@ def hermitian_equivalent(params, n_dim):
     report = classify_regime(params)
     a, b, c = report.coef_p2, report.coef_x2, report.coef_cross
     basis = BasisSpec(n_dim=n_dim, freq=np.sqrt(b / a))
-    x = position_matrix(basis).entries.real
+    x = oracles.position(n_dim, basis.freq).real
     m = np.sqrt(np.arange(1, n_dim))
     t_minus = np.diag(m, -1) - np.diag(m, 1)
     p_sq = -(basis.freq / 2.0) * (t_minus @ t_minus)
@@ -136,7 +134,7 @@ class TestBuildHamiltonian:
         np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
 
     def test_matches_dense_complex_product(self):
-        # reference: C (A^2 y@y + B^2 z@z) from the complex shear matrices.
+        # reference: C (A^2 y@y + B^2 z@z) from the oracle's complex shear matrices.
         # |1+LR| >= 0.3 keeps away from the singular normalisation, where the
         # two squares cancel and both builds lose ~1/|1+LR| of their accuracy.
         rng = np.random.default_rng(2)
@@ -146,14 +144,13 @@ class TestBuildHamiltonian:
             if abs(1.0 + l_coef * r_coef) < 0.3:
                 continue
             draws += 1
-            params = TransformParams(l_coef, r_coef, *rng.uniform(0.2, 3.0, size=2))
+            a_coef, b_coef = rng.uniform(0.2, 3.0, size=2)
+            params = TransformParams(l_coef, r_coef, a_coef, b_coef)
             basis = BasisSpec(
                 n_dim=int(rng.integers(2, 401)),
                 freq=float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))),
             )
-            y = transformed_momentum(basis, params).entries
-            z = transformed_position(basis, params).entries
-            ref = params.norm_c * (params.a_coef**2 * (y @ y) + params.b_coef**2 * (z @ z))
+            ref = oracles.hamiltonian(basis.n_dim, basis.freq, l_coef, r_coef, a_coef, b_coef)
             assert np.all(ref.imag == 0.0)
             h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
             assert np.abs(h - ref.real).max() <= 4 * EPS * np.linalg.norm(h)
@@ -228,7 +225,6 @@ class TestVariationalFrequency:
     def test_table_one(self):
         res = variational_frequency(TransformParams(l_coef=3.0, r_coef=0.0, a_coef=1.0, b_coef=5.0))
         assert res.w_v == 4.0
-        assert res.numerator == 16.0 and res.denominator == 1.0
 
     def test_table_two(self):
         res = variational_frequency(TransformParams(l_coef=0.0, r_coef=3.0, a_coef=5.0, b_coef=1.0))
@@ -241,8 +237,7 @@ class TestVariationalFrequency:
         # negative ratio
         assert variational_frequency(TransformParams(l_coef=2.0)).w_v is None
         # zero denominator
-        res = variational_frequency(TransformParams(r_coef=1.0))
-        assert res.w_v is None and res.denominator == 0.0
+        assert variational_frequency(TransformParams(r_coef=1.0)).w_v is None
         # float64 overflow of A^2: no ratio, and no OverflowError
         assert variational_frequency(TransformParams(a_coef=1e200)).w_v is None
 
@@ -289,18 +284,14 @@ class TestClassifyRegime:
 
 
 class TestAnalyticLevel:
-    def test_table_values(self, table1_params):
-        assert analytic_level(table1_params, 0) == 5.0
-        assert analytic_level(table1_params, 44) == 445.0
-        assert analytic_level(TransformParams(), 2) == 5.0
+    """The reference levels (2n+1)AB; the broken regime, which has none, is
+    rejected by isospectral_report (test_broken_regime_rejected)."""
 
-    def test_rejects_broken_regime(self):
-        with pytest.raises(ValueError):
-            analytic_level(TransformParams(l_coef=2.0), 0)
-
-    def test_rejects_negative_level(self):
-        with pytest.raises(ValueError):
-            analytic_level(TransformParams(), -1)
+    def test_table_values(self, table1_report):
+        # the eps_n column of the Table-1 report
+        assert table1_report.rows[0].epsilon == 5.0
+        assert table1_report.rows[44].epsilon == 445.0
+        assert isospectral_report(TransformParams(), BasisSpec(n_dim=4)).rows[2].epsilon == 5.0
 
     def test_validated_against_hermitian_equivalent(self):
         # reference formula vs diagonalizing the similarity-equivalent matrix
@@ -310,7 +301,7 @@ class TestAnalyticLevel:
             h_eq = hermitian_equivalent(params, n_dim=40)
             ev = np.sort(np.linalg.eigvalsh(h_eq))
             for n in range(11):
-                np.testing.assert_allclose(ev[n], analytic_level(params, n), atol=1e-8)
+                np.testing.assert_allclose(ev[n], (2 * n + 1) * params.a_coef * params.b_coef, atol=1e-8)
 
 
 class TestHermitianLimitSpectrum:
