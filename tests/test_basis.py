@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from nhosc import BasisSpec, TransformParams, ladder_weights, normalized_commutator_check
-from nhosc.basis import _shear_bands, _tridiagonal
+from nhosc.basis import _shear_bands, _tridiagonal, transformed_momentum
 
 
 def naive_matmul(a, b):
@@ -125,6 +125,13 @@ class TestTransformedOperators:
             big_y = library_yz(BasisSpec(n_dim=n), TransformParams(l_coef=3.0))[0]
             assert big_y.dtype == np.float64
             np.testing.assert_allclose(big_y, y.imag, rtol=1e-15, atol=0.0)
+
+    def test_transformed_momentum_is_oracle_y(self):
+        # a plain complex ndarray iY, equal to the oracle's y = p + iLx
+        for n, w, l_coef in ((2, 4.0, 3.0), (9, 0.5, -1.25), (30, 1.0, 0.0)):
+            y = transformed_momentum(BasisSpec(n_dim=n, freq=w), TransformParams(l_coef=l_coef))
+            assert type(y) is np.ndarray and y.dtype == np.complex128
+            np.testing.assert_allclose(y, oracles.sheared(n, w, l_coef, 0.0)[0], rtol=1e-15, atol=0.0)
 
     def test_sheared_position_entries(self):
         z_oracle = oracles.sheared(2, 1.0, 0.0, 3.0)[1]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import nhosc.analysis
 from nhosc import (
     EigensolverError,
     HamiltonianSpec,
@@ -343,6 +344,16 @@ class TestMainExitCodes:
         assert main([command, *_SMALL_RUNS[command].split(), "--s", "2"]) == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments: --s 2" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("values", ["0,4", "-1"])
+    def test_nonpositive_sweep_w_value_is_config_error(self, values, monkeypatch, capsys):
+        def no_solve(*args):
+            pytest.fail("a point was solved before the invalid value was rejected")
+
+        monkeypatch.setattr(nhosc.analysis, "isospectral_report", no_solve)
+        assert main(["sweep-w", "--L", "3", "--B", "5", "--values", values, "--N", "20"]) == 2
+        captured = capsys.readouterr()
+        assert "--values must be positive" in captured.err and captured.out == ""
 
     def test_undefined_auto_frequency_is_config_error(self, capsys):
         assert main(["spectrum", "--L", "2", "--w", "auto"]) == 2

@@ -156,6 +156,11 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((0, 0)))
 
+    def test_zero_matrix(self):
+        # the Francis reference returns at once when the Hessenberg part is zero
+        for vals in both(np.zeros((4, 4))):
+            np.testing.assert_array_equal(vals, np.zeros(4))
+
     def test_rotation_matrix(self):
         for vals in both(np.array([[0.0, 1.0], [-1.0, 0.0]])):
             np.testing.assert_allclose(sorted_by_re_im(vals), [-1j, 1j], atol=1e-15)

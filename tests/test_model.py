@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -241,6 +243,18 @@ class TestVariationalFrequency:
         # float64 overflow of A^2: no ratio, and no OverflowError
         assert variational_frequency(TransformParams(a_coef=1e200)).w_v is None
 
+    def test_bit_identical_to_expanded_form(self):
+        # sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)) with the same float operations
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            l_coef, r_coef, a_coef, b_coef = rng.uniform(-4.0, 4.0, size=4)
+            if abs(1.0 + l_coef * r_coef) < 1e-3:
+                continue
+            a2, b2 = a_coef * a_coef, b_coef * b_coef
+            num, den = b2 - l_coef * l_coef * a2, a2 - r_coef * r_coef * b2
+            expected = math.sqrt(num / den) if den != 0.0 and 0.0 < num / den < math.inf else None
+            assert variational_frequency(TransformParams(l_coef, r_coef, a_coef, b_coef)).w_v == expected
+
     def test_matches_regime_expansion(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -268,6 +282,20 @@ class TestClassifyRegime:
         report = classify_regime(TransformParams())
         assert (report.coef_p2, report.coef_x2, report.coef_cross) == (1.0, 1.0, 0.0)
         assert report.regime is Regime.REAL_SPECTRUM
+
+    def test_coefficients_bit_identical_to_expanded_form(self):
+        # C (A^2 - R^2 B^2), C (B^2 - L^2 A^2), C (L A^2 + R B^2) with the same float operations
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            l_coef, r_coef, a_coef, b_coef = rng.uniform(-4.0, 4.0, size=4)
+            if abs(1.0 + l_coef * r_coef) < 1e-3:
+                continue
+            params = TransformParams(l_coef, r_coef, a_coef, b_coef)
+            c, a2, b2 = params.norm_c, a_coef * a_coef, b_coef * b_coef
+            report = classify_regime(params)
+            assert report.coef_p2 == c * (a2 - r_coef * r_coef * b2)
+            assert report.coef_x2 == c * (b2 - l_coef * l_coef * a2)
+            assert report.coef_cross == c * (l_coef * a2 + r_coef * b2)
 
     def test_product_identity_random(self):
         # a b + c^2 == (A B)^2, the basis-independence of the reference levels
