@@ -89,22 +89,21 @@ def isospectral_report(params: TransformParams, basis: BasisSpec) -> Isospectral
     if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
         raise ValueError("isospectral report undefined in the broken regime")
     spec = eigenvalues(h)
-    is_real = real_mask(spec)
-    ab = params.a_coef * params.b_coef
-    rows = []
-    first_dev = None
-    for n, v in enumerate(spec.values):
-        eps_n = (2 * n + 1) * ab
-        dev = abs(v - eps_n)
-        remark = Remark.ISO if dev <= ISO_TOL and is_real[n] else Remark.NO_ISO
-        if remark is Remark.NO_ISO and first_dev is None:
-            first_dev = n
-        rows.append(
-            ReportRow(level=n, epsilon=eps_n, computed=complex(v), abs_dev=float(dev), remark=remark)
+    eps = (2 * np.arange(len(spec)) + 1) * (params.a_coef * params.b_coef)
+    diff = spec.values - eps
+    # hypot, not np.abs: np.abs of a complex array can differ from abs() in the last bit
+    dev = np.hypot(diff.real, diff.imag)
+    iso = (dev <= ISO_TOL) & real_mask(spec)
+    deviations = np.flatnonzero(~iso)
+    rows = [
+        ReportRow(level=n, epsilon=e, computed=v, abs_dev=d, remark=Remark.ISO if ok else Remark.NO_ISO)
+        for n, (e, v, d, ok) in enumerate(
+            zip(eps.tolist(), spec.values.tolist(), dev.tolist(), iso.tolist())
         )
+    ]
     return IsospectralReport(
         rows=rows,
-        first_deviation_index=first_dev,
+        first_deviation_index=int(deviations[0]) if deviations.size else None,
         n_complex_pairs=classify(spec).n_complex,
     )
 

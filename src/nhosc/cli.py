@@ -1,29 +1,22 @@
-"""Command-line front end: configuration parsing, pipeline dispatch,
-fixed-format text tables and deterministic CSV/JSON export."""
+"""Command-line front end: configuration parsing, pipeline dispatch, and one table
+per command, serialised only as asked: fixed-format text or deterministic CSV/JSON."""
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .analysis import (
-    Axis,
-    IsospectralReport,
-    Remark,
-    SweepResult,
-    dual_params,
-    duality_check,
-    isospectral_report,
-    sweep,
-)
+from .analysis import Axis, Remark, dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
 from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
 from .model import HamiltonianSpec, _coefficient_squares, build_hamiltonian, variational_frequency
@@ -83,16 +76,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """One command's result, rendered on demand by `render`.
+    """One command's table, serialised by `render` in the requested format only.
 
-    `rows` is the CSV table and holds the same dicts as the JSON document
-    `doc`; their keys are the CSV header, which `fields` gives when the
-    table may be empty.
+    `rows` is the CSV table and the table inside the JSON document `doc`;
+    their keys are the CSV header, which `fields` gives when the table may
+    be empty.  `lines` formats the text rendering from the same rows.
     """
 
-    text: str
     doc: dict
     rows: list[dict]
+    lines: Callable[[], list[str]]
     fields: list[str] | None = None
 
 
@@ -102,6 +95,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # built on first use, not at import; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--N", type=int, default=100, help="basis truncation size")
@@ -181,6 +175,9 @@ def parse_config(argv: list[str]) -> RunConfig:
     if command in (Command.TABLE_ONE, Command.TABLE_TWO) or capital_w is not None:
         params, freq = _resolve_table(ns, command)
     else:
+        for flag in ("L", "R", "A", "B"):
+            if not math.isfinite(getattr(ns, flag) or 0.0):
+                raise ConfigError(f"--{flag} must be finite")
         params = _validated(
             TransformParams,
             l_coef=0.0 if ns.L is None else ns.L,
@@ -202,6 +199,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ConfigError(f"--w expects a number or 'auto', got {ns.w!r}") from exc
     if freq <= 0.0:
         raise ConfigError(f"basis frequency must be positive, got {freq}")
+    if not math.isfinite(freq):  # only an explicit --w: auto and --W give finite ones
+        raise ConfigError(f"--w must be finite, got {ns.w!r}")
 
     if ns.N < 2:
         raise ConfigError(f"--N must be >= 2, got {ns.N}")
@@ -283,30 +282,35 @@ def _g17(x: float) -> str:
 
 def _json_render(obj) -> str:
     """Deterministic JSON: insertion key order, 17 significant digits, no NaN/Inf."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _g17(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_json_render(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_render(v) for v in obj) + "]"
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+    quoted: dict[str, str] = {}  # each distinct key or string is quoted once
+
+    def quote(text: str) -> str:
+        return quoted.get(text) or quoted.setdefault(text, json.dumps(text))
+
+    def encode(v) -> str:
+        if isinstance(v, (float, np.floating)):  # first: nearly every value is a table cell
+            return _g17(v)
+        if v is None:
+            return "null"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, str):
+            return quote(v)
+        if isinstance(v, dict):
+            return "{" + ", ".join([f"{quote(str(k))}: {encode(x)}" for k, x in v.items()]) + "}"
+        if isinstance(v, (list, tuple)):
+            return "[" + ", ".join(map(encode, v)) + "]"
+        raise TypeError(f"cannot render {type(v).__name__} as JSON")
+
+    return encode(obj)
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, (float, np.floating)):
-        return _g17(float(v))
-    return str(v)
+        return _g17(v)
+    return "" if v is None else str(v)
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -329,28 +333,11 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _summary_line(summary: dict) -> str:
-    return "summary: " + " ".join(
-        f"{k}={'-' if v is None else v}" for k, v in summary.items()
-    )
+    return "summary: " + " ".join(f"{k}={'-' if v is None else v}" for k, v in summary.items())
 
 
-def _render_isospectral(report: IsospectralReport, config: RunConfig) -> Report:
-    rows = report.rows[: config.print_count]
-    if config.command is Command.TABLE_TWO:
-        second_name, second_val = "R", config.params.r_coef
-    else:
-        second_name, second_val = "L", config.params.l_coef
-    prefix = " | ".join(_fmt_param(x) for x in (config.capital_w, second_val, config.basis.freq))
-    lines = [f"W | {second_name} | w | E_n -> H | eps_n | Remarks"]
-    for r in rows:
-        remark = "iso-spectra" if r.remark is Remark.ISO else "No iso-spectra"
-        lines.append(f"{prefix} | {_fmt_value(r.computed)} | {_fmt2(r.epsilon)} | {remark}")
-    summary = {
-        "n_real": len(report.rows) - 2 * report.n_complex_pairs,
-        "n_complex_pairs": report.n_complex_pairs,
-        "first_deviation_index": report.first_deviation_index,
-    }
-    lines.append(_summary_line(summary))
+def _build_isospectral(config: RunConfig) -> Report:
+    report = isospectral_report(config.params, config.basis)
     table = [
         {
             "level": r.level,
@@ -360,66 +347,83 @@ def _render_isospectral(report: IsospectralReport, config: RunConfig) -> Report:
             "abs_dev": r.abs_dev,
             "remark": r.remark.value,
         }
-        for r in rows
+        for r in report.rows[: config.print_count]
     ]
-    doc = {"config": _config_echo(config), "rows": table, "summary": summary}
-    return Report("\n".join(lines), doc, table)
+    summary = {
+        "n_real": len(report.rows) - 2 * report.n_complex_pairs,
+        "n_complex_pairs": report.n_complex_pairs,
+        "first_deviation_index": report.first_deviation_index,
+    }
+
+    def lines() -> list[str]:
+        dual = config.command is Command.TABLE_TWO
+        second = config.params.r_coef if dual else config.params.l_coef
+        prefix = " | ".join(_fmt_param(x) for x in (config.capital_w, second, config.basis.freq))
+        body = [
+            f"{prefix} | {_fmt_value(complex(row['re'], row['im']))} | {_fmt2(row['epsilon_n'])} | "
+            + ("iso-spectra" if row["remark"] == Remark.ISO.value else "No iso-spectra")
+            for row in table
+        ]
+        header = f"W | {'R' if dual else 'L'} | w | E_n -> H | eps_n | Remarks"
+        return [header, *body, _summary_line(summary)]
+
+    return Report({"config": _config_echo(config), "rows": table, "summary": summary}, table, lines)
 
 
-def _render_spectrum(config: RunConfig) -> Report:
+def _build_spectrum(config: RunConfig) -> Report:
     h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
     spec = eigenvalues(h)
     classified = classify(spec)
-    values = spec.values[: config.print_count]
-    lines = ["n | E_n -> H"] + [f"{n} | {_fmt_value(v)}" for n, v in enumerate(values)]
-    summary = {"n_real": classified.n_real, "n_complex_pairs": classified.n_complex}
-    lines.append(_summary_line(summary))
+    values = spec.values[: config.print_count].tolist()
     table = [{"level": n, "re": v.real, "im": v.imag} for n, v in enumerate(values)]
-    doc = {"config": _config_echo(config), "values": table, "summary": summary}
-    return Report("\n".join(lines), doc, table)
+    summary = {"n_real": classified.n_real, "n_complex_pairs": classified.n_complex}
+
+    def lines() -> list[str]:
+        body = [f"{row['level']} | {_fmt_value(complex(row['re'], row['im']))}" for row in table]
+        return ["n | E_n -> H", *body, _summary_line(summary)]
+
+    return Report({"config": _config_echo(config), "values": table, "summary": summary}, table, lines)
 
 
-def _render_commutator(config: RunConfig) -> Report:
+def _build_commutator(config: RunConfig) -> Report:
     defect = normalized_commutator_check(config.basis, config.params)
-    lines = [
-        f"commutator check: N={config.basis.n_dim} "
-        f"L={_fmt_param(config.params.l_coef)} R={_fmt_param(config.params.r_coef)}",
-        f"max |diag - 1| over first {defect.n_dim - 1} entries: {defect.max_diag_deviation:.3e}",
-        f"last diagonal entry: {_fmt2(defect.last_diag_entry)} (expected 1-N = {_fmt2(defect.expected_last)})",
-        f"max off-diagonal magnitude: {defect.max_offdiag:.3e}",
-    ]
-    payload = {
-        "n_dim": defect.n_dim,
-        "max_diag_deviation": defect.max_diag_deviation,
-        "last_diag_entry": defect.last_diag_entry,
-        "expected_last": defect.expected_last,
-        "max_offdiag": defect.max_offdiag,
-    }
-    return Report("\n".join(lines), {"config": _config_echo(config), "defect": payload}, [payload])
+    payload = asdict(defect)  # its fields, in order, are the exported columns
+
+    def lines() -> list[str]:
+        return [
+            f"commutator check: N={config.basis.n_dim} "
+            f"L={_fmt_param(config.params.l_coef)} R={_fmt_param(config.params.r_coef)}",
+            f"max |diag - 1| over first {defect.n_dim - 1} entries: {defect.max_diag_deviation:.3e}",
+            f"last diagonal entry: {_fmt2(defect.last_diag_entry)} (expected 1-N = {_fmt2(defect.expected_last)})",
+            f"max off-diagonal magnitude: {defect.max_offdiag:.3e}",
+        ]
+
+    return Report({"config": _config_echo(config), "defect": payload}, [payload], lines)
 
 
-def _render_duality(config: RunConfig) -> Report:
+def _fmt_quadruple(params: TransformParams, freq: float) -> str:
+    values = (params.l_coef, params.r_coef, params.a_coef, params.b_coef, freq)
+    return "(" + ", ".join(f"{k}={_fmt_param(v)}" for k, v in zip("LRABw", values)) + ")"
+
+
+def _build_duality(config: RunConfig) -> Report:
     params, basis = config.params, config.basis
     distance = duality_check(params, basis)
     h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
     h_norm = _frobenius_norm(h)
-    # no relative distance when h_norm = 0: H = 0 (A = B = 0; the build rejects
-    # an H that underflows)
-    rel = f"{distance / h_norm:.3e}" if h_norm > 0.0 else "-"
     dual = dual_params(params)
-    lines = [
-        (
+
+    def lines() -> list[str]:
+        # no relative distance when h_norm = 0: H = 0 (A = B = 0; the build
+        # rejects an H that underflows)
+        rel = f"{distance / h_norm:.3e}" if h_norm > 0.0 else "-"
+        return [
             f"duality check at N={basis.n_dim}: "
-            f"(L={_fmt_param(params.l_coef)}, R={_fmt_param(params.r_coef)}, "
-            f"A={_fmt_param(params.a_coef)}, B={_fmt_param(params.b_coef)}, "
-            f"w={_fmt_param(basis.freq)}) vs "
-            f"(L={_fmt_param(dual.l_coef)}, R={_fmt_param(dual.r_coef)}, "
-            f"A={_fmt_param(dual.a_coef)}, B={_fmt_param(dual.b_coef)}, "
-            f"w={_fmt_param(1.0 / basis.freq)})"
-        ),
-        f"max eigenvalue multiset distance: {distance:.6e}",
-        f"hamiltonian norm: {h_norm:.6e} (distance/norm = {rel})",
-    ]
+            f"{_fmt_quadruple(params, basis.freq)} vs {_fmt_quadruple(dual, 1.0 / basis.freq)}",
+            f"max eigenvalue multiset distance: {distance:.6e}",
+            f"hamiltonian norm: {h_norm:.6e} (distance/norm = {rel})",
+        ]
+
     row = {"distance": distance, "h_norm": h_norm}
     doc = {
         "config": _config_echo(config),
@@ -427,63 +431,60 @@ def _render_duality(config: RunConfig) -> Report:
                  "w": 1.0 / basis.freq},
         **row,
     }
-    return Report("\n".join(lines), doc, [row])
+    return Report(doc, [row], lines)
 
 
-def _render_sweep(result: SweepResult, config: RunConfig, axis_name: str) -> Report:
-    fields = [axis_name, "n_real", "n_complex_pairs", "first_deviation_index",
+def _build_sweep(config: RunConfig) -> Report:
+    by_w = config.command is Command.SWEEP_W
+    axis = Axis.BASIS_FREQUENCY if by_w else Axis.TRUNCATION_SIZE
+    result = sweep(config.params, config.basis, axis, config.sweep_values)
+    fields = ["w" if by_w else "N", "n_real", "n_complex_pairs", "first_deviation_index",
               "max_abs_dev_below_first_deviation"]
-    lines = [" | ".join([*fields[:-1], "max_abs_dev_below"])]  # text shortens the last name
-    table = []
-    for p in result.points:
-        first_dev = p.first_deviation_index
-        lines.append(
-            f"{_fmt_param(p.axis_value)} | {p.n_real} | {p.n_complex_pairs} | "
-            f"{'-' if first_dev is None else first_dev} | {p.max_abs_dev_below_first_deviation:.3e}"
-        )
-        values = (p.axis_value, p.n_real, p.n_complex_pairs, first_dev,
-                  p.max_abs_dev_below_first_deviation)
-        table.append(dict(zip(fields, values)))
-    for axis_val, msg in result.failures:
-        lines.append(f"{_fmt_param(axis_val)} | failed: {msg}")
+    table = [dict(zip(fields, astuple(p))) for p in result.points]  # SweepPoint's field order
+
+    def lines() -> list[str]:
+        out = [" | ".join([*fields[:-1], "max_abs_dev_below"])]  # text shortens the last name
+        for axis_value, n_real, n_pairs, first_dev, max_dev in map(dict.values, table):
+            out.append(
+                f"{_fmt_param(axis_value)} | {n_real} | {n_pairs} | "
+                f"{'-' if first_dev is None else first_dev} | {max_dev:.3e}"
+            )
+        return out + [f"{_fmt_param(v)} | failed: {msg}" for v, msg in result.failures]
+
     doc = {
         "config": _config_echo(config),
         "points": table,
-        "failures": [{axis_name: v, "error": msg} for v, msg in result.failures],
+        "failures": [{fields[0]: v, "error": msg} for v, msg in result.failures],
     }
-    return Report("\n".join(lines), doc, table, fields)
+    return Report(doc, table, lines, fields)
+
+
+_BUILDERS = {
+    Command.COMMUTATOR_CHECK: _build_commutator,
+    Command.SPECTRUM: _build_spectrum,
+    Command.TABLE_ONE: _build_isospectral,
+    Command.TABLE_TWO: _build_isospectral,
+    Command.DUALITY: _build_duality,
+    Command.SWEEP_W: _build_sweep,
+    Command.SWEEP_N: _build_sweep,
+}
 
 
 def _execute(config: RunConfig) -> Report:
-    if config.command is Command.COMMUTATOR_CHECK:
-        return _render_commutator(config)
-    if config.command is Command.SPECTRUM:
-        return _render_spectrum(config)
-    if config.command in (Command.TABLE_ONE, Command.TABLE_TWO):
-        report = isospectral_report(config.params, config.basis)
-        return _render_isospectral(report, config)
-    if config.command is Command.DUALITY:
-        return _render_duality(config)
-    if config.command is Command.SWEEP_W:
-        result = sweep(config.params, config.basis, Axis.BASIS_FREQUENCY, config.sweep_values)
-        return _render_sweep(result, config, "w")
-    if config.command is Command.SWEEP_N:
-        result = sweep(config.params, config.basis, Axis.TRUNCATION_SIZE, config.sweep_values)
-        return _render_sweep(result, config, "N")
-    raise ConfigError(f"unknown command {config.command!r}")
+    """Run the command's pipeline and build its one table."""
+    return _BUILDERS[config.command](config)
 
 
 def render(report: Report, fmt: Format) -> str:
-    """Render a report in the requested output format."""
+    """Serialise a report in the requested output format, and only in it."""
     if fmt is Format.TEXT:
-        return report.text + "\n"
+        return "\n".join(report.lines()) + "\n"
     if fmt is Format.JSON:
         return _json_render(report.doc) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.fields or list(report.rows[0]))
-    for row in report.rows:
-        writer.writerow([_csv_cell(v) for v in row.values()])
+    writer.writerows([_csv_cell(v) for v in row.values()] for row in report.rows)
     return buf.getvalue()
 
 

@@ -16,6 +16,8 @@ from nhosc import (
     isospectral_report,
     sweep,
 )
+from nhosc.analysis import ISO_TOL, ReportRow
+from nhosc.eig import real_mask
 from test_model import draw_real_spectrum_params
 
 
@@ -66,6 +68,27 @@ class TestIsospectralReport:
     def test_broken_regime_rejected(self):
         with pytest.raises(ValueError):
             isospectral_report(TransformParams(l_coef=2.0), BasisSpec(n_dim=10))
+
+    @pytest.mark.parametrize("freq", [4.0, 16.0])  # w_v, with complex pairs; the real window
+    def test_matches_per_level_loop(self, table1_params, freq):
+        # abs_dev is Python's abs() of the complex deviation, bit for bit, and
+        # every row and the first deviation match the per-level reference loop
+        basis = BasisSpec(n_dim=200, freq=freq)
+        report = isospectral_report(table1_params, basis)
+        spec = eigenvalues(build_hamiltonian(HamiltonianSpec(params=table1_params, basis=basis)))
+        is_real = real_mask(spec)
+        ab = table1_params.a_coef * table1_params.b_coef
+        rows, first_dev = [], None
+        for n, v in enumerate(spec.values):
+            eps_n = (2 * n + 1) * ab
+            dev = abs(complex(v) - eps_n)
+            remark = Remark.ISO if dev <= ISO_TOL and is_real[n] else Remark.NO_ISO
+            if remark is Remark.NO_ISO and first_dev is None:
+                first_dev = n
+            rows.append(ReportRow(level=n, epsilon=eps_n, computed=complex(v), abs_dev=dev, remark=remark))
+        assert all(r.abs_dev == abs(r.computed - r.epsilon) for r in report.rows)
+        assert report.rows == rows and report.first_deviation_index == first_dev
+        assert Remark.ISO in {r.remark for r in rows} and first_dev is not None
 
     def test_hermitian_truncated_run(self):
         # exactly diagonal Hamiltonian: every level except the defective

@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import nhosc.analysis
+import nhosc.cli as cli
 from nhosc import (
+    BasisSpec,
     EigensolverError,
     HamiltonianSpec,
     TransformParams,
@@ -23,6 +25,7 @@ from nhosc.cli import (
     Command,
     ConfigError,
     Format,
+    RunConfig,
     _fmt2,
     _fmt_param,
     main,
@@ -170,6 +173,12 @@ class TestParseConfig:
             ("duality --W 5e-324 --R 3", "1/W of --W must be finite"),
             ("sweep-w --L 3 --B 5 --values 0,4 --N 20", "--values must be positive"),
             ("sweep-w --L 3 --B 5 --values -1 --N 20", "--values must be positive"),
+            ("spectrum --L inf", "--L must be finite"),
+            ("spectrum --R inf", "--R must be finite"),
+            ("spectrum --A nan", "--A must be finite"),
+            ("spectrum --B inf", "--B must be finite"),
+            ("spectrum --w inf", "--w must be finite"),
+            ("spectrum --w nan", "--w must be finite"),
         ],
     )
     def test_table_errors_name_the_flags_given(self, argv, message):
@@ -177,6 +186,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(argv.split())
         assert message in str(info.value) and "_coef" not in str(info.value)
+
+    def test_reused_parser_leaks_nothing(self, monkeypatch):
+        # one parser serves every call; a parser built afresh for each call
+        # must give the same results, an error raised mid-parse included
+        argvs = ["table1 --W 4 --L 3", "spectrum", "sweep-w --values 2,4",
+                 "table1 --W 4 --N 7 --count 3 --format xml", "table2 --W 4 --R 3"]
+
+        def parse_all():
+            results = []
+            for argv in argvs:
+                try:
+                    results.append(parse_config(argv.split()))
+                except ConfigError as exc:
+                    results.append(str(exc))
+            return results
+
+        shared = parse_all()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert shared == parse_all()
+        assert shared[1] == RunConfig(Command.SPECTRUM, TransformParams(), BasisSpec(n_dim=100))
+        assert shared[2].params == TransformParams() and shared[2].capital_w is None
+        assert "invalid choice: 'xml'" in shared[3]
+
+    def test_parser_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in ("spectrum --N 4", "table1 --W 4 --N 4 --format json", "bogus", "spectrum --N 4"):
+            main(argv.split())
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_singular_normalization(self):
         with pytest.raises(ConfigError):
@@ -526,7 +563,7 @@ def test_formats_agree(command, tmp_path, capsys):
         table = doc[{"spectrum": "values", "table1": "rows", "table2": "rows"}.get(command, "points")]
 
     header, *rows = csv.reader(io.StringIO(outputs["csv"]))
-    assert header == list(table[0])
+    assert table and all(list(row) == header for row in table)
     assert len(rows) == len(table)
     for cells, row in zip(rows, table):
         values = list(row.values())
@@ -545,6 +582,18 @@ def test_formats_agree(command, tmp_path, capsys):
         got = dict(kv.split("=") for kv in lines[-1].split()[1:])
         want = {k: _dash(v) for k, v in doc["summary"].items()}
     assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["table1", "table2", "spectrum"])
+def test_exports_format_no_text(command, fmt, monkeypatch, capsys):
+    def text_formatting(*args):
+        pytest.fail(f"text formatting ran for --format {fmt}")
+
+    monkeypatch.setattr(cli, "_fmt2", text_formatting)
+    monkeypatch.setattr(cli, "_fmt_value", text_formatting)
+    assert main([command, *_SMALL_RUNS[command].split(), "--format", fmt]) == 0
+    assert capsys.readouterr().out
 
 
 _SPECIAL = [0.0, -1.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), float("-inf")]
