@@ -1,5 +1,6 @@
 """Command-line front end: configuration parsing, pipeline dispatch, and one table
-per command, serialised only as asked: fixed-format text or deterministic CSV/JSON."""
+per command, serialised only as asked: fixed-format text, or CSV/JSON written by the
+standard csv and json writers, every float as its shortest round-trip repr."""
 
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass
 from enum import Enum
-
-import numpy as np
 
 from .analysis import Axis, Remark, dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
@@ -197,10 +196,10 @@ def parse_config(argv: list[str]) -> RunConfig:
             freq = float(ns.w)
         except ValueError as exc:
             raise ConfigError(f"--w expects a number or 'auto', got {ns.w!r}") from exc
-    if freq <= 0.0:
-        raise ConfigError(f"basis frequency must be positive, got {freq}")
-    if not math.isfinite(freq):  # only an explicit --w: auto and --W give finite ones
-        raise ConfigError(f"--w must be finite, got {ns.w!r}")
+        if freq <= 0.0:  # auto and --W always give a positive, finite frequency
+            raise ConfigError(f"--w must be positive, got {ns.w!r}")
+        if not math.isfinite(freq):
+            raise ConfigError(f"--w must be finite, got {ns.w!r}")
 
     if ns.N < 2:
         raise ConfigError(f"--N must be >= 2, got {ns.N}")
@@ -272,45 +271,6 @@ def _fmt_value(v: complex) -> str:
         return _fmt2(v.real)
     sign = "-" if v.imag < 0 else "+"
     return f"{_fmt2(v.real)}{sign}{im}i"
-
-
-def _g17(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be exported")
-    return format(float(x), ".17g")
-
-
-def _json_render(obj) -> str:
-    """Deterministic JSON: insertion key order, 17 significant digits, no NaN/Inf."""
-    quoted: dict[str, str] = {}  # each distinct key or string is quoted once
-
-    def quote(text: str) -> str:
-        return quoted.get(text) or quoted.setdefault(text, json.dumps(text))
-
-    def encode(v) -> str:
-        if isinstance(v, (float, np.floating)):  # first: nearly every value is a table cell
-            return _g17(v)
-        if v is None:
-            return "null"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, str):
-            return quote(v)
-        if isinstance(v, dict):
-            return "{" + ", ".join([f"{quote(str(k))}: {encode(x)}" for k, x in v.items()]) + "}"
-        if isinstance(v, (list, tuple)):
-            return "[" + ", ".join(map(encode, v)) + "]"
-        raise TypeError(f"cannot render {type(v).__name__} as JSON")
-
-    return encode(obj)
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return _g17(v)
-    return "" if v is None else str(v)
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -480,11 +440,15 @@ def render(report: Report, fmt: Format) -> str:
     if fmt is Format.TEXT:
         return "\n".join(report.lines()) + "\n"
     if fmt is Format.JSON:
-        return _json_render(report.doc) + "\n"
+        return json.dumps(report.doc, allow_nan=False) + "\n"
+    for row in report.rows:
+        for v in row.values():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"non-finite value {v!r} cannot be exported")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.fields or list(report.rows[0]))
-    writer.writerows([_csv_cell(v) for v in row.values()] for row in report.rows)
+    writer.writerows(row.values() for row in report.rows)
     return buf.getvalue()
 
 

@@ -179,6 +179,10 @@ class TestParseConfig:
             ("spectrum --B inf", "--B must be finite"),
             ("spectrum --w inf", "--w must be finite"),
             ("spectrum --w nan", "--w must be finite"),
+            ("spectrum --w 0 --N 6", "--w must be positive, got '0'"),
+            ("spectrum --w=-2 --N 6", "--w must be positive, got '-2'"),
+            ("spectrum --w=-inf --N 6", "--w must be positive, got '-inf'"),
+            ("sweep-n --w 0 --values 4", "--w must be positive, got '0'"),
         ],
     )
     def test_table_errors_name_the_flags_given(self, argv, message):
@@ -353,6 +357,16 @@ class TestExportFormats:
         # A^2 overflows, so w_v is undefined; commutator-check does not use A
         doc = run(parse_config(["commutator-check", "--A", "1e200", "--N", "6", "--format", "json"]))
         assert json.loads(doc)["config"]["w_v"] is None
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_value_is_not_exported(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "duality_check", lambda params, basis: math.inf)
+        argv = ["duality", "--W", "4", "--L", "3", "--N", "6"]
+        assert main([*argv, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert main(argv) == 0  # text shows it
+        assert "max eigenvalue multiset distance: inf" in capsys.readouterr().out
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -582,6 +596,35 @@ def test_formats_agree(command, tmp_path, capsys):
         got = dict(kv.split("=") for kv in lines[-1].split()[1:])
         want = {k: _dash(v) for k, v in doc["summary"].items()}
     assert got == want
+
+
+def _same(parsed, built) -> bool:
+    """A parsed export equals the built value bit for bit, key order included."""
+    if isinstance(built, dict):
+        return (isinstance(parsed, dict) and list(parsed) == list(built)
+                and all(_same(parsed[k], v) for k, v in built.items()))
+    if isinstance(built, list):
+        return isinstance(parsed, list) and len(parsed) == len(built) and all(map(_same, parsed, built))
+    if isinstance(built, float):  # hex tells -0.0 from 0.0
+        return isinstance(parsed, float) and parsed.hex() == built.hex()
+    return type(parsed) is type(built) and parsed == built
+
+
+_CSV_PARSE = {float: float, int: int, str: str, type(None): lambda cell: None if cell == "" else cell}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_exports_round_trip_bit_exactly(command):
+    report = cli._execute(parse_config([command, *_SMALL_RUNS[command].split()]))
+    assert _same(json.loads(cli.render(report, Format.JSON)), report.doc)
+
+    header, *rows = csv.reader(io.StringIO(cli.render(report, Format.CSV)))
+    assert header == (report.fields or list(report.rows[0]))
+    assert len(rows) == len(report.rows)
+    for cells, row in zip(rows, report.rows):
+        values = list(row.values())
+        assert len(cells) == len(values)
+        assert all(_same(_CSV_PARSE[type(v)](c), v) for c, v in zip(cells, values))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
