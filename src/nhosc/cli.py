@@ -18,7 +18,7 @@ from enum import Enum
 from .analysis import Axis, Remark, dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
 from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
-from .model import HamiltonianSpec, _coefficient_squares, build_hamiltonian, variational_frequency
+from .model import HamiltonianSpec, _bands, _coefficient_squares, build_hamiltonian, variational_frequency
 
 __all__ = [
     "Command",
@@ -369,8 +369,7 @@ def _fmt_quadruple(params: TransformParams, freq: float) -> str:
 def _build_duality(config: RunConfig) -> Report:
     params, basis = config.params, config.basis
     distance = duality_check(params, basis)
-    h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
-    h_norm = _frobenius_norm(h)
+    h_norm = _frobenius_norm(*_bands(HamiltonianSpec(params=params, basis=basis)))
     dual = dual_params(params)
 
     def lines() -> list[str]:

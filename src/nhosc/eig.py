@@ -77,9 +77,11 @@ class ClassifiedSpectrum:
     n_complex: int
 
 
-def _frobenius_norm(a: np.ndarray) -> float:
-    """|a|_F scaled by max|a_ij|, so entries whose squares would underflow
-    (below about 1e-154) or overflow (above about 1e154) still count."""
+def _frobenius_norm(*parts: np.ndarray) -> float:
+    """|a|_F of the entries of parts (a matrix, or the bands of one) scaled by
+    max|a_ij|, so entries whose squares would underflow (below about 1e-154) or
+    overflow (above about 1e154) still count."""
+    a = np.concatenate([np.ravel(p) for p in parts])
     scale = float(np.abs(a).max())
     if scale == 0.0 or not math.isfinite(scale):
         return scale
@@ -160,21 +162,17 @@ def hessenberg_reduce(m) -> np.ndarray:
     return h
 
 
-def _blocks(a: np.ndarray) -> list[np.ndarray]:
-    """The blocks whose spectra make up a's.  With only the 0 and +-2 bands
-    (u above, l below), the even and odd blocks are tridiagonal, with u and l
-    made sign(u) r and sign(l) r, r = sqrt|u| sqrt|l|: the diagonal and every
-    u l stay, so the characteristic polynomial does, and r cannot overflow.
-    For u l > 0 that is the symmetric D^-1 block D balancing cannot find.
-    Each block comes in reversed level order, [::-1, ::-1], an exact
-    permutation similarity: H's diagonal grows with the level, and LAPACK's
+def _blocks(d: np.ndarray, u: np.ndarray, l: np.ndarray) -> list[np.ndarray]:
+    """The blocks whose spectra make up the spectrum of the matrix whose only
+    nonzero bands are d (0), u (+2) and l (-2).  The even and odd blocks are
+    tridiagonal, with u and l made sign(u) r and sign(l) r, r = sqrt|u| sqrt|l|:
+    the diagonal and every u l stay, so the characteristic polynomial does, and
+    r cannot overflow.  For u l > 0 that is the symmetric D^-1 block D balancing
+    cannot find.  Each block comes in reversed level order, [::-1, ::-1], an
+    exact permutation similarity: H's diagonal grows with the level, and LAPACK's
     QR meets the graded block largest entries first, which it solves 2-3x
     faster at w_v (N = 200) and about 1.2-1.7x faster in the real window
-    (N = 1000-2000) than in natural order.
-    Any other a is one block, balanced and in Hessenberg form."""
-    d, u, l = np.diagonal(a), np.diagonal(a, 2), np.diagonal(a, -2)
-    if np.count_nonzero(a) > np.count_nonzero(d) + np.count_nonzero(u) + np.count_nonzero(l):
-        return [hessenberg_reduce(balance(a)[0])]
+    (N = 1000-2000) than in natural order."""
     r = np.sqrt(np.abs(u)) * np.sqrt(np.abs(l))
     up, down = np.copysign(r, u), np.copysign(r, l)
     # n = 1 leaves an empty (0 x 0) odd block
@@ -188,24 +186,29 @@ def eigenvalues(m) -> Spectrum:
     """All eigenvalues of a square real matrix, sorted by (Re, Im).
 
     A matrix with only the 0 and +-2 bands is solved as two symmetrized
-    tridiagonal blocks (see _blocks).  Raises ValueError when N |m|_F is not
-    finite, ConvergenceError when LAPACK's QR does not converge, and
-    EigensolverError when the sum of the eigenvalues misses the trace by
-    more than 1e-9 |m|_F.
+    tridiagonal blocks (see _blocks), its norm taken from those bands; any
+    other matrix is one block, balanced and in Hessenberg form.  Raises
+    ValueError when N |m|_F is not finite, ConvergenceError when LAPACK's QR
+    does not converge, and EigensolverError when the sum of the eigenvalues
+    misses the trace by more than 1e-9 |m|_F.
     """
     a = _as_real_array(m)
     n = a.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    norm = _frobenius_norm(a)
+    d, u, l = np.diagonal(a), np.diagonal(a, 2), np.diagonal(a, -2)
+    banded = np.count_nonzero(a) == np.count_nonzero(d) + np.count_nonzero(u) + np.count_nonzero(l)
+    # the bands' norm: a norm of all N^2 entries wakes OpenBLAS's threads, which then spin
+    norm = _frobenius_norm(d, u, l) if banded else _frobenius_norm(a)
     if not math.isfinite(n * norm):
         raise ValueError(f"N |m|_F = {n * norm} is not finite (an inf or nan entry, or overflow)")
+    blocks = _blocks(d, u, l) if banded else [hessenberg_reduce(balance(a)[0])]
     try:
-        vals = np.concatenate([np.linalg.eigvals(b) for b in _blocks(a)])
+        vals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
     tol = 1e-9 * norm if norm > 0.0 else 1e-12
-    drift = abs(vals.sum() - np.trace(a))
+    drift = abs(vals.sum() - d.sum())
     if not drift <= tol:  # a NaN drift fails too
         raise EigensolverError(
             f"trace identity violated: |sum(eig) - trace| = {drift:.3e} > {tol:.3e}"

@@ -11,7 +11,6 @@ import numpy as np
 
 from .basis import BasisSpec, TransformParams, _shear_bands
 from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py looks it up here)
-from .eig import _frobenius_norm
 
 __all__ = [
     "HamiltonianSpec",
@@ -78,42 +77,61 @@ def _coefficient_squares(params: TransformParams) -> tuple[float, float]:
     return params.a_coef * params.a_coef, params.b_coef * params.b_coef
 
 
-def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal, +2 and -2 bands of H, its only nonzero ones.
+def _entries(coefs: tuple[float, float, float], band: tuple[float, float], x):
+    """C (B^2 (s_z x) - A^2 (s_y x)) for coefs = (C, A^2, B^2) and band = (s_z, s_y):
+    the entries of one band of H at its ladder values x, an array or one float.
+    Both take the same IEEE operations in the same order, so one entry is
+    bit-identical to its place in the band."""
+    (c, a2, b2), (s_z, s_y) = coefs, band
+    return c * (b2 * (s_z * x) - a2 * (s_y * x))
+
+
+def _checked_bands(params: TransformParams, basis: BasisSpec) -> tuple[tuple, tuple]:
+    """(C, A^2, B^2) and the (s_z, s_y) of H's diagonal, +2 and -2 bands, checked in O(1).
 
     With y = iY, z = Z and the (below, above) coefficients (u, v) of the real
     tridiagonals Y, Z from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal
     tridiagonal with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
     on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at (k, k+2),
-    u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Raises ValueError as
-    _coefficient_squares does (the term of H would vanish or lose digits before it
-    meets the basis factors), when N |H|_F overflows float64 (|H|_F scaled by
-    max|entry|), and when A or B is nonzero (so H is not zero) but every entry
-    underflows to zero or to a subnormal.
+    u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Each band is thus a scalar
+    times a fixed ladder, so its largest entry sits at the ladder's end, and |H|_F
+    follows from the three band ends and the ladders' sums of squares,
+    sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.
+    Raises ValueError as _coefficient_squares does (the term of H would vanish or lose
+    digits before it meets the basis factors), when N |H|_F overflows float64 (|H|_F
+    scaled by max|entry|), and when A or B is nonzero (so H is not zero) but every
+    entry underflows to zero or to a subnormal.
     """
-    params, basis = spec.params, spec.basis
-    (u_y, v_y), (u_z, v_z) = _shear_bands(basis, params)
-    (a2, b2), c = _coefficient_squares(params), params.norm_c
-    levels = np.append(2.0 * np.arange(basis.n_dim - 1) + 1.0, basis.n_dim - 1)
-    pairs = np.sqrt(np.arange(1.0, basis.n_dim - 1) * np.arange(2.0, basis.n_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = c * (b2 * (u_z * v_z * levels) - a2 * (u_y * v_y * levels))
-        upper = c * (b2 * (v_z * v_z * pairs) - a2 * (v_y * v_y * pairs))
-        lower = c * (b2 * (u_z * u_z * pairs) - a2 * (u_y * u_y * pairs))
-        entries = np.concatenate((diag, upper, lower))
-        norm = float(np.linalg.norm(entries))
-    if 0.0 < norm < math.inf:
-        return diag, upper, lower
-    # the squares over- or underflowed, or an entry is not finite: only the
-    # max-scaled norm and the entries themselves tell which
+    n = int(basis.n_dim)  # Python ints and floats: no wrapping sums, no numpy overflow warnings
+    (u_y, v_y), (u_z, v_z) = ((float(u), float(v)) for u, v in _shear_bands(basis, params))
+    coefs = tuple(map(float, (params.norm_c, *_coefficient_squares(params))))
+    bands = ((u_z * v_z, u_y * v_y), (v_z * v_z, v_y * v_y), (u_z * u_z, u_y * u_y))
+    # (end, sum(x^2) / end^2) of each band's ladder; N = 2 has no +-2 bands
+    sum_lev2 = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) ** 2
+    ladders = [(2.0 * (n - 2) + 1.0, sum_lev2 / (2 * n - 3) ** 2)]
+    ladders += [(math.sqrt((n - 2.0) * (n - 1.0)), n / 3)] * 2 if n > 2 else []
+    mags = [abs(_entries(coefs, band, end)) for band, (end, _) in zip(bands, ladders)]
+    total = sum(mags)
+    # as np.abs(entries).max() over all bands: nan if an entry is nan, else inf if one is
+    scale = max(mags) if math.isfinite(total) else total
+    scaled = [(m / scale) ** 2 * w for m, (_, w) in zip(mags, ladders)] if 0.0 < scale < math.inf else [1.0]
     # eig.eigenvalues rejects a matrix whose N |H|_F is not finite: it bounds
     # the trace and eigenvalue sums of the solve
-    bound = _frobenius_norm(entries) * basis.n_dim
+    bound = scale * math.sqrt(sum(scaled)) * n
     if not math.isfinite(bound):
         raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {basis}")
-    if (params.a_coef or params.b_coef) and np.abs(entries).max() < _TINY:
+    if (params.a_coef or params.b_coef) and scale < _TINY:
         raise ValueError(f"H underflows float64 (no entry reaches {_TINY:.3e}) for {params}, {basis}")
-    return diag, upper, lower
+    return coefs, bands
+
+
+def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal, +2 and -2 bands of H, its only nonzero ones (see _checked_bands)."""
+    coefs, (diag, upper, lower) = _checked_bands(spec.params, spec.basis)
+    n = spec.basis.n_dim
+    levels = np.append(2.0 * np.arange(n - 1) + 1.0, n - 1)
+    pairs = np.sqrt(np.arange(1.0, n - 1) * np.arange(2.0, n))
+    return _entries(coefs, diag, levels), _entries(coefs, upper, pairs), _entries(coefs, lower, pairs)
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
@@ -131,12 +149,19 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     """Diagonal entry (level, level) of the Hamiltonian built at basis frequency trial_freq.
 
     For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w];
-    the cross term contributes nothing on the diagonal.
+    the cross term contributes nothing on the diagonal.  O(1) in N: the entry
+    comes from the band formula of _bands, bit-identical to
+    build_hamiltonian(...)[level, level], and the ValueErrors are those the
+    build raises (see _checked_bands).  Raises TypeError for a level that is not
+    an integer (a bool included) and IndexError for one outside the basis.
     """
-    if not 0 <= level < spec.basis.n_dim:
-        raise IndexError(f"level {level} outside basis of dimension {spec.basis.n_dim}")
-    basis = BasisSpec(n_dim=spec.basis.n_dim, freq=trial_freq)
-    return float(_bands(HamiltonianSpec(params=spec.params, basis=basis))[0][level])
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+        raise TypeError(f"level must be an integer, got {level!r}")
+    n = spec.basis.n_dim
+    if not 0 <= level < n:
+        raise IndexError(f"level {level} outside basis of dimension {n}")
+    coefs, (diag, _, _) = _checked_bands(spec.params, BasisSpec(n_dim=n, freq=trial_freq))
+    return float(_entries(coefs, diag, 2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1)))
 
 
 def _quadratic_form(params: TransformParams) -> tuple[float, float, float]:

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import oracles
+from nhosc import model
 from nhosc import (
     BasisSpec,
     HamiltonianSpec,
@@ -159,21 +163,54 @@ class TestBuildHamiltonian:
 
 
 class TestDiagonalExpectation:
-    def test_equals_built_diagonal(self):
-        # every level, the truncation edge N-1 included
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            l_coef, r_coef = rng.uniform(-0.5, 0.5, size=2)
-            params = TransformParams(l_coef, r_coef, *rng.uniform(0.5, 2.0, size=2))
-            w = rng.uniform(0.3, 4.0)
-            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30))
-            h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=30, freq=w)))
-            levels = [diagonal_expectation(spec, n, w) for n in range(30)]
-            np.testing.assert_array_equal(levels, np.diagonal(h))
+    @given(
+        n_dim=st.integers(2, 400),
+        shears=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+        weights=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 20.0), st.floats(-20.0, -1e-3))] * 2),
+        w=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_equals_built_diagonal(self, n_dim, shears, weights, w):
+        # bit for bit at every level, the truncation edge N-1 included
+        assume(1.0 + shears[0] * shears[1] != 0.0)
+        params = TransformParams(*shears, *weights)
+        spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
+        h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=w)))
+        levels = [diagonal_expectation(spec, n, w) for n in range(n_dim)]
+        np.testing.assert_array_equal(levels, np.diagonal(h))
 
-    def test_large_basis_needs_no_dense_matrix(self, table1_params):
-        # a dense H at this N would need 80 GB
-        n_dim = 100_000
+    def test_errors_are_the_builds(self):
+        # over an extreme grid, a ValueError exactly when the build raises
+        # one, with its message; the grid reaches every kind the build has
+        mags = (1e-160, 1e-100, 1.0, 1e100, 1e155)
+        values = [s * m for m in mags for s in (1.0, -1.0)]
+        seen = set()
+        for l_coef, r_coef, a_coef, b_coef, w in itertools.product(*[values] * 4, (1e-150, 1.0, 1e150)):
+            if 1.0 + l_coef * r_coef == 0.0:
+                continue
+            params = TransformParams(l_coef, r_coef, a_coef, b_coef)
+            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=7))
+            try:
+                h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=7, freq=w)))
+            except ValueError as exc:
+                seen.add(str(exc).split(" (")[0])
+                for level in (0, 6):
+                    with pytest.raises(ValueError) as raised:
+                        diagonal_expectation(spec, level, w)
+                    assert str(raised.value) == str(exc)
+                continue
+            seen.add("built")
+            assert [diagonal_expectation(spec, level, w) for level in (0, 5, 6)] == list(h.diagonal()[[0, 5, 6]])
+        assert seen == {"built", "H overflows float64", "H underflows float64", "A^2 overflows float64",
+                        "A^2 underflows float64", "B^2 overflows float64", "B^2 underflows float64"}
+
+    def test_large_basis_needs_no_dense_matrix(self, table1_params, monkeypatch):
+        # O(1) in N: no band of H is built, let alone a dense H
+        def no_bands(spec):
+            raise AssertionError("the bands of H were built")
+
+        monkeypatch.setattr(model, "_bands", no_bands)
+        n_dim = 10**15
         spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim))
         np.testing.assert_allclose(diagonal_expectation(spec, 7, 4.0), 4.0 * 15, rtol=1e-13)
         # truncation edge: (N-1) in place of 2n+1
@@ -203,8 +240,19 @@ class TestDiagonalExpectation:
 
     def test_index_out_of_range(self):
         spec = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=5))
-        with pytest.raises(IndexError):
-            diagonal_expectation(spec, 5, 1.0)
+        for level in (5, -1, np.int64(5)):
+            with pytest.raises(IndexError):
+                diagonal_expectation(spec, level, 1.0)
+
+    @pytest.mark.parametrize("level", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None])
+    def test_non_integer_level_is_rejected(self, level):
+        spec = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=5))
+        with pytest.raises(TypeError, match="level must be an integer"):
+            diagonal_expectation(spec, level, 1.0)
+
+    def test_numpy_integer_level(self):
+        spec = HamiltonianSpec(params=TransformParams(l_coef=0.5), basis=BasisSpec(n_dim=5))
+        assert diagonal_expectation(spec, np.int64(4), 2.0) == diagonal_expectation(spec, 4, 2.0)
 
     def test_minimizer_matches_variational_frequency(self, table1_params):
         # golden-section minimization oracle, independent of the closed form
