@@ -7,78 +7,12 @@ as a real banded matrix, and solves it to study where the real spectrum
 develops conjugate pairs.
 """
 
-from .analysis import (
-    Axis,
-    IsospectralReport,
-    Remark,
-    ReportRow,
-    SweepPoint,
-    SweepResult,
-    dual_params,
-    duality_check,
-    isospectral_report,
-    sweep,
-)
-from .basis import (
-    BasisSpec,
-    CommutatorDefect,
-    TransformParams,
-    ladder_weights,
-    normalized_commutator_check,
-)
-from .eig import (
-    ClassifiedSpectrum,
-    ConvergenceError,
-    EigensolverError,
-    Spectrum,
-    balance,
-    classify,
-    eigenvalues,
-    hessenberg_reduce,
-)
-from .model import (
-    HamiltonianSpec,
-    Regime,
-    RegimeReport,
-    VariationalResult,
-    build_hamiltonian,
-    classify_regime,
-    diagonal_expectation,
-    variational_frequency,
-)
+from . import analysis, basis, eig, model
+from .analysis import *  # noqa: F403
+from .basis import *  # noqa: F403
+from .eig import *  # noqa: F403
+from .model import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis",
-    "BasisSpec",
-    "ClassifiedSpectrum",
-    "CommutatorDefect",
-    "ConvergenceError",
-    "EigensolverError",
-    "HamiltonianSpec",
-    "IsospectralReport",
-    "Regime",
-    "RegimeReport",
-    "Remark",
-    "ReportRow",
-    "Spectrum",
-    "SweepPoint",
-    "SweepResult",
-    "TransformParams",
-    "VariationalResult",
-    "balance",
-    "build_hamiltonian",
-    "classify",
-    "classify_regime",
-    "diagonal_expectation",
-    "dual_params",
-    "duality_check",
-    "eigenvalues",
-    "hessenberg_reduce",
-    "isospectral_report",
-    "ladder_weights",
-    "normalized_commutator_check",
-    "sweep",
-    "variational_frequency",
-]
+__all__ = [*analysis.__all__, *basis.__all__, *eig.__all__, *model.__all__]

@@ -26,7 +26,7 @@ __all__ = [
     "sweep",
 ]
 
-# largest |computed - (2n+1)AB| at which a real level counts as Iso
+# largest |computed - (2n+1)|AB|| at which a real level counts as Iso
 ISO_TOL = 1e-3
 
 
@@ -46,7 +46,10 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class IsospectralReport:
-    """Level-by-level comparison of the computed spectrum with (2n+1)AB.
+    """Level-by-level comparison of the computed spectrum with (2n+1)|AB|.
+
+    H depends on A and B only through A^2 and B^2, so the reference
+    holds for either sign of A*B.
 
     Rows are aligned by sorted index (real part, then imaginary part),
     so a conjugate pair occupies two consecutive levels.  A row is Iso
@@ -89,7 +92,7 @@ def isospectral_report(params: TransformParams, basis: BasisSpec) -> Isospectral
     if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
         raise ValueError("isospectral report undefined in the broken regime")
     spec = eigenvalues(h)
-    eps = (2 * np.arange(len(spec)) + 1) * (params.a_coef * params.b_coef)
+    eps = (2 * np.arange(len(spec)) + 1) * abs(params.a_coef * params.b_coef)
     diff = spec.values - eps
     # hypot, not np.abs: np.abs of a complex array can differ from abs() in the last bit
     dev = np.hypot(diff.real, diff.imag)

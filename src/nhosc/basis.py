@@ -120,7 +120,7 @@ def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> Co
     arithmetic and reports how far the first n_dim-1 diagonal entries
     deviate from 1, the value of the last diagonal entry (the truncation
     defect, ideally 1 - n_dim), and the largest off-diagonal magnitude.
-    Raises ValueError when 1+LR or the commutator overflows float64, and
+    Raises ValueError when 1+LR, Y, Z or the commutator overflows float64, and
     when the rounding floor 2 eps max|Y| max|Z| / |1+LR| of the product
     exceeds _ROUNDING_FLOOR_LIMIT: the report would then show rounding, not
     the commutator (as at L = 1e14, where forming Y = P + Lx loses P).
@@ -128,14 +128,14 @@ def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> Co
     n = basis.n_dim
     norm = 1.0 + params.l_coef * params.r_coef
     y_bands, z_bands = _shear_bands(basis, params)
-    big_y, big_z = _tridiagonal(n, *y_bands), _tridiagonal(n, *z_bands)
+    # max|Y| and max|Z| both sit on the last ladder weight sqrt(n-1)
+    max_yz = max(map(abs, y_bands)) * max(map(abs, z_bands)) * (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        big_y, big_z = _tridiagonal(n, *y_bands), _tridiagonal(n, *z_bands)
         c = big_z @ big_y
         c -= big_y @ big_z
     if not (math.isfinite(norm) and np.isfinite(c).all()):
-        raise ValueError(f"commutator check overflows float64 (1+LR = {norm})")
-    # max|Y| and max|Z| both sit on the last ladder weight sqrt(n-1)
-    max_yz = max(map(abs, y_bands)) * max(map(abs, z_bands)) * (n - 1)
+        raise ValueError(f"commutator check overflows float64 (1+LR = {norm}, max|Y| max|Z| = {max_yz:.3e})")
     floor = 2.0 * max_yz / abs(norm) * np.finfo(np.float64).eps
     if not floor <= _ROUNDING_FLOOR_LIMIT:
         raise ValueError(f"commutator check is beyond float64 resolution: rounding floor "

@@ -48,6 +48,9 @@ class Command(Enum):
     DUALITY = "duality"
 
 
+_SWEEPS = (Command.SWEEP_W, Command.SWEEP_N)
+
+
 class Format(Enum):
     TEXT = "text"
     CSV = "csv"
@@ -117,13 +120,10 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="nhosc", description="non-Hermitian oscillator spectra")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("commutator-check", parents=[common])
-    sub.add_parser("spectrum", parents=[common])
-    sub.add_parser("table1", parents=[common, cap_w])
-    sub.add_parser("table2", parents=[common, cap_w])
-    sub.add_parser("sweep-w", parents=[common, values])
-    sub.add_parser("sweep-n", parents=[common, values])
-    sub.add_parser("duality", parents=[common, cap_w])
+    with_w = (Command.TABLE_ONE, Command.TABLE_TWO, Command.DUALITY)
+    for command in Command:  # declaration order is the usage order
+        extra = [cap_w] if command in with_w else [values] if command in _SWEEPS else []
+        sub.add_parser(command.value, parents=[common, *extra])
     return parser
 
 
@@ -214,7 +214,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         count = ns.count
 
     sweep_values: tuple[float, ...] = ()
-    if command in (Command.SWEEP_W, Command.SWEEP_N):
+    if command in _SWEEPS:
         try:
             sweep_values = tuple(float(tok) for tok in ns.values.split(",") if tok)
         except ValueError as exc:

@@ -65,6 +65,14 @@ class TestIsospectralReport:
         report = isospectral_report(table1_params, BasisSpec(n_dim=400, freq=16.0))
         assert (report.n_complex_pairs, report.first_deviation_index) == (0, 111)
 
+    @pytest.mark.parametrize("a_coef, b_coef", [(1.0, 5.0), (-1.0, 5.0), (1.0, -5.0), (-1.0, -5.0)])
+    def test_reference_is_abs_ab_for_every_sign(self, table1_params, a_coef, b_coef):
+        # H reads A and B only as A^2 and B^2: a negative A*B used to mark every level NoIso
+        basis = BasisSpec(n_dim=40, freq=4.0)
+        report = isospectral_report(TransformParams(l_coef=3.0, a_coef=a_coef, b_coef=b_coef), basis)
+        assert report.rows == isospectral_report(table1_params, basis).rows
+        assert report.first_deviation_index == 11
+
     def test_broken_regime_rejected(self):
         with pytest.raises(ValueError):
             isospectral_report(TransformParams(l_coef=2.0), BasisSpec(n_dim=10))

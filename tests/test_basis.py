@@ -230,6 +230,12 @@ class TestNormalizedCommutatorCheck:
         with pytest.raises(ValueError, match="float64 resolution"):
             normalized_commutator_check(BasisSpec(n_dim=100), TransformParams(l_coef=l_coef))
 
+    @pytest.mark.parametrize("params", [TransformParams(r_coef=1e308), TransformParams(l_coef=1e308)])
+    def test_overflowing_operator_rejected_without_warning(self, params):
+        # 1+LR = 1 here: Y or Z itself overflows, which used to warn before the check raised
+        with pytest.raises(ValueError, match=r"1\+LR = 1.0, max\|Y\| max\|Z\| = inf"):
+            normalized_commutator_check(BasisSpec(n_dim=12), params)
+
     def test_large_resolvable_shear_passes(self):
         # rounding floor 2.2e-7 at L = 1e7, N = 100: below the limit, and the
         # reported deviation is rounding of that size

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import nhosc
 import nhosc.analysis
 import nhosc.cli as cli
 from nhosc import (
@@ -33,6 +35,15 @@ from nhosc.cli import (
     run,
 )
 from nhosc.eig import _frobenius_norm
+
+
+def test_package_reexports_each_layer_name():
+    # every public name is declared once, in its layer's __all__, and is that object
+    layers = (nhosc.analysis, nhosc.basis, nhosc.eig, nhosc.model)
+    assert nhosc.__all__ == [name for layer in layers for name in layer.__all__]
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(nhosc, name) is getattr(layer, name)
 
 
 _COMMANDS = ["commutator-check", "spectrum", "table1", "table2", "sweep-w", "sweep-n", "duality"]
@@ -218,6 +229,11 @@ class TestParseConfig:
         for argv in ("spectrum --N 4", "table1 --W 4 --N 4 --format json", "bogus", "spectrum --N 4"):
             main(argv.split())
         assert cli._build_parser.cache_info().misses == 1
+
+    def test_subcommands_are_the_commands(self):
+        # the parser adds one subcommand per Command, in declaration order
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [c.value for c in Command] == _COMMANDS
 
     def test_singular_normalization(self):
         with pytest.raises(ConfigError):
@@ -447,6 +463,8 @@ class TestMainExitCodes:
             "commutator-check --w 1e10 --R 1e300",
             "commutator-check --R 1e300 --L 1e300",  # 1+LR overflows
             "commutator-check --L 1e300 --w 1e-10",
+            "commutator-check --R 1e308",  # Z overflows while 1+LR = 1, and must raise before numpy warns
+            "commutator-check --L 1e308",
             "table1 --W 1e300",
             "table1 --W 4 --L 1e300",
         ],

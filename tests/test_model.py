@@ -393,3 +393,41 @@ class TestHermitianLimitSpectrum:
         np.testing.assert_allclose(
             ev[: n_dim // 2], (2 * levels + 1) * params.a_coef * params.b_coef, atol=1e-8
         )
+
+
+class TestRealityWindow:
+    """Between w- = (|AB| - |c|)/a and w+ = (|AB| + |c|)/a, with a and c the p^2 and
+    cross coefficients of classify_regime, H's +2 and -2 bands have opposite signs."""
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 40, 401, 2000])
+    @pytest.mark.parametrize("w", [2.0, 8.0])
+    def test_exact_spectrum_at_window_edges(self, table1_params, n_dim, w):
+        # Table 1's window is (2, 8): at w = 2 the -2 band vanishes, at w = 8 the
+        # +2 band, so H is triangular and its spectrum is its diagonal, exactly
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=w))
+        _, upper, lower = model._bands(spec)
+        np.testing.assert_array_equal(lower if w == 2.0 else upper, 0.0)
+        values = eigenvalues(build_hamiltonian(spec)).values
+        np.testing.assert_array_equal(values.imag, 0.0)
+        levels = np.append(5.0 * (2 * np.arange(n_dim - 1) + 1), 5.0 * (n_dim - 1))
+        np.testing.assert_array_equal(values.real, np.sort(levels))
+
+    @given(
+        shears=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        weights=st.tuples(*[st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))] * 2),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_band_signs_follow_closed_form_window(self, shears, weights):
+        assume(1.0 + shears[0] * shears[1] != 0.0)
+        params = TransformParams(*shears, *weights)
+        assume(classify_regime(params).regime is Regime.REAL_SPECTRUM)
+        (l_coef, r_coef), (a_coef, b_coef) = shears, weights
+        a = params.norm_c * (a_coef**2 - r_coef**2 * b_coef**2)
+        c = params.norm_c * (l_coef * a_coef**2 + r_coef * b_coef**2)
+        w_lo, w_hi = (abs(a_coef * b_coef) - abs(c)) / a, (abs(a_coef * b_coef) + abs(c)) / a
+        assert math.isclose(math.sqrt(w_lo * w_hi), variational_frequency(params).w_v, rel_tol=1e-12)
+        for w in np.geomspace(w_lo / 50.0, 50.0 * w_hi, 100):
+            if min(abs(w - w_lo) / w_lo, abs(w - w_hi) / w_hi) <= 1e-9:
+                continue
+            _, upper, lower = model._bands(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=4, freq=w)))
+            assert np.sign(upper[0] * lower[0]) == (-1.0 if w_lo < w < w_hi else 1.0)
