@@ -18,7 +18,14 @@ from enum import Enum
 from .analysis import Axis, Remark, dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
 from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
-from .model import HamiltonianSpec, _bands, _coefficient_squares, build_hamiltonian, variational_frequency
+from .model import (
+    HamiltonianSpec,
+    _bands,
+    _coefficient_squares,
+    build_hamiltonian,
+    reality_window,
+    variational_frequency,
+)
 
 __all__ = [
     "Command",
@@ -292,8 +299,22 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
+def _dash(v) -> str:
+    return "-" if v is None else str(v)
+
+
 def _summary_line(summary: dict) -> str:
-    return "summary: " + " ".join(f"{k}={'-' if v is None else v}" for k, v in summary.items())
+    return "summary: " + " ".join(f"{k}={_dash(v)}" for k, v in summary.items())
+
+
+def _window(params: TransformParams, freq: float) -> dict:
+    """The reality window (w-, w+) and whether freq lies where the truncated
+    spectrum is real at every N (w <= w- or w >= w+); None in the broken regime."""
+    window = reality_window(params)
+    if window is None:
+        return {"w_minus": None, "w_plus": None, "in_real_window": None}
+    w_minus, w_plus = window
+    return {"w_minus": w_minus, "w_plus": w_plus, "in_real_window": freq <= w_minus or freq >= w_plus}
 
 
 def _build_isospectral(config: RunConfig) -> Report:
@@ -313,6 +334,7 @@ def _build_isospectral(config: RunConfig) -> Report:
         "n_real": len(report.rows) - 2 * report.n_complex_pairs,
         "n_complex_pairs": report.n_complex_pairs,
         "first_deviation_index": report.first_deviation_index,
+        **_window(config.params, config.basis.freq),
     }
 
     def lines() -> list[str]:
@@ -336,7 +358,11 @@ def _build_spectrum(config: RunConfig) -> Report:
     classified = classify(spec)
     values = spec.values[: config.print_count].tolist()
     table = [{"level": n, "re": v.real, "im": v.imag} for n, v in enumerate(values)]
-    summary = {"n_real": classified.n_real, "n_complex_pairs": classified.n_complex}
+    summary = {
+        "n_real": classified.n_real,
+        "n_complex_pairs": classified.n_complex,
+        **_window(config.params, config.basis.freq),
+    }
 
     def lines() -> list[str]:
         body = [f"{row['level']} | {_fmt_value(complex(row['re'], row['im']))}" for row in table]
@@ -400,14 +426,17 @@ def _build_sweep(config: RunConfig) -> Report:
     fields = ["w" if by_w else "N", "n_real", "n_complex_pairs", "first_deviation_index",
               "max_abs_dev_below_first_deviation"]
     table = [dict(zip(fields, astuple(p))) for p in result.points]  # SweepPoint's field order
+    if by_w:
+        fields.append("in_real_window")
+        for row in table:
+            row["in_real_window"] = _window(config.params, row["w"])["in_real_window"]
 
     def lines() -> list[str]:
-        out = [" | ".join([*fields[:-1], "max_abs_dev_below"])]  # text shortens the last name
-        for axis_value, n_real, n_pairs, first_dev, max_dev in map(dict.values, table):
-            out.append(
-                f"{_fmt_param(axis_value)} | {n_real} | {n_pairs} | "
-                f"{'-' if first_dev is None else first_dev} | {max_dev:.3e}"
-            )
+        # text shortens max_abs_dev_below_first_deviation to max_abs_dev_below
+        out = [" | ".join(f.removesuffix("_first_deviation") for f in fields)]
+        for axis_value, n_real, n_pairs, first_dev, max_dev, *window in map(dict.values, table):
+            cells = [_fmt_param(axis_value), n_real, n_pairs, _dash(first_dev), f"{max_dev:.3e}", *window]
+            out.append(" | ".join(map(str, cells)))
         return out + [f"{_fmt_param(v)} | failed: {msg}" for v, msg in result.failures]
 
     doc = {

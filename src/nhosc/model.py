@@ -1,5 +1,5 @@
 """General non-Hermitian quadratic oscillator: real banded Hamiltonian builder,
-variational frequency and regime classification."""
+variational frequency, regime classification and reality window."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ __all__ = [
     "diagonal_expectation",
     "variational_frequency",
     "classify_regime",
+    "reality_window",
 ]
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
@@ -98,31 +99,32 @@ def _checked_bands(params: TransformParams, basis: BasisSpec) -> tuple[tuple, tu
     follows from the three band ends and the ladders' sums of squares,
     sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.
     Raises ValueError as _coefficient_squares does (the term of H would vanish or lose
-    digits before it meets the basis factors), when N |H|_F overflows float64 (|H|_F
-    scaled by max|entry|), and when A or B is nonzero (so H is not zero) but every
-    entry underflows to zero or to a subnormal.
+    digits before it meets the basis factors), when N |H|_F overflows float64, and
+    when A or B is nonzero (so H is not zero) but every entry underflows to zero or
+    to a subnormal.
     """
     n = int(basis.n_dim)  # Python ints and floats: no wrapping sums, no numpy overflow warnings
-    (u_y, v_y), (u_z, v_z) = ((float(u), float(v)) for u, v in _shear_bands(basis, params))
-    coefs = tuple(map(float, (params.norm_c, *_coefficient_squares(params))))
-    bands = ((u_z * v_z, u_y * v_y), (v_z * v_z, v_y * v_y), (u_z * u_z, u_y * u_y))
-    # (end, sum(x^2) / end^2) of each band's ladder; N = 2 has no +-2 bands
-    sum_lev2 = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) ** 2
-    ladders = [(2.0 * (n - 2) + 1.0, sum_lev2 / (2 * n - 3) ** 2)]
-    ladders += [(math.sqrt((n - 2.0) * (n - 1.0)), n / 3)] * 2 if n > 2 else []
-    mags = [abs(_entries(coefs, band, end)) for band, (end, _) in zip(bands, ladders)]
-    total = sum(mags)
-    # as np.abs(entries).max() over all bands: nan if an entry is nan, else inf if one is
-    scale = max(mags) if math.isfinite(total) else total
-    scaled = [(m / scale) ** 2 * w for m, (_, w) in zip(mags, ladders)] if 0.0 < scale < math.inf else [1.0]
+    (u_y, v_y), (u_z, v_z) = _shear_bands(basis, params)
+    u_y, v_y, u_z, v_z = float(u_y), float(v_y), float(u_z), float(v_z)
+    a2, b2 = _coefficient_squares(params)
+    coefs = (float(params.norm_c), float(a2), float(b2))
+    diag, upper, lower = (u_z * v_z, u_y * v_y), (v_z * v_z, v_y * v_y), (u_z * u_z, u_y * u_y)
+    diag_end = abs(_entries(coefs, diag, 2.0 * (n - 2) + 1.0))
+    up_end = low_end = 0.0  # N = 2 has no +-2 bands (an inf scalar times the 0 ladder end is nan)
+    if n > 2:
+        pair_end = math.sqrt((n - 2.0) * (n - 1.0))
+        up_end, low_end = abs(_entries(coefs, upper, pair_end)), abs(_entries(coefs, lower, pair_end))
+    # |band|_F = |end| sqrt(sum(x^2)) / end; hypot scales, so no square overflows.
     # eig.eigenvalues rejects a matrix whose N |H|_F is not finite: it bounds
     # the trace and eigenvalue sums of the solve
-    bound = scale * math.sqrt(sum(scaled)) * n
+    sum_lev2 = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) ** 2
+    pair_rms = math.sqrt(n / 3)
+    bound = math.hypot(diag_end * (math.sqrt(sum_lev2) / (2 * n - 3)), up_end * pair_rms, low_end * pair_rms) * n
     if not math.isfinite(bound):
         raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {basis}")
-    if (params.a_coef or params.b_coef) and scale < _TINY:
+    if (params.a_coef or params.b_coef) and max(diag_end, up_end, low_end) < _TINY:
         raise ValueError(f"H underflows float64 (no entry reaches {_TINY:.3e}) for {params}, {basis}")
-    return coefs, bands
+    return coefs, (diag, upper, lower)
 
 
 def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,3 +196,17 @@ def classify_regime(params: TransformParams) -> RegimeReport:
         ab_plus_csq=coef_p2 * coef_x2 + coef_cross * coef_cross,
     )
 
+
+def reality_window(params: TransformParams) -> tuple[float, float] | None:
+    """(w-, w+) = ((|AB| - |c|)/a, (|AB| + |c|)/a) in the real regime, else None,
+    with a and c the p^2 and cross coefficients of classify_regime.
+
+    At a basis frequency w <= w- or w >= w+ the +2 and -2 bands of H have one sign,
+    so each parity block is symmetrizable and the truncated spectrum is real at
+    every N.  Strictly inside, conjugate pairs are possible, not guaranteed.
+    """
+    report = classify_regime(params)
+    if report.regime is not Regime.REAL_SPECTRUM:
+        return None
+    ab, c = abs(params.a_coef * params.b_coef), abs(report.coef_cross)
+    return (ab - c) / report.coef_p2, (ab + c) / report.coef_p2

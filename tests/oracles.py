@@ -6,12 +6,16 @@ sqrt(k) and the basis frequency w: x = (a + a^+) / sqrt(2w) and
 p = i sqrt(w/2) (a^+ - a).  The sheared pair is y = p + iLx, z = x + iRp, and
 H = C [A^2 y^2 + B^2 z^2] with C = 1/(1+LR), formed by dense products.
 francis_qr is the EISPACK-style double-shift QR for an upper Hessenberg
-matrix, the reference eigenvalue solver of whole matrices.
+matrix, the reference eigenvalue solver of whole matrices.  The exact_* functions
+count the real eigenvalues of the truncated H in exact rational arithmetic, with
+no floating-point eigensolver at any precision.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import sympy
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -199,3 +203,79 @@ def francis_qr(h: np.ndarray, max_sweeps: int) -> np.ndarray:
                     a[l:hi, k + 1] -= col * q
                     a[l:hi, k + 2] -= col * r
     return wr + 1j * wi
+
+
+def exact_block_charpolys(l_coef, r_coef, a_coef, b_coef, freq, n_dim) -> list[list[int]]:
+    """Integer coefficients, highest degree first, of det(x - J) for the even and
+    the odd parity block J of the truncated H at rational (L, R, A, B, w).
+
+    With alpha^2 = 1/(2w), beta^2 = w/2 and alpha beta = 1/2, H's diagonal is
+    C(B^2(alpha^2 - R^2 beta^2) - A^2(L^2 alpha^2 - beta^2)) times 2k+1 (N-1 at the
+    edge k = N-1), and the product of its entries at (k, k+2) and (k+2, k) is
+    C^2 (B^2 v_z^2 - A^2 v_y^2)(B^2 u_z^2 - A^2 u_y^2)(k+1)(k+2), with
+    v_z^2, u_z^2 = alpha^2 + R^2 beta^2 +- R and v_y^2, u_y^2 = L^2 alpha^2 + beta^2 -+ L:
+    every square root cancels, so the three-term recurrence runs over Q.
+    """
+    l, r, a, b, w = map(Fraction, (l_coef, r_coef, a_coef, b_coef, freq))
+    c, a2, b2 = 1 / (1 + l * r), a * a, b * b
+    alpha2, beta2 = 1 / (2 * w), w / 2
+    diag = c * (b2 * (alpha2 - r * r * beta2) - a2 * (l * l * alpha2 - beta2))
+    z2, y2 = alpha2 + r * r * beta2, l * l * alpha2 + beta2
+    band = c * c * (b2 * (z2 + r) - a2 * (y2 - l)) * (b2 * (z2 - r) - a2 * (y2 + l))
+    polys = []
+    for parity in (0, 1):
+        older, old = [], [Fraction(1)]  # lowest degree first
+        for k in range(parity, n_dim, 2):
+            # q_k = (x - d_k) q_{k-2} - band (k-1) k q_{k-4}
+            d = diag * (2 * k + 1 if k < n_dim - 1 else n_dim - 1)
+            new = [Fraction(0), *old]
+            for i, co in enumerate(old):
+                new[i] -= d * co
+            for i, co in enumerate(older):
+                new[i] -= band * (k - 1) * k * co
+            older, old = old, new
+        den = math.lcm(*(co.denominator for co in old))
+        polys.append([int(co * den) for co in reversed(old)])
+    return polys
+
+
+def exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim) -> list[tuple[list[int], Fraction, Fraction]]:
+    """The real eigenvalues of the truncated H at rational (L, R, A, B, w), repeated
+    by multiplicity, each as (g, s, t): g the integer coefficients of a square-free
+    factor of its block's characteristic polynomial, and [s, t] a rational interval
+    holding that root and no other root of g.  Floats are taken at their exact value."""
+    x = sympy.Symbol("x")
+    roots = []
+    for coeffs in exact_block_charpolys(l_coef, r_coef, a_coef, b_coef, freq, n_dim):
+        for factor, mult in sympy.Poly(coeffs, x).sqf_list()[1]:
+            g = [int(co) for co in factor.all_coeffs()]
+            for (s, t), _ in factor.intervals():
+                s, t = Fraction(int(s.p), int(s.q)), Fraction(int(t.p), int(t.q))
+                if s < t and not _value(g, s) * _value(g, t) < 0:
+                    raise AssertionError(f"[{s}, {t}] does not isolate a simple root")
+                roots += [(g, s, t)] * mult
+    return roots
+
+
+def exact_complex_pairs(l_coef, r_coef, a_coef, b_coef, freq, n_dim) -> int:
+    """Conjugate pairs of the truncated H at rational (L, R, A, B, w), exactly."""
+    real = len(exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim))
+    return (n_dim - real) // 2
+
+
+def exact_count_in(roots, lo: Fraction, hi: Fraction) -> int:
+    """How many of exact_real_eigenvalues' roots lie in [lo, hi]: g changes sign at
+    its only root in [s, t], so the root is in [max(s, lo), min(t, hi)] exactly
+    when g's values at the two ends differ in sign or one is zero."""
+    count = 0
+    for g, s, t in roots:
+        left, right = max(s, lo), min(t, hi)
+        count += left <= right and _value(g, left) * _value(g, right) <= 0
+    return count
+
+
+def _value(coeffs: list[int], x: Fraction) -> Fraction:
+    value = Fraction(0)
+    for co in coeffs:
+        value = value * x + co
+    return value

@@ -1,20 +1,28 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhosc.analysis
+import oracles
 
 from nhosc import (
     Axis,
     BasisSpec,
     HamiltonianSpec,
+    Regime,
     Remark,
     TransformParams,
     build_hamiltonian,
+    classify_regime,
     dual_params,
     duality_check,
     eigenvalues,
     isospectral_report,
     sweep,
+    variational_frequency,
 )
 from nhosc.analysis import ISO_TOL, ReportRow
 from nhosc.eig import real_mask
@@ -257,3 +265,58 @@ class TestSweepTruncation:
     def test_rejects_tiny_sizes(self):
         with pytest.raises(ValueError):
             sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [1, 10])
+
+
+class TestExactPairCounts:
+    """float64 against exact root counting of the truncated H over the rationals
+    (tests/oracles.py), which no floating-point eigensolver enters."""
+
+    @pytest.mark.parametrize("couplings, freq, n_dim", [
+        ((3.0, 0.0, 1.0, 5.0), 4.0, 7), ((0.5, -1.5, 2.0, 0.5), 0.75, 6), ((-1.0, 2.0, 1.5, -1.0), 3.0, 5),
+    ])
+    def test_block_polynomials_are_the_dense_characteristic_polynomial(self, couplings, freq, n_dim):
+        even, odd = (np.array(p, dtype=float) / p[0] for p in oracles.exact_block_charpolys(*couplings, freq, n_dim))
+        ref = np.poly(oracles.hamiltonian(n_dim, freq, *couplings).real)
+        np.testing.assert_allclose(np.polymul(even, odd), ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n_dim, pairs", [(40, 13), (60, 19)])
+    def test_table_one_at_the_variational_frequency(self, table1_params, n_dim, pairs):
+        assert oracles.exact_complex_pairs(3.0, 0.0, 1.0, 5.0, 4.0, n_dim) == pairs
+        assert isospectral_report(table1_params, BasisSpec(n_dim=n_dim, freq=4.0)).n_complex_pairs == pairs
+
+    @pytest.mark.parametrize("freq, pairs", [
+        (2.01, 0), (2.1, 2), (2.5, 5), (3.0, 6), (4.0, 6), (6.0, 5), (7.5, 2), (7.9, 0), (7.99, 0),
+    ])
+    def test_table_one_across_the_window(self, table1_params, freq, pairs):
+        # inside the reality window (2, 8) pairs are possible, not guaranteed: N = 20
+        # is still real at 2.01, 7.9 and 7.99
+        assert oracles.exact_complex_pairs(3.0, 0.0, 1.0, 5.0, freq, 20) == pairs
+        assert isospectral_report(table1_params, BasisSpec(n_dim=20, freq=freq)).n_complex_pairs == pairs
+
+    @given(
+        data=st.data(),
+        weights=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+        n_dim=st.integers(8, 40),
+        sixteenths=st.integers(1, 128),
+        near_w_v=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_float64_agrees_with_exact_counts(self, data, weights, n_dim, sixteenths, near_w_v):
+        # half-integer L, R, A, B and w in sixteenths, so the float inputs are the rationals.
+        # |L| A < B and |R| B < A with 1 + LR > 0 give the real regime (a, b > 0);
+        # near_w_v puts w within a factor 2 of w_v, the middle of the reality window
+        a_coef, b_coef = (k / 2 for k in weights)
+        halves = [k / 2 for k in range(-6, 7)]
+        l_coef = data.draw(st.sampled_from([x for x in halves if abs(x) * a_coef < b_coef]))
+        r_coef = data.draw(st.sampled_from([x for x in halves if abs(x) * b_coef < a_coef and 1.0 + l_coef * x > 0]))
+        params = TransformParams(l_coef, r_coef, a_coef, b_coef)
+        assert classify_regime(params).regime is Regime.REAL_SPECTRUM
+        w_v = variational_frequency(params).w_v
+        freq = max(1, round(16 * w_v * 2 ** (sixteenths / 64 - 1))) / 16 if near_w_v else sixteenths / 16
+        report = isospectral_report(params, BasisSpec(n_dim=n_dim, freq=freq))
+        roots = oracles.exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim)
+        assert report.n_complex_pairs == (n_dim - len(roots)) // 2
+        for row in report.rows:
+            if row.remark is Remark.ISO:
+                lo, hi = Fraction(row.epsilon) - Fraction(ISO_TOL), Fraction(row.epsilon) + Fraction(ISO_TOL)
+                assert oracles.exact_count_in(roots, lo, hi) == 1, row

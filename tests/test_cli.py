@@ -310,6 +310,51 @@ class TestRunText:
         assert abs(row0["re"] - 5.0) < 1e-9
 
 
+class TestRealityWindowFields:
+    """The window (w-, w+) outside which the truncated spectrum is real at every N."""
+
+    def test_table_summaries(self):
+        doc = json.loads(run(parse_config(["table1", "--W", "4", "--L", "3", "--N", "20", "--format", "json"])))
+        assert list(doc["summary"]) == ["n_real", "n_complex_pairs", "first_deviation_index",
+                                        "w_minus", "w_plus", "in_real_window"]
+        assert [doc["summary"][k] for k in ("w_minus", "w_plus", "in_real_window")] == [2.0, 8.0, False]
+        # table 2 is the transpose dual at 1/W: its window is (1/8, 1/2)
+        text = run(parse_config(["table2", "--W", "4", "--R", "3", "--N", "20"]))
+        assert text.splitlines()[-1].endswith(" w_minus=0.125 w_plus=0.5 in_real_window=False")
+
+    def test_spectrum_summary(self):
+        text = run(parse_config(["spectrum", "--L", "3", "--B", "5", "--w", "1", "--N", "12"]))
+        assert text.splitlines()[-1] == (
+            "summary: n_real=12 n_complex_pairs=0 w_minus=2.0 w_plus=8.0 in_real_window=True"
+        )
+
+    def test_undefined_in_the_broken_regime(self):
+        text = run(parse_config(["spectrum", "--L", "2", "--N", "4"]))
+        assert text.splitlines()[-1].endswith(" w_minus=- w_plus=- in_real_window=-")
+        doc = json.loads(run(parse_config(["spectrum", "--L", "2", "--N", "4", "--format", "json"])))
+        assert [doc["summary"][k] for k in ("w_minus", "w_plus", "in_real_window")] == [None, None, None]
+
+    def test_sweep_column(self):
+        # inside (2, 8) the spectrum may stay real (w = 2.01 and 7.9 at N = 20);
+        # the window edges themselves belong to the real side
+        argv = ["sweep-w", "--L", "3", "--B", "5", "--values", "1,2,2.01,4,7.9,8,16", "--N", "20"]
+        points = json.loads(run(parse_config([*argv, "--format", "json"])))["points"]
+        expected = [True, True, False, False, False, True, True]
+        assert [p["in_real_window"] for p in points] == expected
+        assert [p["n_complex_pairs"] for p in points] == [0, 0, 0, 6, 0, 0, 0]
+        header, *rows = csv.reader(io.StringIO(run(parse_config([*argv, "--format", "csv"]))))
+        assert header[-1] == "in_real_window" and [r[-1] for r in rows] == [str(v) for v in expected]
+        lines = run(parse_config(argv)).splitlines()
+        assert lines[0].endswith(" | max_abs_dev_below | in_real_window")
+        assert [ln.rsplit(" | ", 1)[1] for ln in lines[1:]] == [str(v) for v in expected]
+
+    def test_sweep_n_has_no_window_column(self):
+        argv = ["sweep-n", "--L", "3", "--B", "5", "--w", "4", "--values", "12,8", "--format", "csv"]
+        assert run(parse_config(argv)).splitlines()[0] == (
+            "N,n_real,n_complex_pairs,first_deviation_index,max_abs_dev_below_first_deviation"
+        )
+
+
 class TestExportFormats:
     def test_csv_row_count(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -599,7 +644,7 @@ def test_formats_agree(command, tmp_path, capsys):
     assert len(rows) == len(table)
     for cells, row in zip(rows, table):
         values = list(row.values())
-        assert [None if c == "" else type(v)(c) for c, v in zip(cells, values)] == values
+        assert [_CSV_PARSE[type(v)](c) for c, v in zip(cells, values)] == values
 
     lines = outputs["text"].splitlines()
     if command.startswith("sweep"):
@@ -628,7 +673,8 @@ def _same(parsed, built) -> bool:
     return type(parsed) is type(built) and parsed == built
 
 
-_CSV_PARSE = {float: float, int: int, str: str, type(None): lambda cell: None if cell == "" else cell}
+_CSV_PARSE = {float: float, int: int, str: str, bool: {"True": True, "False": False}.__getitem__,
+              type(None): lambda cell: None if cell == "" else cell}
 
 
 @pytest.mark.parametrize("command", list(_SMALL_RUNS))

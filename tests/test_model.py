@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nhosc import (
     diagonal_expectation,
     eigenvalues,
     isospectral_report,
+    reality_window,
     variational_frequency,
 )
 
@@ -135,6 +137,38 @@ class TestBuildHamiltonian:
         assert np.abs(h - np.diag(np.diag(h))).max() <= 1e-14 * 1e-150
         zero_b = TransformParams(b_coef=0.0)
         assert np.abs(build_hamiltonian(HamiltonianSpec(params=zero_b, basis=BasisSpec(n_dim=6)))).max() > 0
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 50, 400])
+    def test_overflow_threshold_is_n_times_frobenius_norm(self, n_dim):
+        # H scales as t^2 when A and B scale by t: put N |H|_F just below and just
+        # above the largest float64, from the norm of the oracle's dense H at t = 1.
+        # A draw counts when every other float64 limit stays 2x away at that scale:
+        # A^2, B^2 and the terms A^2 y^2, B^2 z^2 that H's entries subtract before the factor C
+        rng = np.random.default_rng(40 + n_dim)
+        draws = 0
+        while draws < 20:
+            l_coef, r_coef = rng.uniform(-2.0, 2.0, size=2)
+            a_coef, b_coef = rng.uniform(0.2, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+            w = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+            if abs(1.0 + l_coef * r_coef) < 0.3:
+                continue
+            y, z = oracles.sheared(n_dim, w, l_coef, r_coef)
+            terms = [coef**2 * (m @ m).real for coef, m in ((a_coef, y), (b_coef, z))]
+            norm = float(np.linalg.norm(terms[0] + terms[1])) / abs(1.0 + l_coef * r_coef)
+            if n_dim * norm < 2.0 * max(a_coef**2, b_coef**2, *(np.abs(term).max() for term in terms)):
+                continue
+            draws += 1
+            for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+                t = math.sqrt(factor) * math.sqrt(sys.float_info.max / (n_dim * norm))
+                spec = HamiltonianSpec(
+                    params=TransformParams(l_coef, r_coef, t * a_coef, t * b_coef),
+                    basis=BasisSpec(n_dim=n_dim, freq=w),
+                )
+                if factor < 1.0:
+                    assert np.linalg.norm(build_hamiltonian(spec) / (t * t)) == pytest.approx(norm, rel=1e-12)
+                else:
+                    with pytest.raises(ValueError, match=r"H overflows float64"):
+                        build_hamiltonian(spec)
 
     def test_norm_c_field(self):
         np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
@@ -411,6 +445,28 @@ class TestRealityWindow:
         np.testing.assert_array_equal(values.imag, 0.0)
         levels = np.append(5.0 * (2 * np.arange(n_dim - 1) + 1), 5.0 * (n_dim - 1))
         np.testing.assert_array_equal(values.real, np.sort(levels))
+
+    def test_table_one_window(self, table1_params):
+        assert reality_window(table1_params) == (2.0, 8.0)
+        assert reality_window(TransformParams()) == (1.0, 1.0)  # H is Hermitian only at w = 1
+        assert reality_window(TransformParams(l_coef=2.0)) is None  # broken regime
+
+    @given(
+        shears=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        weights=st.tuples(*[st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))] * 2),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_window_bit_identical_to_closed_form(self, shears, weights):
+        # ((|AB| - |c|)/a, (|AB| + |c|)/a) with the float operations of classify_regime
+        assume(1.0 + shears[0] * shears[1] != 0.0)
+        params = TransformParams(*shears, *weights)
+        (l_coef, r_coef), (a_coef, b_coef) = shears, weights
+        a2, b2 = a_coef * a_coef, b_coef * b_coef
+        a = params.norm_c * (a2 - r_coef * r_coef * b2)
+        b = params.norm_c * (b2 - l_coef * l_coef * a2)
+        c = abs(params.norm_c * (l_coef * a2 + r_coef * b2))
+        ab = abs(a_coef * b_coef)
+        assert reality_window(params) == (((ab - c) / a, (ab + c) / a) if a > 0.0 and b > 0.0 else None)
 
     @given(
         shears=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
