@@ -39,8 +39,13 @@ class BasisSpec:
     def __post_init__(self):
         if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim < 2:
             raise ValueError(f"n_dim must be an integer >= 2, got {self.n_dim!r}")
-        if not (self.freq > 0.0) or not math.isfinite(self.freq):
-            raise ValueError(f"freq must be positive and finite, got {self.freq}")
+        _check_freq(self.freq)
+
+
+def _check_freq(freq) -> None:
+    """The basis frequency check, shared with model.diagonal_expectation's trial frequency."""
+    if not (freq > 0.0) or not math.isfinite(freq):
+        raise ValueError(f"freq must be positive and finite, got {freq}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +99,9 @@ def ladder_weights(n_dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, n_dim, dtype=float))
 
 
-def _shear_bands(basis: BasisSpec, params: TransformParams) -> tuple[tuple[float, float], ...]:
-    """(below, above) coefficients (see _tridiagonal) of Y = P + Lx and Z = x - RP, P = -ip."""
-    alpha, beta = 1.0 / math.sqrt(2.0 * basis.freq), math.sqrt(basis.freq / 2.0)
+def _shear_bands(freq: float, params: TransformParams) -> tuple[tuple[float, float], ...]:
+    """(below, above) coefficients (see _tridiagonal) of Y = P + Lx and Z = x - RP, P = -ip, at freq."""
+    alpha, beta = 1.0 / math.sqrt(2.0 * freq), math.sqrt(freq / 2.0)
     y_bands = (beta + params.l_coef * alpha, params.l_coef * alpha - beta)
     return y_bands, (alpha - params.r_coef * beta, alpha + params.r_coef * beta)
 
@@ -110,7 +115,7 @@ def _tridiagonal(n_dim: int, below: float, above: float) -> np.ndarray:
 # not in __all__: benchmarks/test_bench.py still looks it up as model.transformed_momentum
 def transformed_momentum(basis: BasisSpec, params: TransformParams) -> np.ndarray:
     """Sheared momentum p + iL x = iY as a dense complex array (unnormalized)."""
-    return 1j * _tridiagonal(basis.n_dim, *_shear_bands(basis, params)[0])
+    return 1j * _tridiagonal(basis.n_dim, *_shear_bands(basis.freq, params)[0])
 
 
 def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> CommutatorDefect:
@@ -127,7 +132,7 @@ def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> Co
     """
     n = basis.n_dim
     norm = 1.0 + params.l_coef * params.r_coef
-    y_bands, z_bands = _shear_bands(basis, params)
+    y_bands, z_bands = _shear_bands(basis.freq, params)
     # max|Y| and max|Z| both sit on the last ladder weight sqrt(n-1)
     max_yz = max(map(abs, y_bands)) * max(map(abs, z_bands)) * (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):

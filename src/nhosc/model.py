@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSpec, TransformParams, _shear_bands
+from .basis import BasisSpec, TransformParams, _check_freq, _shear_bands
 from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py looks it up here)
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "reality_window",
 ]
 
-_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -69,67 +69,63 @@ class RegimeReport:
 
 
 def _coefficient_squares(params: TransformParams) -> tuple[float, float]:
-    """(A^2, B^2); ValueError if a nonzero A or B has a square outside the normal float64 range."""
-    for name, coef in (("A", params.a_coef), ("B", params.b_coef)):
-        if not coef * coef < math.inf:
-            raise ValueError(f"{name}^2 overflows float64 ({name} = {coef!r})")
-        if coef and coef * coef < _TINY:
-            raise ValueError(f"{name}^2 underflows float64 ({name} = {coef!r})")
-    return params.a_coef * params.a_coef, params.b_coef * params.b_coef
+    """(A^2, B^2) as floats; ValueError if a nonzero A or B has a square outside the normal float64 range."""
+    a, b = params.a_coef, params.b_coef
+    a2, b2 = a * a, b * b
+    a_ok, b_ok = a2 < math.inf and (a2 >= _TINY or not a), b2 < math.inf and (b2 >= _TINY or not b)
+    if a_ok and b_ok:
+        return float(a2), float(b2)
+    name, coef, square = ("B", b, b2) if a_ok else ("A", a, a2)
+    raise ValueError(f"{name}^2 {'overflows' if square == math.inf else 'underflows'} float64 ({name} = {coef!r})")
 
 
 def _entries(coefs: tuple[float, float, float], band: tuple[float, float], x):
-    """C (B^2 (s_z x) - A^2 (s_y x)) for coefs = (C, A^2, B^2) and band = (s_z, s_y):
-    the entries of one band of H at its ladder values x, an array or one float.
-    Both take the same IEEE operations in the same order, so one entry is
-    bit-identical to its place in the band."""
+    """C (B^2 (s_z x) - A^2 (s_y x)) for coefs = (C, A^2, B^2) and band = (s_z, s_y): one band of H
+    at ladder values x, an array or one float; one entry is bit-identical to its place in the band."""
     (c, a2, b2), (s_z, s_y) = coefs, band
     return c * (b2 * (s_z * x) - a2 * (s_y * x))
 
 
-def _checked_bands(params: TransformParams, basis: BasisSpec) -> tuple[tuple, tuple]:
-    """(C, A^2, B^2) and the (s_z, s_y) of H's diagonal, +2 and -2 bands, checked in O(1).
+def _checked_bands(params: TransformParams, n_dim: int, freq: float) -> tuple[tuple, ...]:
+    """(C, A^2, B^2) and the (s_z, s_y) of H's diagonal, +2 and -2 bands at a basis frequency
+    that passed basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.
 
-    With y = iY, z = Z and the (below, above) coefficients (u, v) of the real
-    tridiagonals Y, Z from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal
-    tridiagonal with T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1)
-    on the diagonal (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at (k, k+2),
-    u^2 sqrt((k+1)(k+2)) at (k+2, k), and zero +-1 bands.  Each band is thus a scalar
-    times a fixed ladder, so its largest entry sits at the ladder's end, and |H|_F
-    follows from the three band ends and the ladders' sums of squares,
-    sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.
-    Raises ValueError as _coefficient_squares does (the term of H would vanish or lose
-    digits before it meets the basis factors), when N |H|_F overflows float64, and
-    when A or B is nonzero (so H is not zero) but every entry underflows to zero or
-    to a subnormal.
+    With y = iY, z = Z and the (below, above) coefficients (u, v) of the real tridiagonals Y, Z
+    from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal tridiagonal with
+    T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1) on the diagonal
+    (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at (k, k+2), u^2 sqrt((k+1)(k+2)) at
+    (k+2, k), and zero +-1 bands.  Each band is thus a scalar times a fixed ladder, so its largest
+    entry sits at the ladder's end, and |H|_F follows from the three band ends and the ladders'
+    sums of squares, sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.
+    Raises ValueError as _coefficient_squares does (the term of H would vanish or lose digits before
+    it meets the basis factors), when N |H|_F overflows float64, and when A or B is nonzero (so H is
+    not zero) but every entry underflows to zero or to a subnormal; only these errors build a BasisSpec.
+    Limit: B^2 (s_z x) and A^2 (s_y x) meet C last, so either overflowing rejects H though N |H|_F is finite.
     """
-    n = int(basis.n_dim)  # Python ints and floats: no wrapping sums, no numpy overflow warnings
-    (u_y, v_y), (u_z, v_z) = _shear_bands(basis, params)
+    n = int(n_dim)  # Python ints and floats: no wrapping sums, no numpy overflow warnings
+    (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
     u_y, v_y, u_z, v_z = float(u_y), float(v_y), float(u_z), float(v_z)
-    a2, b2 = _coefficient_squares(params)
-    coefs = (float(params.norm_c), float(a2), float(b2))
-    diag, upper, lower = (u_z * v_z, u_y * v_y), (v_z * v_z, v_y * v_y), (u_z * u_z, u_y * u_y)
-    diag_end = abs(_entries(coefs, diag, 2.0 * (n - 2) + 1.0))
-    up_end = low_end = 0.0  # N = 2 has no +-2 bands (an inf scalar times the 0 ladder end is nan)
-    if n > 2:
-        pair_end = math.sqrt((n - 2.0) * (n - 1.0))
-        up_end, low_end = abs(_entries(coefs, upper, pair_end)), abs(_entries(coefs, lower, pair_end))
-    # |band|_F = |end| sqrt(sum(x^2)) / end; hypot scales, so no square overflows.
-    # eig.eigenvalues rejects a matrix whose N |H|_F is not finite: it bounds
-    # the trace and eigenvalue sums of the solve
-    sum_lev2 = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) ** 2
-    pair_rms = math.sqrt(n / 3)
+    (a2, b2), c = _coefficient_squares(params), float(params.norm_c)
+    d_z, d_y, x = u_z * v_z, u_y * v_y, 2.0 * (n - 2) + 1.0
+    diag_end = abs(c * (b2 * (d_z * x) - a2 * (d_y * x)))  # _entries' operations, inline
+    p_z, p_y, q_z, q_y, up_end, low_end = v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y, 0.0, 0.0
+    if n > 2:  # N = 2 has no +-2 bands (an inf scalar times the 0 ladder end is nan)
+        x = math.sqrt((n - 2.0) * (n - 1.0))
+        up_end, low_end = abs(c * (b2 * (p_z * x) - a2 * (p_y * x))), abs(c * (b2 * (q_z * x) - a2 * (q_y * x)))
+    # |band|_F = |end| sqrt(sum(x^2)) / end; hypot scales, so no square overflows.  eig.eigenvalues
+    # rejects a matrix whose N |H|_F is not finite: it bounds the trace and eigenvalue sums of the solve
+    sum_lev2, pair_rms = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1), math.sqrt(n / 3)
     bound = math.hypot(diag_end * (math.sqrt(sum_lev2) / (2 * n - 3)), up_end * pair_rms, low_end * pair_rms) * n
     if not math.isfinite(bound):
-        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {basis}")
-    if (params.a_coef or params.b_coef) and max(diag_end, up_end, low_end) < _TINY:
-        raise ValueError(f"H underflows float64 (no entry reaches {_TINY:.3e}) for {params}, {basis}")
-    return coefs, (diag, upper, lower)
+        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {BasisSpec(n_dim, freq)}")
+    if diag_end < _TINY and up_end < _TINY and low_end < _TINY and (params.a_coef or params.b_coef):
+        raise ValueError(f"H underflows float64 (no entry reaches {_TINY:.3e}) for {params}, {BasisSpec(n_dim, freq)}")
+    return (c, a2, b2), (d_z, d_y), (p_z, p_y), (q_z, q_y)
 
 
 def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal, +2 and -2 bands of H, its only nonzero ones (see _checked_bands)."""
-    coefs, (diag, upper, lower) = _checked_bands(spec.params, spec.basis)
+    coefs, diag, upper, lower = _checked_bands(spec.params, spec.basis.n_dim, spec.basis.freq)
     n = spec.basis.n_dim
     levels = np.append(2.0 * np.arange(n - 1) + 1.0, n - 1)
     pairs = np.sqrt(np.arange(1.0, n - 1) * np.arange(2.0, n))
@@ -150,19 +146,18 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -> float:
     """Diagonal entry (level, level) of the Hamiltonian built at basis frequency trial_freq.
 
-    For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w];
-    the cross term contributes nothing on the diagonal.  O(1) in N: the entry
-    comes from the band formula of _bands, bit-identical to
-    build_hamiltonian(...)[level, level], and the ValueErrors are those the
-    build raises (see _checked_bands).  Raises TypeError for a level that is not
-    an integer (a bool included) and IndexError for one outside the basis.
+    For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w]; the cross term
+    adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: the entry is bit-identical
+    to build_hamiltonian(...)[level, level], and the errors are the build's (BasisSpec's freq check,
+    then _checked_bands).  TypeError for a level that is no integer (or a bool), IndexError outside.
     """
     if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
         raise TypeError(f"level must be an integer, got {level!r}")
     n = spec.basis.n_dim
     if not 0 <= level < n:
         raise IndexError(f"level {level} outside basis of dimension {n}")
-    coefs, (diag, _, _) = _checked_bands(spec.params, BasisSpec(n_dim=n, freq=trial_freq))
+    _check_freq(trial_freq)
+    coefs, diag, _, _ = _checked_bands(spec.params, n, trial_freq)
     return float(_entries(coefs, diag, 2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1)))
 
 

@@ -28,7 +28,7 @@ def truncated_xp_commutator(n):
 
 def library_yz(basis, params):
     """The library's real tridiagonals Y, Z, with y = iY and z = Z."""
-    y_bands, z_bands = _shear_bands(basis, params)
+    y_bands, z_bands = _shear_bands(basis.freq, params)
     return _tridiagonal(basis.n_dim, *y_bands), _tridiagonal(basis.n_dim, *z_bands)
 
 

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -170,6 +170,21 @@ class TestBuildHamiltonian:
                     with pytest.raises(ValueError, match=r"H overflows float64"):
                         build_hamiltonian(spec)
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="FOUND in CHANGES.md: _checked_bands forms B^2 (s_z x) before the factor C")
+    def test_overflow_before_normalization_is_rejected(self):
+        # N = 2: C = 0.29 brings N |H|_F to (1 - 1e-9) of the float64 maximum, but
+        # the term B^2 (s_z x) that H's entry forms before C overflows, and the build raises
+        l_coef, r_coef, a_coef, b_coef, w, n_dim = -1.34, -1.82, -4.12, 8.65, 1.99, 2
+        norm = float(np.linalg.norm(oracles.hamiltonian(n_dim, w, l_coef, r_coef, a_coef, b_coef).real))
+        t = math.sqrt(1.0 - 1e-9) * math.sqrt(sys.float_info.max / (n_dim * norm))
+        z = oracles.sheared(n_dim, w, l_coef, r_coef)[1]
+        assert math.isinf((t * b_coef) ** 2 * float((z @ z)[0, 0].real))
+        spec = HamiltonianSpec(
+            params=TransformParams(l_coef, r_coef, t * a_coef, t * b_coef), basis=BasisSpec(n_dim=n_dim, freq=w)
+        )
+        assert np.linalg.norm(build_hamiltonian(spec) / (t * t)) == pytest.approx(norm, rel=1e-12)
+
     def test_norm_c_field(self):
         np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
 
@@ -213,30 +228,60 @@ class TestDiagonalExpectation:
         levels = [diagonal_expectation(spec, n, w) for n in range(n_dim)]
         np.testing.assert_array_equal(levels, np.diagonal(h))
 
-    def test_errors_are_the_builds(self):
-        # over an extreme grid, a ValueError exactly when the build raises
-        # one, with its message; the grid reaches every kind the build has
+    @pytest.mark.parametrize("n_dim", [2, 3, 7])
+    def test_errors_are_the_builds(self, n_dim):
+        # over an extreme grid, a ValueError exactly when the build raises one,
+        # with its message; N = 2 has no +-2 bands, N = 3 one entry in each.
+        # At every N the grid reaches every kind the build has
         mags = (1e-160, 1e-100, 1.0, 1e100, 1e155)
         values = [s * m for m in mags for s in (1.0, -1.0)]
+        levels = sorted({0, n_dim - 2, n_dim - 1})
         seen = set()
         for l_coef, r_coef, a_coef, b_coef, w in itertools.product(*[values] * 4, (1e-150, 1.0, 1e150)):
             if 1.0 + l_coef * r_coef == 0.0:
                 continue
             params = TransformParams(l_coef, r_coef, a_coef, b_coef)
-            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=7))
+            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
             try:
-                h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=7, freq=w)))
+                h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=w)))
             except ValueError as exc:
                 seen.add(str(exc).split(" (")[0])
-                for level in (0, 6):
+                for level in (0, n_dim - 1):
                     with pytest.raises(ValueError) as raised:
                         diagonal_expectation(spec, level, w)
                     assert str(raised.value) == str(exc)
                 continue
             seen.add("built")
-            assert [diagonal_expectation(spec, level, w) for level in (0, 5, 6)] == list(h.diagonal()[[0, 5, 6]])
+            assert [diagonal_expectation(spec, level, w) for level in levels] == list(h.diagonal()[levels])
         assert seen == {"built", "H overflows float64", "H underflows float64", "A^2 overflows float64",
                         "A^2 underflows float64", "B^2 overflows float64", "B^2 underflows float64"}
+
+    @pytest.mark.parametrize("w", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf, "4", None])
+    def test_trial_freq_errors_are_the_basis_specs(self, table1_params, w):
+        # the exception type and message of the basis the build would take
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7))
+        with pytest.raises((ValueError, TypeError)) as expected:
+            BasisSpec(n_dim=7, freq=w)
+        with pytest.raises(Exception) as raised:
+            diagonal_expectation(spec, 0, w)
+        assert type(raised.value) is expected.type
+        assert str(raised.value) == str(expected.value)
+
+    def test_numpy_trial_freq(self, table1_params):
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7))
+        for level in (0, 5, 6):
+            assert diagonal_expectation(spec, level, np.float64(4.1)).hex() == diagonal_expectation(spec, level, 4.1).hex()
+
+    def test_valid_call_builds_no_basis(self, table1_params, monkeypatch):
+        # O(1) with no object on the way: the trial frequency is checked in place
+        h = build_hamiltonian(HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7, freq=4.1)))
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7))
+
+        def no_basis(self):
+            raise AssertionError("a BasisSpec was built")
+
+        monkeypatch.setattr(BasisSpec, "__post_init__", no_basis)
+        assert [diagonal_expectation(spec, level, 4.1) for level in range(7)] == list(h.diagonal())
 
     def test_large_basis_needs_no_dense_matrix(self, table1_params, monkeypatch):
         # O(1) in N: no band of H is built, let alone a dense H
@@ -473,6 +518,7 @@ class TestRealityWindow:
         weights=st.tuples(*[st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))] * 2),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(shears=(1.75, 0.0), weights=(-0.99999, 1.75))  # B^2 - L^2 A^2 cancels to 6e-5
     def test_band_signs_follow_closed_form_window(self, shears, weights):
         assume(1.0 + shears[0] * shears[1] != 0.0)
         params = TransformParams(*shears, *weights)
@@ -480,8 +526,19 @@ class TestRealityWindow:
         (l_coef, r_coef), (a_coef, b_coef) = shears, weights
         a = params.norm_c * (a_coef**2 - r_coef**2 * b_coef**2)
         c = params.norm_c * (l_coef * a_coef**2 + r_coef * b_coef**2)
-        w_lo, w_hi = (abs(a_coef * b_coef) - abs(c)) / a, (abs(a_coef * b_coef) + abs(c)) / a
-        assert math.isclose(math.sqrt(w_lo * w_hi), variational_frequency(params).w_v, rel_tol=1e-12)
+        ab = abs(a_coef * b_coef)
+        w_lo, w_hi = (ab - abs(c)) / a, (ab + abs(c)) / a
+        # sqrt(w- w+) = sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)) = w_v exactly; in floats both
+        # sides lose what their cancellations lose: a few eps times the condition numbers of
+        # B^2 - L^2 A^2, A^2 - R^2 B^2 and |AB| -+ |c|, c with its own sum L A^2 + R B^2 and
+        # factor C = 1/(1+LR) (|AB| + |c| is the better conditioned of the two)
+        k_num = (b_coef**2 + (l_coef * a_coef) ** 2) / abs(b_coef**2 - (l_coef * a_coef) ** 2)
+        k_den = (a_coef**2 + (r_coef * b_coef) ** 2) / abs(a_coef**2 - (r_coef * b_coef) ** 2)
+        k_c = (1.0 + abs(l_coef * r_coef)) / abs(1.0 + l_coef * r_coef)
+        c_terms = abs(params.norm_c) * (abs(l_coef) * a_coef**2 + abs(r_coef) * b_coef**2) * k_c
+        k_minus = (ab + c_terms) / (ab - abs(c))
+        rel_tol = 4.0 * EPS * (k_num + k_den + k_minus)
+        assert math.isclose(math.sqrt(w_lo * w_hi), variational_frequency(params).w_v, rel_tol=rel_tol)
         for w in np.geomspace(w_lo / 50.0, 50.0 * w_hi, 100):
             if min(abs(w - w_lo) / w_lo, abs(w - w_hi) / w_hi) <= 1e-9:
                 continue
