@@ -14,8 +14,6 @@ from .eig import EigensolverError, classify, eigenvalues, real_mask
 from .model import HamiltonianSpec, Regime, build_hamiltonian, classify_regime
 
 __all__ = [
-    "Remark",
-    "ReportRow",
     "IsospectralReport",
     "Axis",
     "SweepPoint",
@@ -29,19 +27,8 @@ __all__ = [
 # largest |computed - (2n+1)|AB|| at which a real level counts as Iso
 ISO_TOL = 1e-3
 
-
-class Remark(Enum):
-    ISO = "Iso"
-    NO_ISO = "NoIso"
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    level: int
-    epsilon: float
-    computed: complex
-    abs_dev: float
-    remark: Remark
+# the columns of IsospectralReport.rows; a new per-level column is one more field
+_LEVEL = np.dtype([("epsilon", np.float64), ("computed", np.complex128), ("abs_dev", np.float64), ("iso", bool)])
 
 
 @dataclass(frozen=True)
@@ -51,14 +38,18 @@ class IsospectralReport:
     H depends on A and B only through A^2 and B^2, so the reference
     holds for either sign of A*B.
 
-    Rows are aligned by sorted index (real part, then imaginary part),
-    so a conjugate pair occupies two consecutive levels.  A row is Iso
-    only if the value classifies as real and sits within ISO_TOL of the
-    reference.
+    rows is a read-only structured array with one record per level, the
+    level being its index: the reference `epsilon`, the `computed` value,
+    their distance `abs_dev` and the verdict `iso`.  Levels are aligned by
+    sorted index (real part, then imaginary part), so a conjugate pair
+    occupies two consecutive levels.  A level is iso only if its value
+    classifies as real and sits within ISO_TOL of the reference.
+    n_real + 2 n_complex_pairs = N.
     """
 
-    rows: list[ReportRow]
+    rows: np.ndarray
     first_deviation_index: int | None
+    n_real: int
     n_complex_pairs: int
 
 
@@ -71,7 +62,7 @@ class Axis(Enum):
 
 @dataclass(frozen=True)
 class SweepPoint:
-    axis_value: float
+    axis_value: float  # an int for Axis.TRUNCATION_SIZE
     n_real: int
     n_complex_pairs: int
     first_deviation_index: int | None
@@ -98,16 +89,16 @@ def isospectral_report(params: TransformParams, basis: BasisSpec) -> Isospectral
     dev = np.hypot(diff.real, diff.imag)
     iso = (dev <= ISO_TOL) & real_mask(spec)
     deviations = np.flatnonzero(~iso)
-    rows = [
-        ReportRow(level=n, epsilon=e, computed=v, abs_dev=d, remark=Remark.ISO if ok else Remark.NO_ISO)
-        for n, (e, v, d, ok) in enumerate(
-            zip(eps.tolist(), spec.values.tolist(), dev.tolist(), iso.tolist())
-        )
-    ]
+    rows = np.empty(len(spec), dtype=_LEVEL)
+    for name, column in zip(_LEVEL.names, (eps, spec.values, dev, iso)):
+        rows[name] = column
+    rows.setflags(write=False)
+    classified = classify(spec)
     return IsospectralReport(
         rows=rows,
         first_deviation_index=int(deviations[0]) if deviations.size else None,
-        n_complex_pairs=classify(spec).n_complex,
+        n_real=classified.n_real,
+        n_complex_pairs=classified.n_complex,
     )
 
 
@@ -138,15 +129,12 @@ def duality_check(params: TransformParams, basis: BasisSpec) -> float:
 
 def _summary_point(report: IsospectralReport, axis_value: float) -> SweepPoint:
     cutoff = report.first_deviation_index
-    below = report.rows if cutoff is None else report.rows[:cutoff]
-    max_dev = max((r.abs_dev for r in below), default=0.0)
-    n_pairs = report.n_complex_pairs
     return SweepPoint(
         axis_value=axis_value,
-        n_real=len(report.rows) - 2 * n_pairs,
-        n_complex_pairs=n_pairs,
+        n_real=report.n_real,
+        n_complex_pairs=report.n_complex_pairs,
         first_deviation_index=cutoff,
-        max_abs_dev_below_first_deviation=max_dev,
+        max_abs_dev_below_first_deviation=float(report.rows["abs_dev"][:cutoff].max(initial=0.0)),
     )
 
 
@@ -156,12 +144,15 @@ def sweep(params: TransformParams, basis: BasisSpec, axis: Axis, values: Sequenc
     Each point is `basis` with its `axis` field set to the value.  Every
     point's BasisSpec is built before the first solve, so an invalid value
     raises ValueError up front; a point whose solve fails is recorded in
-    `failures` and the sweep goes on.
+    `failures` and the sweep goes on.  Each axis value has its field's type:
+    int for n_dim, float for freq.
     """
-    grid = [(float(v), replace(basis, **{axis.value: v})) for v in sorted(values)]
+    kind = int if axis is Axis.TRUNCATION_SIZE else float
+    grid = [replace(basis, **{axis.value: v}) for v in sorted(values)]
     points: list[SweepPoint] = []
     failures: list[tuple[float, str]] = []
-    for value, point_basis in grid:
+    for point_basis in grid:
+        value = kind(getattr(point_basis, axis.value))
         try:
             report = isospectral_report(params, point_basis)
             points.append(_summary_point(report, value))

@@ -64,8 +64,11 @@ class TransformParams:
 
     def __post_init__(self):
         for name in ("l_coef", "r_coef", "a_coef", "b_coef"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # TypeError for a non-number, a str included
                 raise ValueError(f"{name} must be finite")
+            # a Python float: NumPy 2 would compute the bands of an np.float32 field in float32
+            object.__setattr__(self, name, float(value))
         if 1.0 + self.l_coef * self.r_coef == 0.0:
             raise ValueError("1 + L*R must be nonzero (normalization is singular)")
 

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 
-from .analysis import Axis, Remark, dual_params, duality_check, isospectral_report, sweep
+from .analysis import Axis, dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
 from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
 from .model import (
@@ -320,18 +320,11 @@ def _window(params: TransformParams, freq: float) -> dict:
 def _build_isospectral(config: RunConfig) -> Report:
     report = isospectral_report(config.params, config.basis)
     table = [
-        {
-            "level": r.level,
-            "epsilon_n": r.epsilon,
-            "re": r.computed.real,
-            "im": r.computed.imag,
-            "abs_dev": r.abs_dev,
-            "remark": r.remark.value,
-        }
-        for r in report.rows[: config.print_count]
+        {"level": n, "epsilon_n": e, "re": v.real, "im": v.imag, "abs_dev": d, "remark": "Iso" if iso else "NoIso"}
+        for n, (e, v, d, iso) in enumerate(report.rows[: config.print_count].tolist())
     ]
     summary = {
-        "n_real": len(report.rows) - 2 * report.n_complex_pairs,
+        "n_real": report.n_real,
         "n_complex_pairs": report.n_complex_pairs,
         "first_deviation_index": report.first_deviation_index,
         **_window(config.params, config.basis.freq),
@@ -343,7 +336,7 @@ def _build_isospectral(config: RunConfig) -> Report:
         prefix = " | ".join(_fmt_param(x) for x in (config.capital_w, second, config.basis.freq))
         body = [
             f"{prefix} | {_fmt_value(complex(row['re'], row['im']))} | {_fmt2(row['epsilon_n'])} | "
-            + ("iso-spectra" if row["remark"] == Remark.ISO.value else "No iso-spectra")
+            + ("iso-spectra" if row["remark"] == "Iso" else "No iso-spectra")
             for row in table
         ]
         header = f"W | {'R' if dual else 'L'} | w | E_n -> H | eps_n | Remarks"

@@ -7,10 +7,11 @@ p = i sqrt(w/2) (a^+ - a).  The sheared pair is y = p + iLx, z = x + iRp, and
 H = C [A^2 y^2 + B^2 z^2] with C = 1/(1+LR), formed by dense products.
 francis_qr is the EISPACK-style double-shift QR for an upper Hessenberg
 matrix, the reference eigenvalue solver of whole matrices.  The exact_* functions
-count the real eigenvalues of the truncated H in exact rational arithmetic, with
+count the eigenvalues of the truncated H in exact rational arithmetic, with
 no floating-point eigensolver at any precision.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -239,28 +240,48 @@ def exact_block_charpolys(l_coef, r_coef, a_coef, b_coef, freq, n_dim) -> list[l
     return polys
 
 
-def exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim) -> list[tuple[list[int], Fraction, Fraction]]:
+@functools.cache
+def exact_real_eigenvalues(
+    l_coef, r_coef, a_coef, b_coef, freq, n_dim
+) -> tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]:
     """The real eigenvalues of the truncated H at rational (L, R, A, B, w), repeated
     by multiplicity, each as (g, s, t): g the integer coefficients of a square-free
     factor of its block's characteristic polynomial, and [s, t] a rational interval
-    holding that root and no other root of g.  Floats are taken at their exact value."""
+    holding that root and no other root of g.  Floats are taken at their exact value.
+    sympy may end one root's interval at a rational root of the same factor; such a
+    factor is split into its irreducible factors, which vanish at no rational end."""
     x = sympy.Symbol("x")
     roots = []
     for coeffs in exact_block_charpolys(l_coef, r_coef, a_coef, b_coef, freq, n_dim):
-        for factor, mult in sympy.Poly(coeffs, x).sqf_list()[1]:
-            g = [int(co) for co in factor.all_coeffs()]
-            for (s, t), _ in factor.intervals():
-                s, t = Fraction(int(s.p), int(s.q)), Fraction(int(t.p), int(t.q))
+        factors = sympy.Poly(coeffs, x).sqf_list()[1]
+        while factors:
+            factor, mult = factors.pop()
+            g = tuple(int(co) for co in factor.all_coeffs())
+            ends = [(Fraction(int(s.p), int(s.q)), Fraction(int(t.p), int(t.q))) for (s, t), _ in factor.intervals()]
+            if any(s < t and 0 in (_value(g, s), _value(g, t)) for s, t in ends):
+                factors += [(f, mult * m) for f, m in factor.factor_list()[1]]
+                continue
+            for s, t in ends:
                 if s < t and not _value(g, s) * _value(g, t) < 0:
                     raise AssertionError(f"[{s}, {t}] does not isolate a simple root")
                 roots += [(g, s, t)] * mult
-    return roots
+    return tuple(roots)
 
 
 def exact_complex_pairs(l_coef, r_coef, a_coef, b_coef, freq, n_dim) -> int:
     """Conjugate pairs of the truncated H at rational (L, R, A, B, w), exactly."""
     real = len(exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim))
     return (n_dim - real) // 2
+
+
+def exact_reality_window(l_coef, r_coef, a_coef, b_coef) -> tuple[Fraction, Fraction]:
+    """(w-, w+) = ((|AB| - |c|)/a, (|AB| + |c|)/a) at rational (L, R, A, B) in the real regime,
+    with a = C(A^2 - R^2 B^2) and c = C(L A^2 + R B^2).  At either edge one +-2 band of H
+    vanishes, so the truncated spectrum is exactly (2n+1)|AB| for n < N-1 and (N-1)|AB|."""
+    l, r, a, b = map(Fraction, (l_coef, r_coef, a_coef, b_coef))
+    c = 1 / (1 + l * r)
+    p2, cross = c * (a * a - r * r * b * b), abs(c * (l * a * a + r * b * b))
+    return (abs(a * b) - cross) / p2, (abs(a * b) + cross) / p2
 
 
 def exact_count_in(roots, lo: Fraction, hi: Fraction) -> int:
@@ -274,8 +295,57 @@ def exact_count_in(roots, lo: Fraction, hi: Fraction) -> int:
     return count
 
 
-def _value(coeffs: list[int], x: Fraction) -> Fraction:
+def _value(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
     value = Fraction(0)
     for co in coeffs:
         value = value * x + co
     return value
+
+
+def exact_first_deviation(l_coef, r_coef, a_coef, b_coef, freq, n_dim, tol) -> int | None:
+    """isospectral_report's first deviation with every eigenvalue of the truncated H at
+    rational (L, R, A, B, w) exact: the first level n (None if there is none) at which it is
+    not so that exactly n eigenvalues have a real part below (2n+1)|AB| - tol, at least one
+    real eigenvalue lies within tol of (2n+1)|AB|, and no complex one has its real part there.
+    Needs tol < |AB|, so that the windows of two levels do not meet.
+
+    Complex eigenvalues are counted, never located: the eigenvalues of a block with real part
+    below t are its degree less the right-half-plane roots of det(s + t - J) (Routh-Hurwitz).
+    Their count only grows with t, so the first level that meets one is bisected.
+    """
+    polys = exact_block_charpolys(l_coef, r_coef, a_coef, b_coef, freq, n_dim)
+    roots = exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim)
+    ab, tol = abs(Fraction(a_coef) * Fraction(b_coef)), Fraction(tol)
+    floor = min((s for _, s, _ in roots), default=Fraction(0)) - 1  # below every real root
+    windows = [((2 * n + 1) * ab - tol, (2 * n + 1) * ab + tol) for n in range(n_dim)]
+    top = next((n for n, (lo, hi) in enumerate(windows)
+                if exact_count_in(roots, floor, lo) != n or exact_count_in(roots, lo, hi) < 1), n_dim)
+    bottom = -1  # no complex eigenvalue has a real part up to windows[bottom], some up to windows[top]
+    while top - bottom > 1:
+        mid, hi = (top + bottom) // 2, windows[(top + bottom) // 2][1]
+        below = sum(len(p) - 1 - _right_half_plane_roots(_taylor_shift(p, hi)) for p in polys)
+        top, bottom = (mid, bottom) if below > exact_count_in(roots, floor, hi) else (top, mid)
+    return None if top == n_dim else top
+
+
+def _taylor_shift(coeffs: list[int], t: Fraction) -> list[Fraction]:
+    """Coefficients, highest degree first, of p(s + t), by repeated synthetic division."""
+    c = [Fraction(co) for co in coeffs]
+    for i in range(len(c) - 1):
+        for j in range(1, len(c) - i):
+            c[j] += t * c[j - 1]
+    return c
+
+
+def _right_half_plane_roots(coeffs: list[Fraction]) -> int:
+    """Roots with a positive real part: the sign changes down the first column of the Routh
+    array.  AssertionError at a zero pivot (a root on the imaginary axis, or two roots
+    mirrored about the origin), which the array alone cannot count."""
+    upper, lower, changes = coeffs[0::2], coeffs[1::2], 0
+    for _ in range(len(coeffs) - 1):
+        if lower[0] == 0:
+            raise AssertionError(f"zero pivot in the Routh array of {coeffs}")
+        changes += (upper[0] > 0) != (lower[0] > 0)
+        pad = [*lower[1:], *[0] * len(upper)]
+        upper, lower = lower, [u - upper[0] * v / lower[0] for u, v in zip(upper[1:], pad)] or [Fraction(0)]
+    return changes

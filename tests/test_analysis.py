@@ -13,7 +13,6 @@ from nhosc import (
     BasisSpec,
     HamiltonianSpec,
     Regime,
-    Remark,
     TransformParams,
     build_hamiltonian,
     classify_regime,
@@ -24,7 +23,7 @@ from nhosc import (
     sweep,
     variational_frequency,
 )
-from nhosc.analysis import ISO_TOL, ReportRow
+from nhosc.analysis import ISO_TOL
 from nhosc.eig import real_mask
 from test_model import draw_real_spectrum_params
 
@@ -37,35 +36,34 @@ class TestIsospectralReport:
     def test_table_one_low_levels(self, table1_report):
         for n in range(6):
             row = table1_report.rows[n]
-            assert row.remark is Remark.ISO
-            np.testing.assert_allclose(row.computed, (2 * n + 1) * 5.0, atol=1e-3)
-            assert row.epsilon == (2 * n + 1) * 5.0
+            assert row["iso"]
+            np.testing.assert_allclose(row["computed"], (2 * n + 1) * 5.0, atol=1e-3)
+            assert row["epsilon"] == (2 * n + 1) * 5.0
 
     def test_table_one_complex_pair_placement(self, table1_report):
         # the known complex pair sits at the levels whose references are 445/455
         row44, row45 = table1_report.rows[44], table1_report.rows[45]
-        assert row44.remark is Remark.NO_ISO and row45.remark is Remark.NO_ISO
-        assert abs(row44.computed - (395.53 - 59.95j)) <= 0.5
-        assert abs(row45.computed - (395.53 + 59.95j)) <= 0.5
-        assert row44.epsilon == 445.0 and row45.epsilon == 455.0
+        assert not row44["iso"] and not row45["iso"]
+        assert abs(row44["computed"] - (395.53 - 59.95j)) <= 0.5
+        assert abs(row45["computed"] - (395.53 + 59.95j)) <= 0.5
+        assert row44["epsilon"] == 445.0 and row45["epsilon"] == 455.0
 
     def test_conjugate_symmetry_of_noiso_rows(self, table1_report):
-        complex_rows = [
-            r for r in table1_report.rows if abs(r.computed.imag) > 1e-6
-        ]
-        assert complex_rows, "expected complex rows in the full-size run"
-        values = [r.computed for r in complex_rows]
+        computed = table1_report.rows["computed"]
+        values = computed[np.abs(computed.imag) > 1e-6].tolist()
+        assert values, "expected complex rows in the full-size run"
         for v in values:
             partner = min(values, key=lambda u: abs(u - v.conjugate()))
             assert abs(partner - v.conjugate()) <= 1e-9 * max(1.0, abs(v))
 
     def test_rows_sorted_and_first_deviation(self, table1_report):
-        levels = [r.level for r in table1_report.rows]
-        assert levels == sorted(levels)
+        # the level is the index: the values come sorted by (Re, Im)
+        computed = table1_report.rows["computed"]
+        np.testing.assert_array_equal(np.lexsort((computed.imag, computed.real)), np.arange(len(computed)))
         first = table1_report.first_deviation_index
         assert first is not None
-        assert all(r.remark is Remark.ISO for r in table1_report.rows[:first])
-        assert table1_report.rows[first].remark is Remark.NO_ISO
+        assert table1_report.rows["iso"][:first].all()
+        assert not table1_report.rows["iso"][first]
 
     def test_real_window_first_deviation(self, table1_params):
         # w=16 lies in the real window (w > 8): no pairs, and the ladder holds
@@ -78,8 +76,19 @@ class TestIsospectralReport:
         # H reads A and B only as A^2 and B^2: a negative A*B used to mark every level NoIso
         basis = BasisSpec(n_dim=40, freq=4.0)
         report = isospectral_report(TransformParams(l_coef=3.0, a_coef=a_coef, b_coef=b_coef), basis)
-        assert report.rows == isospectral_report(table1_params, basis).rows
+        assert report.rows.tobytes() == isospectral_report(table1_params, basis).rows.tobytes()
         assert report.first_deviation_index == 11
+
+    def test_rows_are_one_read_only_record_array(self, table1_report):
+        rows = table1_report.rows
+        assert rows.dtype.names == ("epsilon", "computed", "abs_dev", "iso") and len(rows) == 100
+        assert rows["iso"].dtype == bool and rows["computed"].dtype == np.complex128
+        with pytest.raises(ValueError):
+            rows["iso"][0] = False
+        with pytest.raises(ValueError):
+            rows[0] = rows[1]
+        assert table1_report.n_real + 2 * table1_report.n_complex_pairs == 100
+        assert table1_report.n_real == int(np.count_nonzero(rows["computed"].imag == 0.0))
 
     def test_broken_regime_rejected(self):
         with pytest.raises(ValueError):
@@ -88,31 +97,35 @@ class TestIsospectralReport:
     @pytest.mark.parametrize("freq", [4.0, 16.0])  # w_v, with complex pairs; the real window
     def test_matches_per_level_loop(self, table1_params, freq):
         # abs_dev is Python's abs() of the complex deviation, bit for bit, and
-        # every row and the first deviation match the per-level reference loop
+        # every column and the first deviation match the per-level reference loop
         basis = BasisSpec(n_dim=200, freq=freq)
         report = isospectral_report(table1_params, basis)
         spec = eigenvalues(build_hamiltonian(HamiltonianSpec(params=table1_params, basis=basis)))
         is_real = real_mask(spec)
         ab = table1_params.a_coef * table1_params.b_coef
-        rows, first_dev = [], None
+        columns, first_dev = {"epsilon": [], "computed": [], "abs_dev": [], "iso": []}, None
         for n, v in enumerate(spec.values):
             eps_n = (2 * n + 1) * ab
             dev = abs(complex(v) - eps_n)
-            remark = Remark.ISO if dev <= ISO_TOL and is_real[n] else Remark.NO_ISO
-            if remark is Remark.NO_ISO and first_dev is None:
+            iso = dev <= ISO_TOL and is_real[n]
+            if not iso and first_dev is None:
                 first_dev = n
-            rows.append(ReportRow(level=n, epsilon=eps_n, computed=complex(v), abs_dev=dev, remark=remark))
-        assert all(r.abs_dev == abs(r.computed - r.epsilon) for r in report.rows)
-        assert report.rows == rows and report.first_deviation_index == first_dev
-        assert Remark.ISO in {r.remark for r in rows} and first_dev is not None
+            for name, x in zip(columns, (eps_n, complex(v), dev, iso)):
+                columns[name].append(x)
+        assert all(d == abs(v - e) for e, v, d, _ in report.rows.tolist())
+        assert report.rows.dtype.names == tuple(columns)
+        for name, column in columns.items():
+            assert report.rows[name].tobytes() == np.array(column, dtype=report.rows.dtype[name]).tobytes(), name
+        assert report.first_deviation_index == first_dev
+        assert any(columns["iso"]) and first_dev is not None
 
     def test_hermitian_truncated_run(self):
         # exactly diagonal Hamiltonian: every level except the defective
         # boundary value is exact, and that value lands mid-spectrum
         report = isospectral_report(TransformParams(), BasisSpec(n_dim=50))
         for n in range(25):
-            assert report.rows[n].remark is Remark.ISO
-            assert report.rows[n].abs_dev <= 1e-6
+            assert report.rows[n]["iso"]
+            assert report.rows[n]["abs_dev"] <= 1e-6
         assert report.first_deviation_index == 25
         assert report.n_complex_pairs == 0
 
@@ -120,26 +133,26 @@ class TestIsospectralReport:
         # doubled-N reference: the N=100 sorted values are the converged
         # levels, so the N=50 deviations equal the sorted-value shifts
         small = isospectral_report(TransformParams(), BasisSpec(n_dim=50))
-        assert all(r.abs_dev <= 1e-6 for r in small.rows[: small.first_deviation_index])
+        assert (small.rows["abs_dev"][: small.first_deviation_index] <= 1e-6).all()
         h_big = build_hamiltonian(
             HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=100))
         )
         big = eigenvalues(h_big).values
         for n in range(50):
-            shift = abs(small.rows[n].computed - big[n])
-            np.testing.assert_allclose(small.rows[n].abs_dev, shift, atol=1e-9)
+            shift = abs(small.rows[n]["computed"] - big[n])
+            np.testing.assert_allclose(small.rows[n]["abs_dev"], shift, atol=1e-9)
 
     def test_level_alignment_sanity_hermitian(self):
         # the Hermitian-limit H is the diagonal 1, 3, ..., 37 with the
         # truncation-edge entry N-1 = 19 last, so 19 is a double eigenvalue;
         # sorted-index alignment equals nearest-reference alignment below it
         report = isospectral_report(TransformParams(), BasisSpec(n_dim=20))
-        assert all(r.abs_dev <= 1e-6 for r in report.rows[: report.first_deviation_index])
-        values = np.array([r.computed.real for r in report.rows])
+        assert (report.rows["abs_dev"][: report.first_deviation_index] <= 1e-6).all()
+        values = report.rows["computed"].real
         exact = np.sort(np.append(2.0 * np.arange(19) + 1.0, 19.0))
         np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0.0)
-        assert np.all(np.array([r.computed.imag for r in report.rows]) == 0.0)
-        eps = np.array([r.epsilon for r in report.rows])
+        assert np.all(report.rows["computed"].imag == 0.0)
+        eps = report.rows["epsilon"]
         nearest = np.abs(values[:, None] - eps[None, :]).argmin(axis=1)
         interior = slice(0, 10)  # away from the shifted boundary tail
         np.testing.assert_array_equal(nearest[interior], np.arange(20)[interior])
@@ -246,9 +259,19 @@ class TestSweepTruncation:
         devs = []
         for n_dim in (50, 100, 200):
             report = isospectral_report(table1_params, BasisSpec(n_dim=n_dim, freq=4.0))
-            devs.append(max(r.abs_dev for r in report.rows[:6]))
+            devs.append(report.rows["abs_dev"][:6].max())
         assert devs[1] <= devs[0] + 1e-8
         assert devs[2] <= devs[1] + 1e-8
+
+    def test_axis_value_keeps_the_field_type(self, table1_params):
+        # n_dim is an int, freq a float: the value is the field's own, and sweep-n exports N = 20, not 20.0
+        by_n = sweep(table1_params, BasisSpec(n_dim=2, freq=4.0), Axis.TRUNCATION_SIZE, [np.int64(20), 10])
+        assert [p.axis_value for p in by_n.points] == [10, 20]
+        assert all(type(p.axis_value) is int for p in by_n.points)
+        by_w = sweep(table1_params, BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [4, 2.5])
+        assert all(type(p.axis_value) is float for p in by_w.points)
+        failed = sweep(TransformParams(l_coef=2.0), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [12])
+        assert type(failed.failures[0][0]) is int
 
     def test_minimal_truncation_runs(self):
         result = sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [2])
@@ -313,10 +336,46 @@ class TestExactPairCounts:
         assert classify_regime(params).regime is Regime.REAL_SPECTRUM
         w_v = variational_frequency(params).w_v
         freq = max(1, round(16 * w_v * 2 ** (sixteenths / 64 - 1))) / 16 if near_w_v else sixteenths / 16
-        report = isospectral_report(params, BasisSpec(n_dim=n_dim, freq=freq))
+        self.check_against_exact(l_coef, r_coef, a_coef, b_coef, freq, n_dim)
+
+    @pytest.mark.parametrize("couplings, freq, n_dim, first, first_unaligned", [
+        ((0.0, 0.0, 1.0, 3.0), 3.1875, 24, 11, 17),  # Hermitian; a truncation-edge root at 68.85
+        ((0.5, 0.0, 2.0, 5.0), 2.9375, 32, 16, 23),  # in the window (2, 3); an edge root at 311.4
+    ])
+    def test_recorded_draws(self, couplings, freq, n_dim, first, first_unaligned):
+        # a real root off the ladder sorts between two levels, so every level above it meets
+        # the value of the level below: the report deviates there, while each level still has
+        # exactly one root within ISO_TOL up to first_unaligned
+        report = self.check_against_exact(*couplings, freq, n_dim)
+        assert report.first_deviation_index == first
+        roots = oracles.exact_real_eigenvalues(*couplings, freq, n_dim)
+        counts = [oracles.exact_count_in(roots, *self.window(e)) for e in report.rows["epsilon"].tolist()]
+        assert next(n for n, c in enumerate(counts) if c != 1) == first_unaligned
+
+    def test_double_root_at_the_window_edge(self):
+        # at w = w+ = 4 (L = 1, A = 1, B = 3) the N = 10 spectrum is the ladder plus the edge
+        # value (N-1)|AB| = 27 = eps_4: level 4 holds a double root and is Iso, and the
+        # sorted values first miss the ladder at level 5
+        report = self.check_against_exact(1.0, 0.0, 1.0, 3.0, 4.0, 10)
+        roots = oracles.exact_real_eigenvalues(1.0, 0.0, 1.0, 3.0, 4.0, 10)
+        assert oracles.exact_count_in(roots, *self.window(27.0)) == 2
+        assert report.rows["iso"][4] and report.first_deviation_index == 5
+
+    @staticmethod
+    def window(epsilon: float) -> tuple[Fraction, Fraction]:
+        return Fraction(epsilon) - Fraction(ISO_TOL), Fraction(epsilon) + Fraction(ISO_TOL)
+
+    def check_against_exact(self, l_coef, r_coef, a_coef, b_coef, freq, n_dim):
+        """The pair count, each Iso level and the first deviation against the exact oracles; returns the report."""
+        report = isospectral_report(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim=n_dim, freq=freq))
         roots = oracles.exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim)
         assert report.n_complex_pairs == (n_dim - len(roots)) // 2
-        for row in report.rows:
-            if row.remark is Remark.ISO:
-                lo, hi = Fraction(row.epsilon) - Fraction(ISO_TOL), Fraction(row.epsilon) + Fraction(ISO_TOL)
-                assert oracles.exact_count_in(roots, lo, hi) == 1, row
+        # at a window edge the edge value (N-1)|AB| doubles level (N-2)/2 of an even N
+        edge = Fraction(freq) in oracles.exact_reality_window(l_coef, r_coef, a_coef, b_coef)
+        doubled = (n_dim - 2) // 2 if edge and n_dim % 2 == 0 else None
+        for n in np.flatnonzero(report.rows["iso"]):
+            expected = 2 if n == doubled else 1
+            assert oracles.exact_count_in(roots, *self.window(report.rows["epsilon"][n])) == expected, report.rows[n]
+        exact_first = oracles.exact_first_deviation(l_coef, r_coef, a_coef, b_coef, freq, n_dim, ISO_TOL)
+        assert report.first_deviation_index == exact_first
+        return report

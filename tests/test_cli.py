@@ -354,6 +354,18 @@ class TestRealityWindowFields:
             "N,n_real,n_complex_pairs,first_deviation_index,max_abs_dev_below_first_deviation"
         )
 
+    def test_sweep_n_writes_integer_n(self):
+        # N is the basis size, an int in every format; the config echo already showed [20, 40]
+        argv = ["sweep-n", "--L", "3", "--B", "5", "--w", "auto", "--values", "20,40", "--N", "40"]
+        doc = json.loads(run(parse_config([*argv, "--format", "json"])))
+        assert doc["config"]["values"] == [20, 40]
+        assert [p["N"] for p in doc["points"]] == [20, 40] and all(type(p["N"]) is int for p in doc["points"])
+        header, *rows = csv.reader(io.StringIO(run(parse_config([*argv, "--format", "csv"]))))
+        assert [r[0] for r in rows] == ["20", "40"]
+        assert [ln.split(" | ")[0] for ln in run(parse_config(argv)).splitlines()[1:]] == ["20", "40"]
+        failed = json.loads(run(parse_config(["sweep-n", "--L", "2", "--values", "12", "--format", "json"])))
+        assert failed["points"] == [] and failed["failures"][0]["N"] == 12 and type(failed["failures"][0]["N"]) is int
+
 
 class TestExportFormats:
     def test_csv_row_count(self, tmp_path):

@@ -272,6 +272,20 @@ class TestDiagonalExpectation:
         for level in (0, 5, 6):
             assert diagonal_expectation(spec, level, np.float64(4.1)).hex() == diagonal_expectation(spec, level, 4.1).hex()
 
+    def test_float32_couplings_are_python_floats(self):
+        # NumPy 2 keeps np.float32 * float in float32: TransformParams stores Python floats, so an
+        # np.float32 L or R gives the bits of its float value, and Python floats keep their own bits
+        as_f32 = TransformParams(l_coef=np.float32(3.0), r_coef=np.float32(0.1), a_coef=1.0, b_coef=5.0)
+        as_float = TransformParams(l_coef=float(np.float32(3.0)), r_coef=float(np.float32(0.1)), a_coef=1.0, b_coef=5.0)
+        assert all(type(v) is float for v in (as_f32.l_coef, as_f32.r_coef, as_f32.a_coef, as_f32.b_coef))
+        basis = BasisSpec(n_dim=10)
+        f32, f64 = HamiltonianSpec(params=as_f32, basis=basis), HamiltonianSpec(params=as_float, basis=basis)
+        assert diagonal_expectation(f32, 3, 4.1).hex() == diagonal_expectation(f64, 3, 4.1).hex()
+        assert diagonal_expectation(f32, 3, 4.1) == 18.785412611132838  # 18.785413974517244 in float32 bands
+        assert build_hamiltonian(f32).tobytes() == build_hamiltonian(f64).tobytes()
+        python = TransformParams(l_coef=3.0, r_coef=0.1, a_coef=1.0, b_coef=5.0)
+        assert (python.l_coef, python.r_coef) == (3.0, 0.1) and python.r_coef.hex() == (0.1).hex()
+
     def test_valid_call_builds_no_basis(self, table1_params, monkeypatch):
         # O(1) with no object on the way: the trial frequency is checked in place
         h = build_hamiltonian(HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7, freq=4.1)))
@@ -444,9 +458,9 @@ class TestAnalyticLevel:
 
     def test_table_values(self, table1_report):
         # the eps_n column of the Table-1 report
-        assert table1_report.rows[0].epsilon == 5.0
-        assert table1_report.rows[44].epsilon == 445.0
-        assert isospectral_report(TransformParams(), BasisSpec(n_dim=4)).rows[2].epsilon == 5.0
+        assert table1_report.rows[0]["epsilon"] == 5.0
+        assert table1_report.rows[44]["epsilon"] == 445.0
+        assert isospectral_report(TransformParams(), BasisSpec(n_dim=4)).rows[2]["epsilon"] == 5.0
 
     def test_validated_against_hermitian_equivalent(self):
         # reference formula vs diagonalizing the similarity-equivalent matrix
