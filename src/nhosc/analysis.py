@@ -1,11 +1,10 @@
 """Isospectrality reports against the analytic reference, duality checks
-and parameter sweeps over basis frequency and truncation size."""
+and sweeps of the report over a list of bases."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +14,6 @@ from .model import HamiltonianSpec, Regime, build_hamiltonian, classify_regime
 
 __all__ = [
     "IsospectralReport",
-    "Axis",
-    "SweepPoint",
     "SweepResult",
     "isospectral_report",
     "duality_check",
@@ -53,27 +50,13 @@ class IsospectralReport:
     n_complex_pairs: int
 
 
-class Axis(Enum):
-    """Swept field of BasisSpec; the value is the field name."""
-
-    BASIS_FREQUENCY = "freq"
-    TRUNCATION_SIZE = "n_dim"
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    axis_value: float  # an int for Axis.TRUNCATION_SIZE
-    n_real: int
-    n_complex_pairs: int
-    first_deviation_index: int | None
-    max_abs_dev_below_first_deviation: float
-
-
 @dataclass(frozen=True)
 class SweepResult:
-    axis: Axis
-    points: list[SweepPoint]
-    failures: list[tuple[float, str]]
+    """The report of each basis that solved, in the order given, and
+    (basis, message) for each that did not."""
+
+    points: list[tuple[BasisSpec, IsospectralReport]]
+    failures: list[tuple[BasisSpec, str]]
 
 
 def isospectral_report(params: TransformParams, basis: BasisSpec) -> IsospectralReport:
@@ -127,35 +110,18 @@ def duality_check(params: TransformParams, basis: BasisSpec) -> float:
     return float(np.abs(eigenvalues(h_a).values - eigenvalues(h_b).values).max())
 
 
-def _summary_point(report: IsospectralReport, axis_value: float) -> SweepPoint:
-    cutoff = report.first_deviation_index
-    return SweepPoint(
-        axis_value=axis_value,
-        n_real=report.n_real,
-        n_complex_pairs=report.n_complex_pairs,
-        first_deviation_index=cutoff,
-        max_abs_dev_below_first_deviation=float(report.rows["abs_dev"][:cutoff].max(initial=0.0)),
-    )
+def sweep(params: TransformParams, bases: Sequence[BasisSpec]) -> SweepResult:
+    """One isospectral report per basis, in the order given.
 
-
-def sweep(params: TransformParams, basis: BasisSpec, axis: Axis, values: Sequence[float]) -> SweepResult:
-    """One isospectral summary per axis value, in ascending order.
-
-    Each point is `basis` with its `axis` field set to the value.  Every
-    point's BasisSpec is built before the first solve, so an invalid value
-    raises ValueError up front; a point whose solve fails is recorded in
-    `failures` and the sweep goes on.  Each axis value has its field's type:
-    int for n_dim, float for freq.
+    A basis whose report fails (EigensolverError, or ValueError as in the
+    broken regime) is recorded in `failures` with its message, and the
+    sweep goes on.
     """
-    kind = int if axis is Axis.TRUNCATION_SIZE else float
-    grid = [replace(basis, **{axis.value: v}) for v in sorted(values)]
-    points: list[SweepPoint] = []
-    failures: list[tuple[float, str]] = []
-    for point_basis in grid:
-        value = kind(getattr(point_basis, axis.value))
+    points: list[tuple[BasisSpec, IsospectralReport]] = []
+    failures: list[tuple[BasisSpec, str]] = []
+    for basis in bases:
         try:
-            report = isospectral_report(params, point_basis)
-            points.append(_summary_point(report, value))
+            points.append((basis, isospectral_report(params, basis)))
         except (EigensolverError, ValueError) as exc:
-            failures.append((value, str(exc)))
-    return SweepResult(axis=axis, points=points, failures=failures)
+            failures.append((basis, str(exc)))
+    return SweepResult(points=points, failures=failures)

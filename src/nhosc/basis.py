@@ -40,6 +40,9 @@ class BasisSpec:
         if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim < 2:
             raise ValueError(f"n_dim must be an integer >= 2, got {self.n_dim!r}")
         _check_freq(self.freq)
+        # Python types, as TransformParams stores its couplings: no np.int64 N, no float32 1/freq
+        object.__setattr__(self, "n_dim", int(self.n_dim))
+        object.__setattr__(self, "freq", float(self.freq))
 
 
 def _check_freq(freq) -> None:

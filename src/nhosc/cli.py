@@ -12,10 +12,10 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
-from .analysis import Axis, dual_params, duality_check, isospectral_report, sweep
+from .analysis import dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
 from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
 from .model import (
@@ -414,30 +414,28 @@ def _build_duality(config: RunConfig) -> Report:
 
 def _build_sweep(config: RunConfig) -> Report:
     by_w = config.command is Command.SWEEP_W
-    axis = Axis.BASIS_FREQUENCY if by_w else Axis.TRUNCATION_SIZE
-    result = sweep(config.params, config.basis, axis, config.sweep_values)
-    fields = ["w" if by_w else "N", "n_real", "n_complex_pairs", "first_deviation_index",
-              "max_abs_dev_below_first_deviation"]
-    table = [dict(zip(fields, astuple(p))) for p in result.points]  # SweepPoint's field order
-    if by_w:
-        fields.append("in_real_window")
-        for row in table:
-            row["in_real_window"] = _window(config.params, row["w"])["in_real_window"]
+    field, key = ("freq", "w") if by_w else ("n_dim", "N")
+    result = sweep(config.params, [replace(config.basis, **{field: v}) for v in sorted(config.sweep_values)])
+    fields = [key, "n_real", "n_complex_pairs", "first_deviation_index", "max_abs_dev_below_first_deviation"]
+    table = []
+    for basis, r in result.points:
+        cutoff = r.first_deviation_index
+        max_dev = float(r.rows["abs_dev"][:cutoff].max(initial=0.0))
+        table.append(dict(zip(fields, (getattr(basis, field), r.n_real, r.n_complex_pairs, cutoff, max_dev))))
+        if by_w:
+            table[-1]["in_real_window"] = _window(config.params, basis.freq)["in_real_window"]
+    fields += ["in_real_window"] if by_w else []
+    failures = [{key: getattr(basis, field), "error": msg} for basis, msg in result.failures]
 
     def lines() -> list[str]:
         # text shortens max_abs_dev_below_first_deviation to max_abs_dev_below
         out = [" | ".join(f.removesuffix("_first_deviation") for f in fields)]
-        for axis_value, n_real, n_pairs, first_dev, max_dev, *window in map(dict.values, table):
-            cells = [_fmt_param(axis_value), n_real, n_pairs, _dash(first_dev), f"{max_dev:.3e}", *window]
+        for value, n_real, n_pairs, first_dev, max_dev, *window in map(dict.values, table):
+            cells = [_fmt_param(value), n_real, n_pairs, _dash(first_dev), f"{max_dev:.3e}", *window]
             out.append(" | ".join(map(str, cells)))
-        return out + [f"{_fmt_param(v)} | failed: {msg}" for v, msg in result.failures]
+        return out + [f"{_fmt_param(f[key])} | failed: {f['error']}" for f in failures]
 
-    doc = {
-        "config": _config_echo(config),
-        "points": table,
-        "failures": [{fields[0]: v, "error": msg} for v, msg in result.failures],
-    }
-    return Report(doc, table, lines, fields)
+    return Report({"config": _config_echo(config), "points": table, "failures": failures}, table, lines, fields)
 
 
 _BUILDERS = {

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ import nhosc.analysis
 import oracles
 
 from nhosc import (
-    Axis,
     BasisSpec,
     HamiltonianSpec,
     Regime,
@@ -167,6 +167,12 @@ class TestDuality:
         params = TransformParams(l_coef=0.5, r_coef=0.5, a_coef=1.5, b_coef=1.5)
         assert duality_check(params, BasisSpec(n_dim=12)) == 0.0
 
+    def test_float32_frequency_has_a_float64_dual(self, table1_params):
+        # BasisSpec stores freq as a Python float: a float32 1/w for the dual
+        # basis would read a distance of 2.0e-6 here, not 6.5e-13
+        basis = BasisSpec(n_dim=20, freq=np.float32(3.0))
+        assert duality_check(table1_params, basis) == duality_check(table1_params, BasisSpec(n_dim=20, freq=3.0))
+
     def test_dual_params_swap(self, table1_params):
         d = dual_params(table1_params)
         assert (d.l_coef, d.r_coef, d.a_coef, d.b_coef) == (0.0, 3.0, 5.0, 1.0)
@@ -197,34 +203,60 @@ class TestDuality:
         np.testing.assert_allclose(candidate, h_dual, atol=1e-12)
 
 
+def grid(basis, field, values):
+    """basis with its field set to each value, as the sweep-w and sweep-n commands build it."""
+    return [replace(basis, **{field: v}) for v in values]
+
+
+class TestSweepContract:
+    def test_each_point_is_the_report_at_its_basis(self, table1_params):
+        bases = grid(BasisSpec(n_dim=40), "freq", [8.0, 2.5, 4.0])
+        result = sweep(table1_params, bases)
+        assert [basis for basis, _ in result.points] == bases  # the given order, not sorted
+        for basis, report in result.points:
+            direct = isospectral_report(table1_params, basis)
+            assert np.array_equal(report.rows, direct.rows)
+            assert report.first_deviation_index == direct.first_deviation_index
+            assert (report.n_real, report.n_complex_pairs) == (direct.n_real, direct.n_complex_pairs)
+
+    def test_keeps_the_given_order_across_fields(self, table1_params):
+        bases = [BasisSpec(n_dim=30, freq=4.0), BasisSpec(n_dim=10, freq=2.5), BasisSpec(n_dim=20, freq=7.0)]
+        assert [basis for basis, _ in sweep(table1_params, bases).points] == bases
+
+    def test_failure_carries_its_basis(self, table1_params):
+        broken = TransformParams(l_coef=2.0)
+        bases = grid(BasisSpec(n_dim=12), "freq", [3.0, 1.0])
+        result = sweep(broken, bases)
+        assert not result.points
+        assert result.failures == [(basis, "isospectral report undefined in the broken regime") for basis in bases]
+
+
 class TestSweepFrequency:
     def test_table_params_around_variational_point(self, table1_params):
-        result = sweep(table1_params, BasisSpec(n_dim=60), Axis.BASIS_FREQUENCY, [2.0, 4.0, 8.0])
-        assert result.axis is Axis.BASIS_FREQUENCY
-        assert [p.axis_value for p in result.points] == [2.0, 4.0, 8.0]
+        result = sweep(table1_params, grid(BasisSpec(n_dim=60), "freq", [2.0, 4.0, 8.0]))
+        assert [basis.freq for basis, _ in result.points] == [2.0, 4.0, 8.0]
         assert not result.failures
-        by_w = {p.axis_value: p for p in result.points}
+        by_w = {basis.freq: report for basis, report in result.points}
         assert by_w[4.0].n_complex_pairs > 0
-        for p in result.points:
-            assert p.n_real + 2 * p.n_complex_pairs == 60
+        for _, report in result.points:
+            assert report.n_real + 2 * report.n_complex_pairs == 60
 
     def test_single_point_matches_report(self, table1_params):
         basis = BasisSpec(n_dim=40, freq=4.0)
         report = isospectral_report(table1_params, basis)
-        result = sweep(table1_params, BasisSpec(n_dim=40), Axis.BASIS_FREQUENCY, [4.0])
-        point = result.points[0]
+        result = sweep(table1_params, grid(BasisSpec(n_dim=40), "freq", [4.0]))
+        point_basis, point = result.points[0]
+        assert point_basis == basis
         assert point.n_complex_pairs == report.n_complex_pairs
         assert point.first_deviation_index == report.first_deviation_index
 
     def test_hermitian_limit_no_pairs(self):
-        result = sweep(
-            TransformParams(), BasisSpec(n_dim=30), Axis.BASIS_FREQUENCY, [0.5, 1.0, 2.0]
-        )
-        assert all(p.n_complex_pairs == 0 for p in result.points)
+        result = sweep(TransformParams(), grid(BasisSpec(n_dim=30), "freq", [0.5, 1.0, 2.0]))
+        assert all(report.n_complex_pairs == 0 for _, report in result.points)
 
     def test_rejects_nonpositive_frequency(self, table1_params):
         with pytest.raises(ValueError):
-            sweep(table1_params, BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [1.0, -2.0])
+            sweep(table1_params, grid(BasisSpec(n_dim=10), "freq", [1.0, -2.0]))
 
     def test_rejects_bad_value_before_any_solve(self, table1_params, monkeypatch):
         def no_solve(*args):
@@ -232,26 +264,21 @@ class TestSweepFrequency:
 
         monkeypatch.setattr(nhosc.analysis, "isospectral_report", no_solve)
         with pytest.raises(ValueError, match="freq"):
-            sweep(table1_params, BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [1.0, float("inf")])
+            sweep(table1_params, grid(BasisSpec(n_dim=10), "freq", [1.0, float("inf")]))
 
     def test_broken_regime_recorded_as_failure(self):
-        result = sweep(
-            TransformParams(l_coef=2.0), BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [1.0]
-        )
+        result = sweep(TransformParams(l_coef=2.0), grid(BasisSpec(n_dim=10), "freq", [1.0]))
         assert not result.points
         assert len(result.failures) == 1
-        assert result.failures[0][0] == 1.0
+        assert result.failures[0][0].freq == 1.0
 
 
 class TestSweepTruncation:
     def test_low_levels_iso_at_every_size(self, table1_params):
-        result = sweep(
-            table1_params, BasisSpec(n_dim=2, freq=4.0), Axis.TRUNCATION_SIZE, [50, 100, 200]
-        )
-        assert result.axis is Axis.TRUNCATION_SIZE
+        result = sweep(table1_params, grid(BasisSpec(n_dim=2, freq=4.0), "n_dim", [50, 100, 200]))
         assert not result.failures
-        for p in result.points:
-            assert p.first_deviation_index is None or p.first_deviation_index > 5
+        for _, report in result.points:
+            assert report.first_deviation_index is None or report.first_deviation_index > 5
 
     def test_monotone_truncation_of_low_levels(self, table1_params):
         # converged levels stay converged as N doubles; the allowance
@@ -263,31 +290,24 @@ class TestSweepTruncation:
         assert devs[1] <= devs[0] + 1e-8
         assert devs[2] <= devs[1] + 1e-8
 
-    def test_axis_value_keeps_the_field_type(self, table1_params):
-        # n_dim is an int, freq a float: the value is the field's own, and sweep-n exports N = 20, not 20.0
-        by_n = sweep(table1_params, BasisSpec(n_dim=2, freq=4.0), Axis.TRUNCATION_SIZE, [np.int64(20), 10])
-        assert [p.axis_value for p in by_n.points] == [10, 20]
-        assert all(type(p.axis_value) is int for p in by_n.points)
-        by_w = sweep(table1_params, BasisSpec(n_dim=10), Axis.BASIS_FREQUENCY, [4, 2.5])
-        assert all(type(p.axis_value) is float for p in by_w.points)
-        failed = sweep(TransformParams(l_coef=2.0), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [12])
-        assert type(failed.failures[0][0]) is int
-
     def test_minimal_truncation_runs(self):
-        result = sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [2])
+        result = sweep(TransformParams(), grid(BasisSpec(n_dim=2), "n_dim", [2]))
         assert len(result.points) == 1
-        assert result.points[0].n_real + 2 * result.points[0].n_complex_pairs == 2
+        report = result.points[0][1]
+        assert report.n_real + 2 * report.n_complex_pairs == 2
 
     def test_hermitian_first_deviation_grows(self):
-        result = sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [50, 100])
-        assert all(p.max_abs_dev_below_first_deviation <= 1e-6 for p in result.points)
-        first = [p.first_deviation_index for p in result.points]
+        result = sweep(TransformParams(), grid(BasisSpec(n_dim=2), "n_dim", [50, 100]))
+        for _, report in result.points:
+            cutoff = report.first_deviation_index
+            assert report.rows["abs_dev"][:cutoff].max(initial=0.0) <= 1e-6
+        first = [report.first_deviation_index for _, report in result.points]
         assert first[0] is not None and first[1] is not None
         assert first[1] > first[0]
 
     def test_rejects_tiny_sizes(self):
         with pytest.raises(ValueError):
-            sweep(TransformParams(), BasisSpec(n_dim=2), Axis.TRUNCATION_SIZE, [1, 10])
+            sweep(TransformParams(), grid(BasisSpec(n_dim=2), "n_dim", [1, 10]))
 
 
 class TestExactPairCounts:

@@ -273,3 +273,12 @@ class TestSpecValidation:
             BasisSpec(n_dim=10, freq=0.0)
         with pytest.raises(TypeError):  # hbar = m = 1: the basis frequency alone fixes x and p
             BasisSpec(n_dim=4, scale=2.0)
+
+    def test_fields_are_stored_as_python_types(self):
+        # as TransformParams' couplings: n_dim an int and freq a float, so a sweep
+        # over np.int64 sizes exports N = 20, not 20.0 or a numpy scalar
+        basis = BasisSpec(n_dim=np.int64(20), freq=np.float32(4.0))
+        assert type(basis.n_dim) is int and basis.n_dim == 20
+        assert type(basis.freq) is float and basis.freq == 4.0
+        assert type(BasisSpec(n_dim=10, freq=4).freq) is float
+        assert repr(BasisSpec(n_dim=np.int64(10), freq=4)) == "BasisSpec(n_dim=10, freq=4.0)"

@@ -348,6 +348,13 @@ class TestRealityWindowFields:
         assert lines[0].endswith(" | max_abs_dev_below | in_real_window")
         assert [ln.rsplit(" | ", 1)[1] for ln in lines[1:]] == [str(v) for v in expected]
 
+    def test_sweep_points_come_sorted(self):
+        # the command sorts its values; analysis.sweep keeps the order it is given
+        argv = ["sweep-w", "--L", "3", "--B", "5", "--values", "8,2,4,2", "--N", "20", "--format", "json"]
+        assert [p["w"] for p in json.loads(run(parse_config(argv)))["points"]] == [2.0, 2.0, 4.0, 8.0]
+        argv = ["sweep-n", "--L", "3", "--B", "5", "--w", "4", "--values", "20,10", "--format", "json"]
+        assert [p["N"] for p in json.loads(run(parse_config(argv)))["points"]] == [10, 20]
+
     def test_sweep_n_has_no_window_column(self):
         argv = ["sweep-n", "--L", "3", "--B", "5", "--w", "4", "--values", "12,8", "--format", "csv"]
         assert run(parse_config(argv)).splitlines()[0] == (

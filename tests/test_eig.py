@@ -419,6 +419,51 @@ class TestRealWindow:
         np.testing.assert_allclose(out.complex_pairs, exact, rtol=0.0, atol=1e-8)
 
 
+class TestKreinStructure:
+    """Table-1 parameters (L=3, B=5, |AB| = 5; reality window (2, 8)).  Inside
+    the window every parity block J of H has u l < 0 and satisfies
+    J^T = S J S, S = diag((-1)^k): J is self-adjoint in the indefinite inner
+    product [x, y] = y^T S x, and a real eigenvalue carries the Krein signature
+    sign(x^T S x) of its right vector x.  Two real eigenvalues can leave the
+    real axis as a pair only where eigenvalues of opposite signature meet."""
+
+    TABLE_ONE = [(n, w) for n in (40, 41, 60) for w in (2.1, 2.5, 4.0, 6.0, 7.9)]
+
+    @staticmethod
+    def blocks(params, n_dim, freq):
+        h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=freq)))
+        return _blocks(np.diagonal(h), np.diagonal(h, 2), np.diagonal(h, -2))
+
+    # 1.9, 8.1 and 16 lie in the real window, where every block is symmetric
+    @pytest.mark.parametrize("n_dim, freq", [*TABLE_ONE, (40, 1.9), (41, 8.1), (60, 16.0)])
+    def test_blocks_are_s_self_adjoint_or_symmetric(self, table1_params, n_dim, freq):
+        inside = 2.0 < freq < 8.0
+        for block in self.blocks(table1_params, n_dim, freq):
+            ul = np.diagonal(block, 1) * np.diagonal(block, -1)
+            assert (ul < 0.0).all() if inside else (ul > 0.0).all()
+            if inside:
+                s = (-1.0) ** np.arange(len(block))
+                assert np.array_equal(block.T, s[:, None] * block * s[None, :])
+            else:
+                assert np.array_equal(block, block.T)
+
+    # measured: every block alternates up to its first pair or the edge value;
+    # the only breaks sit above the edge (e.g. at 201.2 for N = 40, w = 2.1)
+    @pytest.mark.parametrize("n_dim, freq", TABLE_ONE)
+    def test_signature_alternates_below_first_pair_and_edge(self, table1_params, n_dim, freq):
+        edge = (n_dim - 1) * 5.0  # (N-1)|AB|, the edge level of the truncation
+        for block in self.blocks(table1_params, n_dim, freq):
+            s = (-1.0) ** np.arange(len(block))
+            vals, vecs = np.linalg.eig(block)
+            real = vals.imag == 0.0  # LAPACK returns a real eigenvalue with a real vector
+            cutoff = min(vals.real[~real].min(initial=np.inf), edge)
+            below = np.flatnonzero(real & (vals.real < cutoff))
+            x = vecs[:, below[np.argsort(vals.real[below])]].real
+            signature = np.sign(np.einsum("ij,i,ij->j", x, s, x))
+            assert len(signature) >= 6 and (signature != 0.0).all()
+            assert (signature[1:] == -signature[:-1]).all(), signature
+
+
 NON_FINITE = [
     "[[1.0, inf], [1.0, 1.0]]",
     "[[1e308, 1e308], [1e308, 1e308]]",
