@@ -17,12 +17,10 @@ from enum import Enum
 
 from .analysis import dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
-from .eig import EigensolverError, _frobenius_norm, classify, eigenvalues
+from .eig import EigensolverError, classify, eigenvalues
 from .model import (
     HamiltonianSpec,
-    _bands,
     _coefficient_squares,
-    build_hamiltonian,
     reality_window,
     variational_frequency,
 )
@@ -346,8 +344,7 @@ def _build_isospectral(config: RunConfig) -> Report:
 
 
 def _build_spectrum(config: RunConfig) -> Report:
-    h = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
-    spec = eigenvalues(h)
+    spec = eigenvalues(HamiltonianSpec(params=config.params, basis=config.basis).bands)
     classified = classify(spec)
     values = spec.values[: config.print_count].tolist()
     table = [{"level": n, "re": v.real, "im": v.imag} for n, v in enumerate(values)]
@@ -388,7 +385,7 @@ def _fmt_quadruple(params: TransformParams, freq: float) -> str:
 def _build_duality(config: RunConfig) -> Report:
     params, basis = config.params, config.basis
     distance = duality_check(params, basis)
-    h_norm = _frobenius_norm(*_bands(HamiltonianSpec(params=params, basis=basis)))
+    h_norm = HamiltonianSpec(params=params, basis=basis).bands.norm
     dual = dual_params(params)
 
     def lines() -> list[str]:

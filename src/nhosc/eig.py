@@ -1,11 +1,12 @@
-"""Dense real nonsymmetric eigenvalue solver.
+"""Real nonsymmetric eigenvalue solver.
 
-A matrix whose only nonzero bands are 0 and +-2 (the oscillator H couples
-level n only to n and n+-2) is solved as its even-index and odd-index
-tridiagonal blocks, each symmetrized by a diagonal similarity and handed
-over largest level first (_blocks): H's diagonal grows like 2k+1 with the
-level k, and LAPACK's QR converges faster on a block graded largest-first
-(2-3x on the Table-1 blocks at w_v, N = 200).
+A Bands record of a matrix's 0 and +-2 bands (the oscillator H couples level
+n only to n and n+-2; Bands.entries writes the dense array), or a matrix with
+only those bands, is solved as its even-index and odd-index tridiagonal
+blocks, each symmetrized by a diagonal similarity and handed over largest
+level first (_blocks): H's diagonal grows like 2k+1 with the level k, and
+LAPACK's QR converges faster on a block graded largest-first (2-3x on the
+Table-1 blocks at w_v, N = 200).
 Any other matrix is one block: diagonal balancing (Parlett-Reinsch, radix
 2) and Householder reduction to upper Hessenberg form in this module.
 LAPACK's QR stage (``np.linalg.eigvals``) solves each block.  The spectrum
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Bands",
     "EigensolverError",
     "ConvergenceError",
     "Spectrum",
@@ -88,6 +91,32 @@ def _frobenius_norm(*parts: np.ndarray) -> float:
     return scale * float(np.linalg.norm(a / scale))
 
 
+class Bands(NamedTuple):
+    """The diagonal, +2 (upper) and -2 (lower) bands of a real N x N matrix
+    whose other entries are zero, as float64 arrays of length N, N-2, N-2;
+    entries, norm and eigenvalues reject complex bands and other lengths."""
+
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The matrix as a read-only dense N x N array."""
+        diag, upper, lower = _as_real_bands(self)
+        h = np.zeros((diag.size, diag.size))
+        np.fill_diagonal(h, diag)
+        np.fill_diagonal(h[:, 2:], upper)
+        np.fill_diagonal(h[2:, :], lower)
+        h.setflags(write=False)
+        return h
+
+    @property
+    def norm(self) -> float:
+        """The matrix's Frobenius norm, taken from the three bands."""
+        return _frobenius_norm(*_as_real_bands(self))
+
+
 def _as_real_array(m) -> np.ndarray:
     """Real float64 view of a square array-like; rejects complex input."""
     a = np.asarray(m)
@@ -96,6 +125,17 @@ def _as_real_array(m) -> np.ndarray:
     if np.iscomplexobj(a):
         raise ValueError("complex matrices are not supported by this solver")
     return a.astype(np.float64, copy=False)
+
+
+def _as_real_bands(b: Bands) -> Bands:
+    """b with float64 bands; rejects complex bands and lengths other than N, N-2, N-2."""
+    if any(np.iscomplexobj(band) for band in b):
+        raise ValueError("complex matrices are not supported by this solver")
+    bands = Bands(*(np.asarray(band, dtype=np.float64) for band in b))
+    n, shapes = bands.diag.size, [band.shape for band in bands]
+    if shapes != [(n,), (max(n - 2, 0),), (max(n - 2, 0),)]:
+        raise ValueError(f"expected bands of lengths N, N-2 and N-2, got shapes {shapes}")
+    return bands
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing sums raise ValueError below
@@ -183,32 +223,36 @@ def _blocks(d: np.ndarray, u: np.ndarray, l: np.ndarray) -> list[np.ndarray]:
 
 
 def eigenvalues(m) -> Spectrum:
-    """All eigenvalues of a square real matrix, sorted by (Re, Im).
+    """All eigenvalues of a Bands record or a square real matrix, sorted by (Re, Im).
 
-    A matrix with only the 0 and +-2 bands is solved as two symmetrized
-    tridiagonal blocks (see _blocks), its norm taken from those bands; any
-    other matrix is one block, balanced and in Hessenberg form.  Raises
-    ValueError when N |m|_F is not finite, ConvergenceError when LAPACK's QR
-    does not converge, and EigensolverError when the sum of the eigenvalues
-    misses the trace by more than 1e-9 |m|_F.
+    A Bands record, or a matrix with only the 0 and +-2 bands, is solved as
+    two symmetrized tridiagonal blocks (see _blocks), its norm and trace taken
+    from the bands; any other matrix is one block, balanced and in Hessenberg
+    form.  Raises ValueError when N |m|_F is not finite, ConvergenceError when
+    LAPACK's QR does not converge, and EigensolverError when the sum of the
+    eigenvalues misses the trace by more than 1e-9 |m|_F.
     """
-    a = _as_real_array(m)
-    n = a.shape[0]
+    if isinstance(m, Bands):
+        bands, dense = _as_real_bands(m), None
+    else:
+        dense = _as_real_array(m)
+        bands = Bands(np.diagonal(dense), np.diagonal(dense, 2), np.diagonal(dense, -2))
+        if np.count_nonzero(dense) == sum(np.count_nonzero(band) for band in bands):
+            dense = None  # only the 0 and +-2 bands: solved from them
+    n = bands.diag.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    d, u, l = np.diagonal(a), np.diagonal(a, 2), np.diagonal(a, -2)
-    banded = np.count_nonzero(a) == np.count_nonzero(d) + np.count_nonzero(u) + np.count_nonzero(l)
     # the bands' norm: a norm of all N^2 entries wakes OpenBLAS's threads, which then spin
-    norm = _frobenius_norm(d, u, l) if banded else _frobenius_norm(a)
+    norm = bands.norm if dense is None else _frobenius_norm(dense)
     if not math.isfinite(n * norm):
         raise ValueError(f"N |m|_F = {n * norm} is not finite (an inf or nan entry, or overflow)")
-    blocks = _blocks(d, u, l) if banded else [hessenberg_reduce(balance(a)[0])]
+    blocks = _blocks(*bands) if dense is None else [hessenberg_reduce(balance(dense)[0])]
     try:
         vals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK QR failed: {exc}") from exc
     tol = 1e-9 * norm if norm > 0.0 else 1e-12
-    drift = abs(vals.sum() - d.sum())
+    drift = abs(vals.sum() - bands.diag.sum())
     if not drift <= tol:  # a NaN drift fails too
         raise EigensolverError(
             f"trace identity violated: |sum(eig) - trace| = {drift:.3e} > {tol:.3e}"

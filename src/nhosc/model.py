@@ -10,6 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import BasisSpec, TransformParams, _check_freq, _shear_bands
+from .eig import Bands
 from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py looks it up here)
 
 __all__ = [
@@ -33,6 +34,11 @@ class HamiltonianSpec:
 
     params: TransformParams
     basis: BasisSpec
+
+    @property
+    def bands(self) -> Bands:
+        """H's diagonal, +2 and -2 bands, its only nonzero ones, checked as build_hamiltonian checks them."""
+        return _bands(self)
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,9 @@ def _checked_bands(params: TransformParams, n_dim: int, freq: float) -> tuple[tu
     Raises ValueError as _coefficient_squares does (the term of H would vanish or lose digits before
     it meets the basis factors), when N |H|_F overflows float64, and when A or B is nonzero (so H is
     not zero) but every entry underflows to zero or to a subnormal; only these errors build a BasisSpec.
-    Limit: B^2 (s_z x) and A^2 (s_y x) meet C last, so either overflowing rejects H though N |H|_F is finite.
+    The entries meet C last.  Where that order overflows (B^2 (s_z x) or A^2 (s_y x) overflows though C < 1
+    would bring the entry back), C is folded into the squares once, coefs (1.0, C A^2, C B^2), if both stay
+    normal or zero as _coefficient_squares asks; H is rejected when N |H|_F overflows in that order too.
     """
     n = int(n_dim)  # Python ints and floats: no wrapping sums, no numpy overflow warnings
     (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
@@ -116,31 +124,35 @@ def _checked_bands(params: TransformParams, n_dim: int, freq: float) -> tuple[tu
     # rejects a matrix whose N |H|_F is not finite: it bounds the trace and eigenvalue sums of the solve
     sum_lev2, pair_rms = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1), math.sqrt(n / 3)
     bound = math.hypot(diag_end * (math.sqrt(sum_lev2) / (2 * n - 3)), up_end * pair_rms, low_end * pair_rms) * n
-    if not math.isfinite(bound):
-        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {BasisSpec(n_dim, freq)}")
+    if not math.isfinite(bound):  # a term overflowed before C < 1 could scale it back: fold C into A^2, B^2
+        folded, x = (1.0, c * a2, c * b2), math.sqrt((n - 2.0) * (n - 1.0))  # _entries' 1.0 is exact
+        ends = [abs(_entries(folded, band, lev)) if lev else 0.0  # a 0 ladder end: no +-2 bands (N = 2)
+                for band, lev in (((d_z, d_y), 2.0 * (n - 2) + 1.0), ((p_z, p_y), x), ((q_z, q_y), x))]
+        normal = all(abs(s) >= _TINY or not s for s in folded[1:])
+        lev_rms = math.sqrt(sum_lev2) / (2 * n - 3)
+        if not (normal and math.isfinite(math.hypot(ends[0] * lev_rms, ends[1] * pair_rms, ends[2] * pair_rms) * n)):
+            raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {BasisSpec(n_dim, freq)}")
+        (c, a2, b2), (diag_end, up_end, low_end) = folded, ends
     if diag_end < _TINY and up_end < _TINY and low_end < _TINY and (params.a_coef or params.b_coef):
         raise ValueError(f"H underflows float64 (no entry reaches {_TINY:.3e}) for {params}, {BasisSpec(n_dim, freq)}")
     return (c, a2, b2), (d_z, d_y), (p_z, p_y), (q_z, q_y)
 
 
-def _bands(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal, +2 and -2 bands of H, its only nonzero ones (see _checked_bands)."""
+def _bands(spec: HamiltonianSpec) -> Bands:
+    """Diagonal, +2 and -2 bands of H, its only nonzero ones (see _checked_bands), read-only."""
     coefs, diag, upper, lower = _checked_bands(spec.params, spec.basis.n_dim, spec.basis.freq)
     n = spec.basis.n_dim
     levels = np.append(2.0 * np.arange(n - 1) + 1.0, n - 1)
     pairs = np.sqrt(np.arange(1.0, n - 1) * np.arange(2.0, n))
-    return _entries(coefs, diag, levels), _entries(coefs, upper, pairs), _entries(coefs, lower, pairs)
+    bands = Bands(_entries(coefs, diag, levels), _entries(coefs, upper, pairs), _entries(coefs, lower, pairs))
+    for band in bands:
+        band.setflags(write=False)
+    return bands
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """H = C[A^2 y^2 + B^2 z^2] as a read-only real float64 array, written from its bands."""
-    diag, upper, lower = _bands(spec)
-    h = np.zeros((spec.basis.n_dim, spec.basis.n_dim))
-    np.fill_diagonal(h, diag)
-    np.fill_diagonal(h[:, 2:], upper)
-    np.fill_diagonal(h[2:, :], lower)
-    h.setflags(write=False)
-    return h
+    return _bands(spec).entries
 
 
 def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -> float:

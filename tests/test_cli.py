@@ -722,6 +722,19 @@ def test_exports_format_no_text(command, fmt, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["table1", "table2", "spectrum", "duality", "sweep-w", "sweep-n"])
+def test_solves_write_no_dense_matrix(command, monkeypatch, capsys):
+    # every CLI solve hands H's band record to eigenvalues: no dense H is written or searched
+    def dense(*args):
+        pytest.fail(f"{command} wrote a dense H or searched one for its bands")
+
+    monkeypatch.setattr(nhosc.model, "build_hamiltonian", dense)
+    monkeypatch.setattr(nhosc.eig.Bands, "entries", property(dense))
+    monkeypatch.setattr(nhosc.eig, "_as_real_array", dense)
+    assert main([command, *_SMALL_RUNS[command].split()]) == 0
+    assert capsys.readouterr().out
+
+
 _SPECIAL = [0.0, -1.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), float("-inf")]
 _NUMBERS = st.one_of(st.floats(-20.0, 20.0), st.sampled_from(_SPECIAL))
 # sweep-n values are basis sizes: only small ones, or ones parse_config rejects

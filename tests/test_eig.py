@@ -10,6 +10,7 @@ import pytest
 import nhosc.eig
 import oracles
 from nhosc import (
+    Bands,
     BasisSpec,
     ConvergenceError,
     HamiltonianSpec,
@@ -221,6 +222,30 @@ class TestEigenvalues:
         )
         spec = eigenvalues(h)
         assert len(spec) == 20
+
+    @pytest.mark.parametrize(
+        "bands, message",
+        [
+            (Bands(np.ones(4), np.ones(1), np.ones(1)), "lengths N, N-2 and N-2"),
+            (Bands(np.ones(3), np.ones(3), np.ones(1)), "lengths N, N-2 and N-2"),
+            (Bands(np.ones((2, 2)), np.ones(0), np.ones(0)), "lengths N, N-2 and N-2"),
+            (Bands(np.array([1.0 + 1j, 2.0, 3.0]), np.ones(1), np.ones(1)), "complex"),
+        ],
+    )
+    def test_rejects_malformed_band_record(self, bands, message):
+        # a short band would otherwise repeat along its diagonal in entries
+        for use in (eigenvalues, lambda b: b.entries, lambda b: b.norm):
+            with pytest.raises(ValueError, match=message):
+                use(bands)
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 40, 41, 225])
+    @pytest.mark.parametrize("freq", [1.0, 2.0, 4.0, 7.9, 8.0, 9.0])
+    def test_band_record_solves_as_its_entries(self, table1_params, n_dim, freq):
+        # a Bands record goes to the blocks as it is; its dense entries have their bands found
+        bands = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=freq)).bands
+        from_bands, from_entries = eigenvalues(bands), eigenvalues(bands.entries)
+        assert from_bands.values.tobytes() == from_entries.values.tobytes()
+        assert from_bands.classify_tol == from_entries.classify_tol
 
     @pytest.mark.parametrize("seed", [9, 10])
     def test_parity_split_matches_full_solve(self, seed, monkeypatch):

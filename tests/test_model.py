@@ -170,20 +170,45 @@ class TestBuildHamiltonian:
                     with pytest.raises(ValueError, match=r"H overflows float64"):
                         build_hamiltonian(spec)
 
-    @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="FOUND in CHANGES.md: _checked_bands forms B^2 (s_z x) before the factor C")
-    def test_overflow_before_normalization_is_rejected(self):
-        # N = 2: C = 0.29 brings N |H|_F to (1 - 1e-9) of the float64 maximum, but
-        # the term B^2 (s_z x) that H's entry forms before C overflows, and the build raises
-        l_coef, r_coef, a_coef, b_coef, w, n_dim = -1.34, -1.82, -4.12, 8.65, 1.99, 2
-        norm = float(np.linalg.norm(oracles.hamiltonian(n_dim, w, l_coef, r_coef, a_coef, b_coef).real))
+    @pytest.mark.parametrize(
+        "l_coef, r_coef, a_coef, b_coef, w, n_dim",
+        [
+            (-1.34, -1.82, -4.12, 8.65, 1.99, 2),  # C = 0.29; B^2 z^2 overflows
+            (-1.42, -2.8, 2.49, 1.26, 1.28, 3),  # C = 0.20; A^2 y^2 overflows, +-2 bands present
+            (-3.7, 3.01, -1.51, -1.73, 2.01, 3),  # C = -0.099; B^2 z^2 overflows
+        ],
+    )
+    def test_overflow_before_normalization_is_accepted(self, l_coef, r_coef, a_coef, b_coef, w, n_dim):
+        # |C| < 1 brings N |H|_F to (1 - 1e-9) of the float64 maximum, but a term
+        # A^2 y^2 or B^2 z^2 that H's entries form before C overflows: the build
+        # folds C into A^2 and B^2 and accepts H
+        ref = oracles.hamiltonian(n_dim, w, l_coef, r_coef, a_coef, b_coef).real
+        norm = float(np.linalg.norm(ref))
         t = math.sqrt(1.0 - 1e-9) * math.sqrt(sys.float_info.max / (n_dim * norm))
-        z = oracles.sheared(n_dim, w, l_coef, r_coef)[1]
-        assert math.isinf((t * b_coef) ** 2 * float((z @ z)[0, 0].real))
+        y, z = oracles.sheared(n_dim, w, l_coef, r_coef)
+        terms = [(t * coef) ** 2 * float(np.abs((m @ m).real).max()) for coef, m in ((a_coef, y), (b_coef, z))]
+        assert math.isinf(max(terms))
         spec = HamiltonianSpec(
             params=TransformParams(l_coef, r_coef, t * a_coef, t * b_coef), basis=BasisSpec(n_dim=n_dim, freq=w)
         )
-        assert np.linalg.norm(build_hamiltonian(spec) / (t * t)) == pytest.approx(norm, rel=1e-12)
+        h = build_hamiltonian(spec) / (t * t)
+        assert np.linalg.norm(h) == pytest.approx(norm, rel=1e-12)
+        assert np.abs(h - ref).max() <= 1e-14 * norm
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 40])
+    @pytest.mark.parametrize("freq", [2.0, 4.0, 9.0])
+    def test_band_record_entries_are_the_dense_h(self, table1_params, n_dim, freq):
+        # Bands.entries, the one dense writer: each band in its place, zeros elsewhere, read-only
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=freq))
+        bands = spec.bands
+        assert [band.shape for band in bands] == [(n_dim,), (n_dim - 2,), (n_dim - 2,)]
+        h = np.zeros((n_dim, n_dim))
+        for k in range(n_dim):
+            h[k, k] = bands.diag[k]
+        for k in range(n_dim - 2):
+            h[k, k + 2], h[k + 2, k] = bands.upper[k], bands.lower[k]
+        assert bands.entries.tobytes() == h.tobytes() == build_hamiltonian(spec).tobytes()
+        assert not bands.entries.flags.writeable and not any(band.flags.writeable for band in bands)
 
     def test_norm_c_field(self):
         np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
