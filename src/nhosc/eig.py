@@ -243,7 +243,7 @@ def eigenvalues(m) -> Spectrum:
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
     # the bands' norm: a norm of all N^2 entries wakes OpenBLAS's threads, which then spin
-    norm = bands.norm if dense is None else _frobenius_norm(dense)
+    norm = _frobenius_norm(*bands) if dense is None else _frobenius_norm(dense)
     if not math.isfinite(n * norm):
         raise ValueError(f"N |m|_F = {n * norm} is not finite (an inf or nan entry, or overflow)")
     blocks = _blocks(*bands) if dense is None else [hessenberg_reduce(balance(dense)[0])]

@@ -80,7 +80,7 @@ def _coefficient_squares(params: TransformParams) -> tuple[float, float]:
     a2, b2 = a * a, b * b
     a_ok, b_ok = a2 < math.inf and (a2 >= _TINY or not a), b2 < math.inf and (b2 >= _TINY or not b)
     if a_ok and b_ok:
-        return float(a2), float(b2)
+        return a2, b2
     name, coef, square = ("B", b, b2) if a_ok else ("A", a, a2)
     raise ValueError(f"{name}^2 {'overflows' if square == math.inf else 'underflows'} float64 ({name} = {coef!r})")
 
@@ -103,39 +103,38 @@ def _checked_bands(params: TransformParams, n_dim: int, freq: float) -> tuple[tu
     (k+2, k), and zero +-1 bands.  Each band is thus a scalar times a fixed ladder, so its largest
     entry sits at the ladder's end, and |H|_F follows from the three band ends and the ladders'
     sums of squares, sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.
-    Raises ValueError as _coefficient_squares does (the term of H would vanish or lose digits before
-    it meets the basis factors), when N |H|_F overflows float64, and when A or B is nonzero (so H is
-    not zero) but every entry underflows to zero or to a subnormal; only these errors build a BasisSpec.
-    The entries meet C last.  Where that order overflows (B^2 (s_z x) or A^2 (s_y x) overflows though C < 1
-    would bring the entry back), C is folded into the squares once, coefs (1.0, C A^2, C B^2), if both stay
-    normal or zero as _coefficient_squares asks; H is rejected when N |H|_F overflows in that order too.
+    The entries meet C last, coefs (C, A^2, B^2).  Only where N |H|_F is then not finite (B^2 (s_z x) or
+    A^2 (s_y x) overflows though C < 1 would bring the entry back) and C A^2, C B^2 stay normal or zero,
+    as _coefficient_squares asks, are the ends and N |H|_F evaluated again, coefs (1.0, C A^2, C B^2).
+    Raises ValueError as _coefficient_squares does, when N |H|_F overflows in both orders, and when A or
+    B is nonzero but no entry is normal: H "cancels to zero" if a term C B^2 (s_z x) or C A^2 (s_y x) at
+    a band end is (float64 cannot tell that H from zero), else "underflows"; only these build a BasisSpec.
     """
-    n = int(n_dim)  # Python ints and floats: no wrapping sums, no numpy overflow warnings
-    (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
-    u_y, v_y, u_z, v_z = float(u_y), float(v_y), float(u_z), float(v_z)
-    (a2, b2), c = _coefficient_squares(params), float(params.norm_c)
-    d_z, d_y, x = u_z * v_z, u_y * v_y, 2.0 * (n - 2) + 1.0
-    diag_end = abs(c * (b2 * (d_z * x) - a2 * (d_y * x)))  # _entries' operations, inline
-    p_z, p_y, q_z, q_y, up_end, low_end = v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y, 0.0, 0.0
-    if n > 2:  # N = 2 has no +-2 bands (an inf scalar times the 0 ladder end is nan)
-        x = math.sqrt((n - 2.0) * (n - 1.0))
-        up_end, low_end = abs(c * (b2 * (p_z * x) - a2 * (p_y * x))), abs(c * (b2 * (q_z * x) - a2 * (q_y * x)))
-    # |band|_F = |end| sqrt(sum(x^2)) / end; hypot scales, so no square overflows.  eig.eigenvalues
-    # rejects a matrix whose N |H|_F is not finite: it bounds the trace and eigenvalue sums of the solve
-    sum_lev2, pair_rms = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1), math.sqrt(n / 3)
-    bound = math.hypot(diag_end * (math.sqrt(sum_lev2) / (2 * n - 3)), up_end * pair_rms, low_end * pair_rms) * n
-    if not math.isfinite(bound):  # a term overflowed before C < 1 could scale it back: fold C into A^2, B^2
-        folded, x = (1.0, c * a2, c * b2), math.sqrt((n - 2.0) * (n - 1.0))  # _entries' 1.0 is exact
-        ends = [abs(_entries(folded, band, lev)) if lev else 0.0  # a 0 ladder end: no +-2 bands (N = 2)
-                for band, lev in (((d_z, d_y), 2.0 * (n - 2) + 1.0), ((p_z, p_y), x), ((q_z, q_y), x))]
-        normal = all(abs(s) >= _TINY or not s for s in folded[1:])
-        lev_rms = math.sqrt(sum_lev2) / (2 * n - 3)
-        if not (normal and math.isfinite(math.hypot(ends[0] * lev_rms, ends[1] * pair_rms, ends[2] * pair_rms) * n)):
-            raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {BasisSpec(n_dim, freq)}")
-        (c, a2, b2), (diag_end, up_end, low_end) = folded, ends
+    n, ((u_y, v_y), (u_z, v_z)) = n_dim, _shear_bands(freq, params)
+    (a2, b2), c = _coefficient_squares(params), params.norm_c
+    d_z, d_y, p_z, p_y, q_z, q_y = u_z * v_z, u_y * v_y, v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y
+    lev, pair = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0))  # the ladder ends
+    # |band|_F = |end| sqrt(sum(x^2)) / end; hypot scales, so no square overflows.  A finite N |H|_F
+    # bounds the trace and eigenvalue sums of the solve: eig.eigenvalues rejects any other matrix
+    lev_rms = math.sqrt((n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)) / (2 * n - 3)
+    pair_rms, coefs, straight = math.sqrt(n / 3), (c, a2, b2), None
+    while True:  # _entries' operations, inline; N = 2 has no +-2 bands (an inf scalar times 0 is nan)
+        k, ka2, kb2 = coefs
+        diag_end = abs(k * (kb2 * (d_z * lev) - ka2 * (d_y * lev)))
+        up_end = abs(k * (kb2 * (p_z * pair) - ka2 * (p_y * pair))) if n > 2 else 0.0
+        low_end = abs(k * (kb2 * (q_z * pair) - ka2 * (q_y * pair))) if n > 2 else 0.0
+        bound = math.hypot(diag_end * lev_rms, up_end * pair_rms, low_end * pair_rms) * n
+        if math.isfinite(bound):
+            break
+        if straight is not None or not all(abs(s) >= _TINY or not s for s in (c * a2, c * b2)):
+            raise ValueError(f"H overflows float64 (N |H|_F = {straight or bound}) for {params}, {BasisSpec(n_dim, freq)}")
+        straight, coefs = bound, (1.0, c * a2, c * b2)  # C folded into A^2 and B^2; _entries' 1.0 is exact
     if diag_end < _TINY and up_end < _TINY and low_end < _TINY and (params.a_coef or params.b_coef):
-        raise ValueError(f"H underflows float64 (no entry reaches {_TINY:.3e}) for {params}, {BasisSpec(n_dim, freq)}")
-    return (c, a2, b2), (d_z, d_y), (p_z, p_y), (q_z, q_y)
+        cancels = any(abs(k * (kb2 * (s_z * x))) >= _TINY or abs(k * (ka2 * (s_y * x))) >= _TINY
+                      for s_z, s_y, x in ((d_z, d_y, lev), (p_z, p_y, pair), (q_z, q_y, pair)))
+        raise ValueError(f"H {'cancels to zero in' if cancels else 'underflows'} float64 (no entry reaches "
+                         f"{_TINY:.3e}) for {params}, {BasisSpec(n_dim, freq)}")
+    return coefs, (d_z, d_y), (p_z, p_y), (q_z, q_y)
 
 
 def _bands(spec: HamiltonianSpec) -> Bands:

@@ -602,6 +602,12 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert "underflows float64" in captured.err and captured.out == ""
 
+    def test_float64_cancellation_is_config_error(self, capsys):
+        # the normal terms C B^2 z^2 and C A^2 y^2 cancel exactly: every entry of H is 0 in float64
+        assert main("spectrum --L 1 --R 1 --A 1 --B 1 --w 4 --N 2".split()) == 2
+        captured = capsys.readouterr()
+        assert "H cancels to zero in float64" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +11,7 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 from nhosc import model
+from nhosc.eig import _frobenius_norm
 from nhosc import (
     BasisSpec,
     HamiltonianSpec,
@@ -63,6 +65,51 @@ def draw_real_spectrum_params(rng, l_max=0.6, ab_range=(0.7, 1.5)):
         if report.coef_cross**2 > 1.5 * report.coef_p2 * report.coef_x2:
             continue
         return params
+
+
+def extreme_grid():
+    """(params, w) with L, R, A, B in +-{0, 1e-160, 1e-100, 1, 1e100, 1e155}, w in {1e-150, 1, 1e150}."""
+    values = [0.0] + [s * m for m in (1e-160, 1e-100, 1.0, 1e100, 1e155) for s in (1.0, -1.0)]
+    for l_coef, r_coef, a_coef, b_coef, w in itertools.product(*[values] * 4, (1e-150, 1.0, 1e150)):
+        if 1.0 + l_coef * r_coef != 0.0:
+            yield TransformParams(l_coef, r_coef, a_coef, b_coef), w
+
+
+def check_overflow_threshold(n_dim, folded):
+    """H scales as t^2 when A and B scale by t: put N |H|_F just below and just above the
+    largest float64, from the norm of the oracle's dense H at t = 1.  A draw counts when A^2
+    and B^2 stay 2x below that limit at that scale, and so do the terms A^2 y^2, B^2 z^2 that
+    H's entries subtract before the factor C; if folded, the larger term instead overflows
+    2x over, which |L|, |R| in [1e2, 1e4] (so |C| < 1e-4) allow."""
+    rng = np.random.default_rng(40 + n_dim + 1000 * folded)
+    draws = 0
+    while draws < 20:
+        if folded:
+            l_coef, r_coef = rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(2.0, 4.0, size=2)
+        else:
+            l_coef, r_coef = rng.uniform(-2.0, 2.0, size=2)
+        a_coef, b_coef = rng.uniform(0.2, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+        w = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+        if abs(1.0 + l_coef * r_coef) < 0.3:
+            continue
+        y, z = oracles.sheared(n_dim, w, l_coef, r_coef)
+        terms = [coef**2 * (m @ m).real for coef, m in ((a_coef, y), (b_coef, z))]
+        norm = float(np.linalg.norm(terms[0] + terms[1])) / abs(1.0 + l_coef * r_coef)
+        term, limit = max(np.abs(part).max() for part in terms), n_dim * norm  # limit: max float64 at scale
+        if limit < 2.0 * max(a_coef**2, b_coef**2) or (term < 2.0 * limit if folded else limit < 2.0 * term):
+            continue
+        draws += 1
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            t = math.sqrt(factor) * math.sqrt(sys.float_info.max / (n_dim * norm))
+            spec = HamiltonianSpec(
+                params=TransformParams(l_coef, r_coef, t * a_coef, t * b_coef),
+                basis=BasisSpec(n_dim=n_dim, freq=w),
+            )
+            if factor < 1.0:
+                assert np.linalg.norm(build_hamiltonian(spec) / (t * t)) == pytest.approx(norm, rel=1e-12)
+            else:
+                with pytest.raises(ValueError, match=r"H overflows float64"):
+                    build_hamiltonian(spec)
 
 
 class TestBuildHamiltonian:
@@ -140,35 +187,13 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("n_dim", [2, 3, 50, 400])
     def test_overflow_threshold_is_n_times_frobenius_norm(self, n_dim):
-        # H scales as t^2 when A and B scale by t: put N |H|_F just below and just
-        # above the largest float64, from the norm of the oracle's dense H at t = 1.
-        # A draw counts when every other float64 limit stays 2x away at that scale:
-        # A^2, B^2 and the terms A^2 y^2, B^2 z^2 that H's entries subtract before the factor C
-        rng = np.random.default_rng(40 + n_dim)
-        draws = 0
-        while draws < 20:
-            l_coef, r_coef = rng.uniform(-2.0, 2.0, size=2)
-            a_coef, b_coef = rng.uniform(0.2, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
-            w = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-            if abs(1.0 + l_coef * r_coef) < 0.3:
-                continue
-            y, z = oracles.sheared(n_dim, w, l_coef, r_coef)
-            terms = [coef**2 * (m @ m).real for coef, m in ((a_coef, y), (b_coef, z))]
-            norm = float(np.linalg.norm(terms[0] + terms[1])) / abs(1.0 + l_coef * r_coef)
-            if n_dim * norm < 2.0 * max(a_coef**2, b_coef**2, *(np.abs(term).max() for term in terms)):
-                continue
-            draws += 1
-            for factor in (1.0 - 1e-9, 1.0 + 1e-9):
-                t = math.sqrt(factor) * math.sqrt(sys.float_info.max / (n_dim * norm))
-                spec = HamiltonianSpec(
-                    params=TransformParams(l_coef, r_coef, t * a_coef, t * b_coef),
-                    basis=BasisSpec(n_dim=n_dim, freq=w),
-                )
-                if factor < 1.0:
-                    assert np.linalg.norm(build_hamiltonian(spec) / (t * t)) == pytest.approx(norm, rel=1e-12)
-                else:
-                    with pytest.raises(ValueError, match=r"H overflows float64"):
-                        build_hamiltonian(spec)
+        # with C last: every term A^2 y^2, B^2 z^2 stays 2x below the largest float64
+        check_overflow_threshold(n_dim, folded=False)
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 50, 400])
+    def test_folded_overflow_threshold_is_n_times_frobenius_norm(self, n_dim):
+        # with C folded into A^2 and B^2: a term overflows 2x over, |C| < 1e-4 brings H back
+        check_overflow_threshold(n_dim, folded=True)
 
     @pytest.mark.parametrize(
         "l_coef, r_coef, a_coef, b_coef, w, n_dim",
@@ -194,6 +219,54 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(spec) / (t * t)
         assert np.linalg.norm(h) == pytest.approx(norm, rel=1e-12)
         assert np.abs(h - ref).max() <= 1e-14 * norm
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 7])
+    def test_c_is_folded_only_where_the_straight_order_overflows(self, n_dim):
+        # over the extreme grid, an accepted H keeps the coefficients (C, A^2, B^2) bit for bit
+        # while N |H|_F of its entries in that order is finite, and takes (1.0, C A^2, C B^2) only
+        # where it is not; that norm here comes from every entry of the three bands
+        levels = np.append(2.0 * np.arange(n_dim - 1) + 1.0, n_dim - 1)
+        pairs = np.sqrt(np.arange(1.0, n_dim - 1) * np.arange(2.0, n_dim))
+        orders = set()
+        for params, w in extreme_grid():
+            try:
+                coefs, *bands = model._checked_bands(params, n_dim, w)
+            except ValueError:
+                continue
+            c, a2, b2 = params.norm_c, params.a_coef * params.a_coef, params.b_coef * params.b_coef
+            with np.errstate(over="ignore", invalid="ignore"):
+                straight = [model._entries((c, a2, b2), band, x) for band, x in zip(bands, (levels, pairs, pairs))]
+                finite = math.isfinite(n_dim * _frobenius_norm(*straight))
+            want = (c, a2, b2) if finite else (1.0, c * a2, c * b2)
+            assert [v.hex() for v in coefs] == [v.hex() for v in want], (params, w)
+            orders.add(finite)
+        assert orders == {True, False}
+
+    @pytest.mark.parametrize(
+        "l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max",
+        [
+            (1.0, 1.0, 1.0, 1.0, 4.0, 2, 0.0),  # H = -2 A^2 C (Px + xP): no diagonal, no +-2 bands at N = 2
+            (-1e100, -1.0, -1e100, -1e100, 1e150, 2, 5.0e149),  # L^2 alpha^2 = 5e49 is lost beside beta^2 = 5e149
+            (-1e100, -1.0, -1e100, -1e100, 1e150, 3, math.sqrt(2.0) * 1e200),
+        ],
+    )
+    def test_cancellation_to_zero_is_rejected(self, l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max):
+        # every entry of H is 0 in float64, as the terms C B^2 z^2 and C A^2 y^2 (both normal) cancel
+        # exactly; the true H, from the float inputs in 500 digits, is 0 in the first case and far
+        # from it in the others, which float64 cannot tell apart: the build rejects them all
+        spec = HamiltonianSpec(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim=n_dim, freq=w))
+        with pytest.raises(ValueError, match=r"^H cancels to zero in float64"):
+            build_hamiltonian(spec)
+        with mpmath.workdps(500):
+            l_coef, r_coef, a_coef, b_coef, w = map(mpmath.mpf, (l_coef, r_coef, a_coef, b_coef, w))
+            raise_op = mpmath.matrix(n_dim, n_dim)
+            for k in range(1, n_dim):
+                raise_op[k, k - 1] = mpmath.sqrt(k)
+            x = (raise_op + raise_op.T) / mpmath.sqrt(2 * w)  # p = iP, P = sqrt(w/2) (a^dagger - a)
+            big_p = (raise_op - raise_op.T) * mpmath.sqrt(w / 2)
+            y, z = big_p + l_coef * x, x - r_coef * big_p  # y = iY, z = Z
+            h = (b_coef**2 * z * z - a_coef**2 * y * y) / (1 + l_coef * r_coef)
+            assert float(max(abs(v) for v in h)) == pytest.approx(true_max, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n_dim", [2, 3, 40])
     @pytest.mark.parametrize("freq", [2.0, 4.0, 9.0])
@@ -258,14 +331,9 @@ class TestDiagonalExpectation:
         # over an extreme grid, a ValueError exactly when the build raises one,
         # with its message; N = 2 has no +-2 bands, N = 3 one entry in each.
         # At every N the grid reaches every kind the build has
-        mags = (1e-160, 1e-100, 1.0, 1e100, 1e155)
-        values = [s * m for m in mags for s in (1.0, -1.0)]
         levels = sorted({0, n_dim - 2, n_dim - 1})
         seen = set()
-        for l_coef, r_coef, a_coef, b_coef, w in itertools.product(*[values] * 4, (1e-150, 1.0, 1e150)):
-            if 1.0 + l_coef * r_coef == 0.0:
-                continue
-            params = TransformParams(l_coef, r_coef, a_coef, b_coef)
+        for params, w in extreme_grid():
             spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
             try:
                 h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=w)))
@@ -278,8 +346,9 @@ class TestDiagonalExpectation:
                 continue
             seen.add("built")
             assert [diagonal_expectation(spec, level, w) for level in levels] == list(h.diagonal()[levels])
-        assert seen == {"built", "H overflows float64", "H underflows float64", "A^2 overflows float64",
-                        "A^2 underflows float64", "B^2 overflows float64", "B^2 underflows float64"}
+        assert seen == {"built", "H overflows float64", "H underflows float64", "H cancels to zero in float64",
+                        "A^2 overflows float64", "A^2 underflows float64", "B^2 overflows float64",
+                        "B^2 underflows float64"}
 
     @pytest.mark.parametrize("w", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf, "4", None])
     def test_trial_freq_errors_are_the_basis_specs(self, table1_params, w):
