@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,20 @@ class HamiltonianSpec:
     def bands(self) -> Bands:
         """H's diagonal, +2 and -2 bands, its only nonzero ones, checked as build_hamiltonian checks them."""
         return _bands(self)
+
+    @cached_property
+    def _scalars(self) -> tuple[float, ...]:
+        """(C, A^2, B^2, lev, pair, lev_rms, pair_rms): the half of H's check that (params, N) fix,
+        made once per spec; _checked_bands makes the half that the basis frequency fixes.
+
+        A^2 and B^2 come from _coefficient_squares, whose ValueError is raised on every access (a
+        cached_property keeps no error).  lev and pair are the ends of the diagonal and +-2 ladders, and
+        lev_rms, pair_rms their rms, sqrt(sum(x^2)) / end, from the sums in _checked_bands' docstring.
+        """
+        n, (a2, b2) = self.basis.n_dim, _coefficient_squares(self.params)
+        lev, pair = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0))
+        lev_rms = math.sqrt((n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)) / (2 * n - 3)
+        return self.params.norm_c, a2, b2, lev, pair, lev_rms, math.sqrt(n / 3)
 
 
 @dataclass(frozen=True)
@@ -92,9 +107,10 @@ def _entries(coefs: tuple[float, float, float], band: tuple[float, float], x):
     return c * (b2 * (s_z * x) - a2 * (s_y * x))
 
 
-def _checked_bands(params: TransformParams, n_dim: int, freq: float) -> tuple[tuple, ...]:
+def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[tuple, ...]:
     """(C, A^2, B^2) and the (s_z, s_y) of H's diagonal, +2 and -2 bands at a basis frequency
     that passed basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.
+    The half that (params, N) fix is spec._scalars, made once per spec; this is the half that freq fixes.
 
     With y = iY, z = Z and the (below, above) coefficients (u, v) of the real tridiagonals Y, Z
     from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal tridiagonal with
@@ -110,14 +126,13 @@ def _checked_bands(params: TransformParams, n_dim: int, freq: float) -> tuple[tu
     B is nonzero but no entry is normal: H "cancels to zero" if a term C B^2 (s_z x) or C A^2 (s_y x) at
     a band end is (float64 cannot tell that H from zero), else "underflows"; only these build a BasisSpec.
     """
-    n, ((u_y, v_y), (u_z, v_z)) = n_dim, _shear_bands(freq, params)
-    (a2, b2), c = _coefficient_squares(params), params.norm_c
+    c, a2, b2, lev, pair, lev_rms, pair_rms = spec._scalars
+    n, params = spec.basis.n_dim, spec.params
+    (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
     d_z, d_y, p_z, p_y, q_z, q_y = u_z * v_z, u_y * v_y, v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y
-    lev, pair = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0))  # the ladder ends
-    # |band|_F = |end| sqrt(sum(x^2)) / end; hypot scales, so no square overflows.  A finite N |H|_F
+    # |band|_F = |end| times its ladder's rms; hypot scales, so no square overflows.  A finite N |H|_F
     # bounds the trace and eigenvalue sums of the solve: eig.eigenvalues rejects any other matrix
-    lev_rms = math.sqrt((n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)) / (2 * n - 3)
-    pair_rms, coefs, straight = math.sqrt(n / 3), (c, a2, b2), None
+    coefs, straight = (c, a2, b2), None
     while True:  # _entries' operations, inline; N = 2 has no +-2 bands (an inf scalar times 0 is nan)
         k, ka2, kb2 = coefs
         diag_end = abs(k * (kb2 * (d_z * lev) - ka2 * (d_y * lev)))
@@ -127,19 +142,19 @@ def _checked_bands(params: TransformParams, n_dim: int, freq: float) -> tuple[tu
         if math.isfinite(bound):
             break
         if straight is not None or not all(abs(s) >= _TINY or not s for s in (c * a2, c * b2)):
-            raise ValueError(f"H overflows float64 (N |H|_F = {straight or bound}) for {params}, {BasisSpec(n_dim, freq)}")
+            raise ValueError(f"H overflows float64 (N |H|_F = {straight or bound}) for {params}, {BasisSpec(n, freq)}")
         straight, coefs = bound, (1.0, c * a2, c * b2)  # C folded into A^2 and B^2; _entries' 1.0 is exact
     if diag_end < _TINY and up_end < _TINY and low_end < _TINY and (params.a_coef or params.b_coef):
         cancels = any(abs(k * (kb2 * (s_z * x))) >= _TINY or abs(k * (ka2 * (s_y * x))) >= _TINY
                       for s_z, s_y, x in ((d_z, d_y, lev), (p_z, p_y, pair), (q_z, q_y, pair)))
         raise ValueError(f"H {'cancels to zero in' if cancels else 'underflows'} float64 (no entry reaches "
-                         f"{_TINY:.3e}) for {params}, {BasisSpec(n_dim, freq)}")
+                         f"{_TINY:.3e}) for {params}, {BasisSpec(n, freq)}")
     return coefs, (d_z, d_y), (p_z, p_y), (q_z, q_y)
 
 
 def _bands(spec: HamiltonianSpec) -> Bands:
     """Diagonal, +2 and -2 bands of H, its only nonzero ones (see _checked_bands), read-only."""
-    coefs, diag, upper, lower = _checked_bands(spec.params, spec.basis.n_dim, spec.basis.freq)
+    coefs, diag, upper, lower = _checked_bands(spec, spec.basis.freq)
     n = spec.basis.n_dim
     levels = np.append(2.0 * np.arange(n - 1) + 1.0, n - 1)
     pairs = np.sqrt(np.arange(1.0, n - 1) * np.arange(2.0, n))
@@ -161,6 +176,8 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: the entry is bit-identical
     to build_hamiltonian(...)[level, level], and the errors are the build's (BasisSpec's freq check,
     then _checked_bands).  TypeError for a level that is no integer (or a bool), IndexError outside.
+    A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once;
+    each call pays only the half that trial_freq fixes.
     """
     if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
         raise TypeError(f"level must be an integer, got {level!r}")
@@ -168,8 +185,9 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     if not 0 <= level < n:
         raise IndexError(f"level {level} outside basis of dimension {n}")
     _check_freq(trial_freq)
-    coefs, diag, _, _ = _checked_bands(spec.params, n, trial_freq)
-    return float(_entries(coefs, diag, 2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1)))
+    (k, ka2, kb2), (s_z, s_y), _, _ = _checked_bands(spec, trial_freq)
+    x = 2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1)
+    return k * (kb2 * (s_z * x) - ka2 * (s_y * x))  # _entries' operations, inline
 
 
 def _quadratic_form(params: TransformParams) -> tuple[float, float, float]:

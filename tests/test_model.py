@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import itertools
 import math
 import sys
@@ -230,7 +232,7 @@ class TestBuildHamiltonian:
         orders = set()
         for params, w in extreme_grid():
             try:
-                coefs, *bands = model._checked_bands(params, n_dim, w)
+                coefs, *bands = model._checked_bands(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), w)
             except ValueError:
                 continue
             c, a2, b2 = params.norm_c, params.a_coef * params.a_coef, params.b_coef * params.b_coef
@@ -333,6 +335,7 @@ class TestDiagonalExpectation:
         # At every N the grid reaches every kind the build has
         levels = sorted({0, n_dim - 2, n_dim - 1})
         seen = set()
+        fresh = {}
         for params, w in extreme_grid():
             spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
             try:
@@ -343,12 +346,101 @@ class TestDiagonalExpectation:
                     with pytest.raises(ValueError) as raised:
                         diagonal_expectation(spec, level, w)
                     assert str(raised.value) == str(exc)
+                fresh[params, w] = str(exc)
                 continue
             seen.add("built")
-            assert [diagonal_expectation(spec, level, w) for level in levels] == list(h.diagonal()[levels])
+            fresh[params, w] = [diagonal_expectation(spec, level, w).hex() for level in levels]
+            assert fresh[params, w] == [v.hex() for v in h.diagonal()[levels]]
         assert seen == {"built", "H overflows float64", "H underflows float64", "H cancels to zero in float64",
                         "A^2 overflows float64", "A^2 underflows float64", "B^2 overflows float64",
                         "B^2 underflows float64"}
+        # second pass: one spec per params, its (params, N) half made once and kept over every w of
+        # the grid (the folded (1.0, C A^2, C B^2) order included), gives the fresh specs' bits and messages
+        specs = {}
+        for params, w in extreme_grid():
+            if params not in specs:
+                specs[params] = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
+            spec = specs[params]
+            try:
+                reused = [diagonal_expectation(spec, level, w).hex() for level in levels]
+            except ValueError as exc:
+                reused = str(exc)
+            assert reused == fresh[params, w], (params, w)
+
+    def test_errors_are_not_kept(self):
+        # A^2 overflows: the spec's (params, N) half raises anew on every call, with one message, and
+        # only after the level and trial frequency checks, as the build raises it from spec.bands
+        spec = HamiltonianSpec(params=TransformParams(a_coef=1e200), basis=BasisSpec(n_dim=7))
+        with pytest.raises(ValueError) as first:
+            diagonal_expectation(spec, 0, 1.0)
+        with pytest.raises(ValueError) as second:
+            diagonal_expectation(spec, 6, 4.0)
+        assert first.value is not second.value
+        assert str(first.value) == str(second.value) == "A^2 overflows float64 (A = 1e+200)"
+        with pytest.raises(TypeError, match="level must be an integer"):
+            diagonal_expectation(spec, 2.5, 1.0)
+        with pytest.raises(IndexError):
+            diagonal_expectation(spec, 7, 1.0)
+        with pytest.raises(ValueError) as basis_error:
+            BasisSpec(n_dim=7, freq=0.0)
+        with pytest.raises(ValueError) as bad_w:
+            diagonal_expectation(spec, 0, 0.0)
+        assert str(bad_w.value) == str(basis_error.value)
+        with pytest.raises(ValueError) as from_bands:
+            spec.bands
+        assert str(from_bands.value) == str(first.value)
+
+    def test_spec_identity_is_its_fields(self, table1_params):
+        # the kept (params, N) half is no field: equality, hash and repr stay the spec's own, and
+        # dataclasses.replace makes a spec that checks its own N's ladder ends.  At A = 1e151,
+        # B = 5e151 N |H|_F overflows at N = 400, not at N = 2, 3 or 40
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7))
+        before = hash(spec), repr(spec)
+        diagonal_expectation(spec, 0, 4.0)
+        twin = HamiltonianSpec(spec.params, spec.basis)
+        assert spec == twin and (hash(spec), repr(spec)) == (hash(twin), repr(twin)) == before
+        params = TransformParams(l_coef=3.0, a_coef=1e151, b_coef=5e151)
+        for n_dim, other in ((2, 400), (3, 400), (40, 400), (400, 3), (400, 40), (3, 40)):
+            spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=4.0))
+            with contextlib.suppress(ValueError):
+                diagonal_expectation(spec, 0, 4.0)
+            moved = dataclasses.replace(spec, basis=BasisSpec(n_dim=other, freq=4.0))
+            fresh = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=other, freq=4.0))
+            if other == 400:
+                with pytest.raises(ValueError, match=r"^H overflows float64") as expected:
+                    build_hamiltonian(fresh)
+                with pytest.raises(ValueError) as raised:
+                    build_hamiltonian(moved)
+                assert str(raised.value) == str(expected.value)
+            else:
+                assert build_hamiltonian(moved).tobytes() == build_hamiltonian(fresh).tobytes()
+
+    def test_search_checks_params_once(self, table1_params, monkeypatch):
+        # a 42-call golden-section search on one spec makes the (params, N) half once
+        squares, calls = model._coefficient_squares, []
+        monkeypatch.setattr(model, "_coefficient_squares", lambda params: calls.append(params) or squares(params))
+        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=100))
+        values = []
+
+        def f(w):
+            values.append(diagonal_expectation(spec, 3, w))
+            return values[-1]
+
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = 1.0, 16.0
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(40):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = f(d)
+        assert len(values) == 42 and calls == [table1_params]
+        assert (a + b) / 2.0 == pytest.approx(variational_frequency(table1_params).w_v, abs=1e-5)
 
     @pytest.mark.parametrize("w", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf, "4", None])
     def test_trial_freq_errors_are_the_basis_specs(self, table1_params, w):
