@@ -395,7 +395,7 @@ def _build_duality(config: RunConfig) -> Report:
         return [
             f"duality check at N={basis.n_dim}: "
             f"{_fmt_quadruple(params, basis.freq)} vs {_fmt_quadruple(dual, 1.0 / basis.freq)}",
-            f"max eigenvalue multiset distance: {distance:.6e}",
+            f"max band distance, dual vs transposed H: {distance:.6e}",
             f"hamiltonian norm: {h_norm:.6e} (distance/norm = {rel})",
         ]
 

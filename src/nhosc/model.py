@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
+_HUGE = float(np.finfo(np.float64).max)  # largest finite float64
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,14 @@ class HamiltonianSpec:
         A^2 and B^2 come from _coefficient_squares, whose ValueError is raised on every access (a
         cached_property keeps no error).  lev and pair are the ends of the diagonal and +-2 ladders, and
         lev_rms, pair_rms their rms, sqrt(sum(x^2)) / end, from the sums in _checked_bands' docstring.
+        ValueError naming N when sum(lev^2), the largest of these, is past float64 (N above about 5e102).
         """
         n, (a2, b2) = self.basis.n_dim, _coefficient_squares(self.params)
+        lev_squares = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)  # exact: a Python int
+        if lev_squares > _HUGE:  # a Python float: an exact comparison, no conversion of the int
+            raise ValueError(f"N = {n} is too large: the sum of H's squared diagonal ladder overflows float64")
         lev, pair = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0))
-        lev_rms = math.sqrt((n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)) / (2 * n - 3)
-        return self.params.norm_c, a2, b2, lev, pair, lev_rms, math.sqrt(n / 3)
+        return self.params.norm_c, a2, b2, lev, pair, math.sqrt(lev_squares) / (2 * n - 3), math.sqrt(n / 3)
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,21 @@ class TestDuality:
         basis = BasisSpec(n_dim=6, freq=4.0)
         assert duality_check(table1_params, basis) <= 1e-10
 
-    def test_self_dual_is_exact(self):
+    def test_self_dual_compares_h_with_its_own_transpose(self):
+        # the dual is H itself, so the distance is exactly H's own band asymmetry |upper + lower|:
+        # at w = 1, 1/sqrt(2) and sqrt(1/2) differ in the last bit, so it is rounding, not 0
         params = TransformParams(l_coef=0.5, r_coef=0.5, a_coef=1.5, b_coef=1.5)
-        assert duality_check(params, BasisSpec(n_dim=12)) == 0.0
+        assert dual_params(params) == params
+        h = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=12)).bands
+        asymmetry = np.abs(h.upper + h.lower).max()
+        assert duality_check(params, BasisSpec(n_dim=12)) == asymmetry
+        assert asymmetry <= 32 * np.finfo(float).eps * np.abs(h.upper).max()
+
+    @pytest.mark.parametrize("n_dim", [150, 400, 2000])
+    def test_table_one_band_distance_is_rounding(self, table1_params, n_dim):
+        # the bands hold the transpose identity to rounding at every N, where the spectra are noise
+        basis = BasisSpec(n_dim=n_dim, freq=4.0)
+        assert duality_check(table1_params, basis) <= 1e-15 * HamiltonianSpec(table1_params, basis).bands.norm
 
     def test_float32_frequency_has_a_float64_dual(self, table1_params):
         # BasisSpec stores freq as a Python float: a float32 1/w for the dual
@@ -186,8 +198,15 @@ class TestDuality:
                 / (params.a_coef**2 - params.r_coef**2 * params.b_coef**2)
             )
             basis = BasisSpec(n_dim=40, freq=w_v)
-            dist = duality_check(params, basis)
+            h = HamiltonianSpec(params=params, basis=basis).bands
+            dual_basis = BasisSpec(n_dim=40, freq=1.0 / basis.freq)
+            dual = HamiltonianSpec(params=dual_params(params), basis=dual_basis).bands
+            # LAPACK on H against its transpose dual: the spectra agree to the solver's noise
+            dist = np.abs(eigenvalues(h).values - eigenvalues(dual).values).max()
             assert dist <= 1e-6 * h_norm(params, basis)
+            # and the bands hold the transpose identity to the rounding of the two builds
+            max_entry = max(np.abs(band).max() for band in h)
+            assert duality_check(params, basis) <= 32 * np.finfo(float).eps * max_entry
 
     def test_transpose_similarity_mechanism(self, table1_params):
         # dual matrix equals D H^T D^-1 with D = diag(i^n): exact identity

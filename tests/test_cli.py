@@ -446,7 +446,7 @@ class TestExportFormats:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert main(argv) == 0  # text shows it
-        assert "max eigenvalue multiset distance: inf" in capsys.readouterr().out
+        assert "max band distance, dual vs transposed H: inf" in capsys.readouterr().out
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -639,7 +639,24 @@ class TestMainExitCodes:
         assert main(tiny) == 0
         out = capsys.readouterr().out
         assert "hamiltonian norm: 0.0" not in out
-        assert "distance/norm = 0.000e+00" in out
+        # a relative distance, not "-": the self-dual H at w = 1 holds its transpose to rounding
+        assert float(out.split("distance/norm = ")[1].split(")")[0]) <= 1e-15
+
+    def test_duality_solves_no_spectrum(self, monkeypatch, capsys):
+        def no_solve(m):
+            raise EigensolverError("duality solved a spectrum")
+
+        monkeypatch.setattr(nhosc.analysis, "eigenvalues", no_solve)
+        monkeypatch.setattr(nhosc.cli, "eigenvalues", no_solve)
+        assert main(["duality", "--W", "4", "--L", "3", "--N", "150", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["distance"] <= 1e-15 * doc["h_norm"]
+
+    def test_duality_of_huge_entries(self, capsys):
+        # entries near 1e299: the two builds agree bit for bit, and no band sum overflows
+        assert main(["duality", "--A", "1e150", "--B", "1", "--w", "1e-3", "--N", "40", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["distance"] == 0.0 and 0.0 < doc["h_norm"] < math.inf
 
 
 def _dash(v):

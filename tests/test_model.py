@@ -496,6 +496,20 @@ class TestDiagonalExpectation:
         edge = diagonal_expectation(spec, n_dim - 1, 4.0)
         np.testing.assert_allclose(edge, 4.0 * (n_dim - 1), rtol=1e-13)
 
+    @pytest.mark.parametrize("n_dim", [10**103, 10**160, 10**400])
+    @pytest.mark.parametrize("a_coef, b_coef", [(1.0, 5.0), (0.0, 0.0)])
+    def test_basis_past_float64_ladders_is_rejected(self, n_dim, a_coef, b_coef):
+        # sum(lev^2), about 4 N^3 / 3, passes float64 near N = 5e102: a ValueError that names N,
+        # from both the O(1) entry and the band build, never an OverflowError or a nan
+        params = TransformParams(l_coef=3.0, a_coef=a_coef, b_coef=b_coef)
+        spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
+        for call in (lambda: diagonal_expectation(spec, 0, 4.0), lambda: spec.bands):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value).startswith(f"N = {n_dim} is too large") and "nan" not in str(raised.value)
+        below = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=5 * 10**102))
+        assert diagonal_expectation(below, 7, 4.0) == pytest.approx(4.0 * 15 if b_coef else 0.0, rel=1e-13)
+
     def test_ground_state_untransformed(self):
         spec = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=10))
         np.testing.assert_allclose(diagonal_expectation(spec, 0, 1.0), 1.0, atol=1e-14)
