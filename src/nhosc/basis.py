@@ -26,6 +26,7 @@ __all__ = [
 # Largest rounding floor of the commutator check: beyond it the reported
 # defect would be float64 rounding of Z Y - Y Z, not the truncation defect.
 _ROUNDING_FLOOR_LIMIT = 1e-6
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,10 @@ def ladder_weights(n_dim: int) -> np.ndarray:
 
 def _shear_bands(freq: float, params: TransformParams) -> tuple[tuple[float, float], ...]:
     """(below, above) coefficients (see _tridiagonal) of Y = P + Lx and Z = x - RP, P = -ip, at freq."""
-    alpha, beta = 1.0 / math.sqrt(2.0 * freq), math.sqrt(freq / 2.0)
+    # alpha = 1/sqrt(2 freq) as beta / freq, which is beta at freq = 1; where freq / 2 rounds (below
+    # twice the smallest normal float) alpha is formed from 2 freq, which does not
+    beta = math.sqrt(freq / 2.0)
+    alpha = beta / freq if freq / 2.0 >= _TINY else 1.0 / math.sqrt(2.0 * freq)
     y_bands = (beta + params.l_coef * alpha, params.l_coef * alpha - beta)
     return y_bands, (alpha - params.r_coef * beta, alpha + params.r_coef * beta)
 

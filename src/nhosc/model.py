@@ -1,5 +1,5 @@
-"""General non-Hermitian quadratic oscillator: real banded Hamiltonian builder,
-variational frequency, regime classification and reality window."""
+"""General non-Hermitian quadratic oscillator: the real banded Hamiltonian, built as three checked
+band scalars times fixed ladders, variational frequency, regime classification and reality window."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ __all__ = [
 
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 _HUGE = float(np.finfo(np.float64).max)  # largest finite float64
+_NOISE = 16.0 * float(np.finfo(np.float64).eps)  # two terms this close, relative to their size, cancel to rounding
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,12 @@ class HamiltonianSpec:
 
     @cached_property
     def _scalars(self) -> tuple[float, ...]:
-        """(C, A^2, B^2, lev, pair, lev_rms, pair_rms): the half of H's check that (params, N) fix,
+        """(C, A^2, B^2, lev, pair, lev_norm, pair_norm): the half of H's check that (params, N) fix,
         made once per spec; _checked_bands makes the half that the basis frequency fixes.
 
         A^2 and B^2 come from _coefficient_squares, whose ValueError is raised on every access (a
         cached_property keeps no error).  lev and pair are the ends of the diagonal and +-2 ladders, and
-        lev_rms, pair_rms their rms, sqrt(sum(x^2)) / end, from the sums in _checked_bands' docstring.
+        lev_norm, pair_norm their 2-norms sqrt(sum(x^2)), from the sums in _checked_bands' docstring.
         ValueError naming N when sum(lev^2), the largest of these, is past float64 (N above about 5e102).
         """
         n, (a2, b2) = self.basis.n_dim, _coefficient_squares(self.params)
@@ -57,7 +58,7 @@ class HamiltonianSpec:
         if lev_squares > _HUGE:  # a Python float: an exact comparison, no conversion of the int
             raise ValueError(f"N = {n} is too large: the sum of H's squared diagonal ladder overflows float64")
         lev, pair = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0))
-        return self.params.norm_c, a2, b2, lev, pair, math.sqrt(lev_squares) / (2 * n - 3), math.sqrt(n / 3)
+        return self.params.norm_c, a2, b2, lev, pair, math.sqrt(lev_squares), pair * math.sqrt(n / 3)
 
 
 @dataclass(frozen=True)
@@ -104,65 +105,66 @@ def _coefficient_squares(params: TransformParams) -> tuple[float, float]:
     raise ValueError(f"{name}^2 {'overflows' if square == math.inf else 'underflows'} float64 ({name} = {coef!r})")
 
 
-def _entries(coefs: tuple[float, float, float], band: tuple[float, float], x):
-    """C (B^2 (s_z x) - A^2 (s_y x)) for coefs = (C, A^2, B^2) and band = (s_z, s_y): one band of H
-    at ladder values x, an array or one float; one entry is bit-identical to its place in the band."""
-    (c, a2, b2), (s_z, s_y) = coefs, band
-    return c * (b2 * (s_z * x) - a2 * (s_y * x))
-
-
-def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[tuple, ...]:
-    """(C, A^2, B^2) and the (s_z, s_y) of H's diagonal, +2 and -2 bands at a basis frequency
-    that passed basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.
+def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, float]:
+    """The scalars (D, U, V) of H's diagonal, +2 and -2 bands at a basis frequency that passed
+    basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.
     The half that (params, N) fix is spec._scalars, made once per spec; this is the half that freq fixes.
 
     With y = iY, z = Z and the (below, above) coefficients (u, v) of the real tridiagonals Y, Z
     from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal tridiagonal with
     T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1) on the diagonal
     (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at (k, k+2), u^2 sqrt((k+1)(k+2)) at
-    (k+2, k), and zero +-1 bands.  Each band is thus a scalar times a fixed ladder, so its largest
-    entry sits at the ladder's end, and |H|_F follows from the three band ends and the ladders'
-    sums of squares, sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.
-    The entries meet C last, coefs (C, A^2, B^2).  Only where N |H|_F is then not finite (B^2 (s_z x) or
-    A^2 (s_y x) overflows though C < 1 would bring the entry back) and C A^2, C B^2 stay normal or zero,
-    as _coefficient_squares asks, are the ends and N |H|_F evaluated again, coefs (1.0, C A^2, C B^2).
-    Raises ValueError as _coefficient_squares does, when N |H|_F overflows in both orders, and when A or
-    B is nonzero but no entry is normal: H "cancels to zero" if a term C B^2 (s_z x) or C A^2 (s_y x) at
-    a band end is (float64 cannot tell that H from zero), else "underflows"; only these build a BasisSpec.
+    (k+2, k), and zero +-1 bands.  So each band is one scalar k (kb2 s_z - ka2 s_y), s_z and s_y the
+    u v, v^2 or u^2 of Z and Y, times a fixed ladder that the callers apply last: its largest entry sits
+    at the ladder's end, and |H|_F = hypot(D |lev|, U |pair|, V |pair|) with the ladders' 2-norms from
+    sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.  (k, ka2, kb2) is
+    (C, A^2, B^2); only where N |H|_F is then not finite (a term kb2 s_z or ka2 s_y overflows though
+    C < 1 would bring H back) and C A^2, C B^2 stay normal or zero, as _coefficient_squares asks, are
+    the scalars formed again with (1.0, C A^2, C B^2).  Raises ValueError as _coefficient_squares does,
+    when N |H|_F overflows in both orders, and, A or B nonzero, when each band's two terms agree to
+    within 16 eps of their magnitudes (H "cancels to noise": float64 keeps only their rounding) or no
+    entry is normal: H "underflows" if a magnitude bound of its terms, made from |u| and |v|, is below
+    the smallest normal, else it "cancels to zero".
     """
-    c, a2, b2, lev, pair, lev_rms, pair_rms = spec._scalars
+    c, a2, b2, lev, pair, lev_norm, pair_norm = spec._scalars
     n, params = spec.basis.n_dim, spec.params
     (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
-    d_z, d_y, p_z, p_y, q_z, q_y = u_z * v_z, u_y * v_y, v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y
-    # |band|_F = |end| times its ladder's rms; hypot scales, so no square overflows.  A finite N |H|_F
-    # bounds the trace and eigenvalue sums of the solve: eig.eigenvalues rejects any other matrix
+    # (s_z, s_y) of the diagonal, +2 and -2 bands; N = 2 has no +-2 bands, whose 0 keeps an inf out of N |H|_F
+    sd_z, sd_y = u_z * v_z, u_y * v_y
+    sp_z, sp_y, sq_z, sq_y = (v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y) if n > 2 else (0.0, 0.0, 0.0, 0.0)
     coefs, straight = (c, a2, b2), None
-    while True:  # _entries' operations, inline; N = 2 has no +-2 bands (an inf scalar times 0 is nan)
+    while True:
         k, ka2, kb2 = coefs
-        diag_end = abs(k * (kb2 * (d_z * lev) - ka2 * (d_y * lev)))
-        up_end = abs(k * (kb2 * (p_z * pair) - ka2 * (p_y * pair))) if n > 2 else 0.0
-        low_end = abs(k * (kb2 * (q_z * pair) - ka2 * (q_y * pair))) if n > 2 else 0.0
-        bound = math.hypot(diag_end * lev_rms, up_end * pair_rms, low_end * pair_rms) * n
+        d_z, d_y, p_z, p_y, q_z, q_y = kb2 * sd_z, ka2 * sd_y, kb2 * sp_z, ka2 * sp_y, kb2 * sq_z, ka2 * sq_y
+        diag, up, low = k * (d_z - d_y), k * (p_z - p_y), k * (q_z - q_y)
+        # hypot scales, so no square overflows.  A finite N |H|_F bounds the trace and eigenvalue sums
+        # of the solve: eig.eigenvalues rejects any other matrix
+        bound = math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n
         if math.isfinite(bound):
             break
         if straight is not None or not all(abs(s) >= _TINY or not s for s in (c * a2, c * b2)):
             raise ValueError(f"H overflows float64 (N |H|_F = {straight or bound}) for {params}, {BasisSpec(n, freq)}")
-        straight, coefs = bound, (1.0, c * a2, c * b2)  # C folded into A^2 and B^2; _entries' 1.0 is exact
-    if diag_end < _TINY and up_end < _TINY and low_end < _TINY and (params.a_coef or params.b_coef):
-        cancels = any(abs(k * (kb2 * (s_z * x))) >= _TINY or abs(k * (ka2 * (s_y * x))) >= _TINY
-                      for s_z, s_y, x in ((d_z, d_y, lev), (p_z, p_y, pair), (q_z, q_y, pair)))
-        raise ValueError(f"H {'cancels to zero in' if cancels else 'underflows'} float64 (no entry reaches "
-                         f"{_TINY:.3e}) for {params}, {BasisSpec(n, freq)}")
-    return coefs, (d_z, d_y), (p_z, p_y), (q_z, q_y)
+        straight, coefs = bound, (1.0, c * a2, c * b2)  # C folded into A^2 and B^2; the 1.0 is exact
+    if ((abs(d_z - d_y) <= _NOISE * (abs(d_z) + abs(d_y)) and abs(p_z - p_y) <= _NOISE * (abs(p_z) + abs(p_y))
+         and abs(q_z - q_y) <= _NOISE * (abs(q_z) + abs(q_y)))
+            or (abs(diag) * lev < _TINY and abs(up) * pair < _TINY and abs(low) * pair < _TINY)):
+        if params.a_coef or params.b_coef:
+            m_z, m_y = max(abs(u_z), abs(v_z)), max(abs(u_y), abs(v_y))  # no u/v cancellation in these
+            size = abs(k) * (abs(kb2) * (m_z * m_z) + abs(ka2) * (m_y * m_y)) * lev  # C A^2 may be < 0
+            cause = ("cancels to noise in float64 (each band's two terms agree to within 16 eps)"
+                     if max(abs(diag) * lev, abs(up) * pair, abs(low) * pair) >= _TINY else
+                     f"{'underflows' if size < _TINY else 'cancels to zero in'} float64 (no entry reaches {_TINY:.3e})")
+            raise ValueError(f"H {cause} for {params}, {BasisSpec(n, freq)}")
+    return diag, up, low
 
 
 def _bands(spec: HamiltonianSpec) -> Bands:
-    """Diagonal, +2 and -2 bands of H, its only nonzero ones (see _checked_bands), read-only."""
-    coefs, diag, upper, lower = _checked_bands(spec, spec.basis.freq)
+    """Diagonal, +2 and -2 bands of H, its only nonzero ones: _checked_bands' scalars times ladders, read-only."""
+    diag, up, low = _checked_bands(spec, spec.basis.freq)
     n = spec.basis.n_dim
     levels = np.append(2.0 * np.arange(n - 1) + 1.0, n - 1)
     pairs = np.sqrt(np.arange(1.0, n - 1) * np.arange(2.0, n))
-    bands = Bands(_entries(coefs, diag, levels), _entries(coefs, upper, pairs), _entries(coefs, lower, pairs))
+    bands = Bands(diag * levels, up * pairs, low * pairs)
     for band in bands:
         band.setflags(write=False)
     return bands
@@ -177,9 +179,9 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     """Diagonal entry (level, level) of the Hamiltonian built at basis frequency trial_freq.
 
     For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w]; the cross term
-    adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: the entry is bit-identical
-    to build_hamiltonian(...)[level, level], and the errors are the build's (BasisSpec's freq check,
-    then _checked_bands).  TypeError for a level that is no integer (or a bool), IndexError outside.
+    adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: _checked_bands' D times
+    the level's ladder value, bit-identical to build_hamiltonian(...)[level, level], with the build's
+    errors (BasisSpec's freq check, then _checked_bands).  TypeError for a level that is no integer (or a bool), IndexError outside.
     A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once;
     each call pays only the half that trial_freq fixes.
     """
@@ -189,9 +191,7 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     if not 0 <= level < n:
         raise IndexError(f"level {level} outside basis of dimension {n}")
     _check_freq(trial_freq)
-    (k, ka2, kb2), (s_z, s_y), _, _ = _checked_bands(spec, trial_freq)
-    x = 2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1)
-    return k * (kb2 * (s_z * x) - ka2 * (s_y * x))  # _entries' operations, inline
+    return _checked_bands(spec, trial_freq)[0] * (2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1))
 
 
 def _quadratic_form(params: TransformParams) -> tuple[float, float, float]:

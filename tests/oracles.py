@@ -8,13 +8,15 @@ H = C [A^2 y^2 + B^2 z^2] with C = 1/(1+LR), formed by dense products.
 francis_qr is the EISPACK-style double-shift QR for an upper Hessenberg
 matrix, the reference eigenvalue solver of whole matrices.  The exact_* functions
 count the eigenvalues of the truncated H in exact rational arithmetic, with
-no floating-point eigensolver at any precision.
+no floating-point eigensolver at any precision.  mp_entries gives single
+entries of H from the same definitions in mpmath at any precision.
 """
 
 import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import sympy
 
@@ -47,6 +49,37 @@ def hamiltonian(n_dim, freq, l_coef, r_coef, a_coef, b_coef) -> np.ndarray:
     """C [A^2 y@y + B^2 z@z], complex dtype."""
     y, z = sheared(n_dim, freq, l_coef, r_coef)
     return (a_coef**2 * (y @ y) + b_coef**2 * (z @ z)) / (1.0 + l_coef * r_coef)
+
+
+def mp_entries(l_coef, r_coef, a_coef, b_coef, freq, n_dim, index_pairs, dps) -> list[float]:
+    """H[i, j] for each (i, j) of index_pairs, as the float nearest its dps-digit mpmath value.
+
+    Each entry is the sum over the one or two intermediate levels k of
+    A^2 y[i,k] y[k,j] + B^2 z[i,k] z[k,j], over 1 + LR, with the entries of x, p, y
+    and z written out as above and the float inputs taken exactly: no float64
+    operation and no closed form of H's bands enters.
+    """
+    with mpmath.workdps(dps):
+        l_coef, r_coef, a_coef, b_coef, freq = map(mpmath.mpf, (l_coef, r_coef, a_coef, b_coef, freq))
+
+        def sheared_entries(i, k):
+            """(y[i,k], z[i,k]) for |i - k| = 1."""
+            root = mpmath.sqrt(max(i, k))
+            x = root / mpmath.sqrt(2 * freq)
+            p = 1j * mpmath.sqrt(freq / 2) * (root if i > k else -root)
+            return p + 1j * l_coef * x, x + 1j * r_coef * p
+
+        values = []
+        for i, j in index_pairs:
+            h = mpmath.mpc(0)
+            for k in (i - 1, i + 1):
+                if 0 <= k < n_dim and abs(k - j) == 1:
+                    (y_ik, z_ik), (y_kj, z_kj) = sheared_entries(i, k), sheared_entries(k, j)
+                    h += a_coef**2 * y_ik * y_kj + b_coef**2 * z_ik * z_kj
+            h /= 1 + l_coef * r_coef
+            assert h.imag == 0, (i, j, h)
+            values.append(float(h.real))
+        return values
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -164,14 +164,22 @@ class TestDuality:
         assert duality_check(table1_params, basis) <= 1e-10
 
     def test_self_dual_compares_h_with_its_own_transpose(self):
-        # the dual is H itself, so the distance is exactly H's own band asymmetry |upper + lower|:
-        # at w = 1, 1/sqrt(2) and sqrt(1/2) differ in the last bit, so it is rounding, not 0
+        # the dual is H itself, so the distance is exactly H's own band asymmetry |upper + lower|,
+        # which is 0 at w = 1, where the basis factors 1/sqrt(2w) and sqrt(w/2) are one float
         params = TransformParams(l_coef=0.5, r_coef=0.5, a_coef=1.5, b_coef=1.5)
         assert dual_params(params) == params
         h = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=12)).bands
-        asymmetry = np.abs(h.upper + h.lower).max()
-        assert duality_check(params, BasisSpec(n_dim=12)) == asymmetry
-        assert asymmetry <= 32 * np.finfo(float).eps * np.abs(h.upper).max()
+        assert np.abs(h.upper + h.lower).max() == 0.0 < np.abs(h.upper).max()
+        assert duality_check(params, BasisSpec(n_dim=12)) == 0.0
+
+    @pytest.mark.parametrize("n_dim", [20, 151, 400])
+    def test_table_two_is_table_one_bit_for_bit(self, table1_params, n_dim):
+        # at W = 4 the dual basis frequency 1/4 is exact, and the bands of H and its dual are
+        # each other's transposes exactly, so the table 2 solve reads table 1's rows
+        basis, dual_basis = BasisSpec(n_dim=n_dim, freq=4.0), BasisSpec(n_dim=n_dim, freq=0.25)
+        assert duality_check(table1_params, basis) == 0.0
+        rows = isospectral_report(table1_params, basis).rows
+        assert isospectral_report(dual_params(table1_params), dual_basis).rows.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("n_dim", [150, 400, 2000])
     def test_table_one_band_distance_is_rounding(self, table1_params, n_dim):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,6 +109,17 @@ class TestTransformedOperators:
         big_y, big_z = library_yz(basis, TransformParams())
         np.testing.assert_array_equal(1j * big_y, oracles.momentum(5, 2.0))
         np.testing.assert_array_equal(big_z, oracles.position(5, 2.0))
+
+    @pytest.mark.parametrize("freq", [1.0, 0.25, 4.0, 2.0**-1000, 3.0, 0.1, 1e300, 1e308, 1e-300, 1e-310, 5e-324])
+    def test_basis_factors(self, freq):
+        # alpha = 1/sqrt(2w) is formed as beta / w, so it is beta at w = 1 and beta scaled exactly at a
+        # power-of-two w, and finite where 2w overflows; a subnormal w forms it from 2w, since w / 2 would round
+        (beta, minus_beta), (alpha, alpha_too) = _shear_bands(freq, TransformParams())
+        assert (minus_beta, alpha_too) == (-beta, alpha)
+        if freq / 2.0 >= np.finfo(float).tiny:
+            assert alpha == beta / freq and (alpha == beta) == (freq == 1.0)
+        with mpmath.workdps(50):
+            assert abs(alpha - 1 / mpmath.sqrt(2 * mpmath.mpf(freq))) <= 2 * np.finfo(float).eps * alpha
 
     def test_sheared_momentum_entry(self):
         basis = BasisSpec(n_dim=2, freq=4.0)

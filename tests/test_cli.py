@@ -608,6 +608,27 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert "H cancels to zero in float64" in captured.err and captured.out == ""
 
+    def test_zero_h_from_cancelled_shear_is_config_error(self, capsys):
+        # at w = 1 Z's above coefficient alpha - beta is exactly 0, so with A = 0 the true H is the
+        # zero matrix at N = 2, though its terms' magnitudes are normal: it cancels, not underflows
+        assert main("spectrum --L=-1e154 --R=-1 --A 0 --B 1e154 --w 1 --N 2".split()) == 2
+        captured = capsys.readouterr()
+        assert "H cancels to zero in float64" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "duality"])
+    def test_float64_cancellation_to_noise_is_config_error(self, command, capsys):
+        # B^2 = L^2 A^2: every band is the rounding of two cancelled 1e200 terms
+        assert main(f"{command} --L=-1e100 --A 1 --B 1e100 --w 4 --N 3".split()) == 2
+        captured = capsys.readouterr()
+        assert "H cancels to noise in float64" in captured.err and captured.out == ""
+
+    def test_terms_that_overflow_before_c_at_large_n_solve(self, capsys):
+        # C = 1e-308 folds into A^2 and B^2 before any ladder value: the scalars stay finite
+        argv = "spectrum --L=-1e154 --R=-1e154 --A=-1e100 --B=-3 --w 1 --N 200 --format json"
+        assert main(argv.split()) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        assert all(math.isfinite(v["re"]) and math.isfinite(v["im"]) for v in values)
+
     @pytest.mark.parametrize(
         "argv, message",
         [

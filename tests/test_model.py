@@ -13,6 +13,7 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 from nhosc import model
+from nhosc.basis import _shear_bands
 from nhosc.eig import _frobenius_norm
 from nhosc import (
     BasisSpec,
@@ -224,23 +225,27 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("n_dim", [2, 3, 7])
     def test_c_is_folded_only_where_the_straight_order_overflows(self, n_dim):
-        # over the extreme grid, an accepted H keeps the coefficients (C, A^2, B^2) bit for bit
-        # while N |H|_F of its entries in that order is finite, and takes (1.0, C A^2, C B^2) only
-        # where it is not; that norm here comes from every entry of the three bands
+        # over the extreme grid, an accepted H's band scalars k (kb2 s_z - ka2 s_y) keep the
+        # coefficients (C, A^2, B^2) bit for bit while N |H|_F of their bands in that order is finite,
+        # and take (1.0, C A^2, C B^2) only where it is not; that norm here comes from every entry
         levels = np.append(2.0 * np.arange(n_dim - 1) + 1.0, n_dim - 1)
         pairs = np.sqrt(np.arange(1.0, n_dim - 1) * np.arange(2.0, n_dim))
         orders = set()
         for params, w in extreme_grid():
             try:
-                coefs, *bands = model._checked_bands(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), w)
+                scalars = model._checked_bands(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), w)
             except ValueError:
                 continue
+            (u_y, v_y), (u_z, v_z) = _shear_bands(w, params)
+            shears = ((u_z * v_z, u_y * v_y), (v_z * v_z, v_y * v_y), (u_z * u_z, u_y * u_y))
             c, a2, b2 = params.norm_c, params.a_coef * params.a_coef, params.b_coef * params.b_coef
+            straight = [c * (b2 * s_z - a2 * s_y) for s_z, s_y in shears]
             with np.errstate(over="ignore", invalid="ignore"):
-                straight = [model._entries((c, a2, b2), band, x) for band, x in zip(bands, (levels, pairs, pairs))]
-                finite = math.isfinite(n_dim * _frobenius_norm(*straight))
-            want = (c, a2, b2) if finite else (1.0, c * a2, c * b2)
-            assert [v.hex() for v in coefs] == [v.hex() for v in want], (params, w)
+                norm = _frobenius_norm(*(s * x for s, x in zip(straight, (levels, pairs, pairs))))
+                finite = math.isfinite(n_dim * norm)
+            want = straight if finite else [c * b2 * s_z - c * a2 * s_y for s_z, s_y in shears]
+            bands = 3 if n_dim > 2 else 1  # N = 2 has no +-2 bands
+            assert [v.hex() for v in scalars[:bands]] == [v.hex() for v in want[:bands]], (params, w)
             orders.add(finite)
         assert orders == {True, False}
 
@@ -250,6 +255,7 @@ class TestBuildHamiltonian:
             (1.0, 1.0, 1.0, 1.0, 4.0, 2, 0.0),  # H = -2 A^2 C (Px + xP): no diagonal, no +-2 bands at N = 2
             (-1e100, -1.0, -1e100, -1e100, 1e150, 2, 5.0e149),  # L^2 alpha^2 = 5e49 is lost beside beta^2 = 5e149
             (-1e100, -1.0, -1e100, -1e100, 1e150, 3, math.sqrt(2.0) * 1e200),
+            (-1e154, -1.0, 0.0, 1e154, 1.0, 2, 0.0),  # v_z = alpha - beta = 0 at w = 1: H is the zero matrix
         ],
     )
     def test_cancellation_to_zero_is_rejected(self, l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max):
@@ -269,6 +275,50 @@ class TestBuildHamiltonian:
             y, z = big_p + l_coef * x, x - r_coef * big_p  # y = iY, z = Z
             h = (b_coef**2 * z * z - a_coef**2 * y * y) / (1 + l_coef * r_coef)
             assert float(max(abs(v) for v in h)) == pytest.approx(true_max, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_dim", [3, 40])
+    def test_cancellation_to_noise_is_rejected(self, n_dim):
+        # B^2 = L^2 A^2: the 1e200 x^2 terms of every band cancel, and float64 keeps only their
+        # rounding, near 1e184, where the true entries are at most O(1e100)
+        params = TransformParams(l_coef=-1e100, a_coef=1.0, b_coef=1e100)
+        spec = HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=4.0))
+        with pytest.raises(ValueError, match=r"^H cancels to noise in float64") as raised:
+            spec.bands
+        for level in (0, n_dim - 1):
+            with pytest.raises(ValueError) as expected:
+                diagonal_expectation(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), level, 4.0)
+            assert str(expected.value) == str(raised.value)
+        ends = [(n_dim - 2, n_dim - 2), (n_dim - 3, n_dim - 1), (n_dim - 1, n_dim - 3)]
+        true = oracles.mp_entries(-1e100, 0.0, 1.0, 1e100, 4.0, n_dim, ends, dps=900)
+        assert 0.0 < max(map(abs, true)) < 1e103
+
+    def test_terms_that_overflow_before_c_at_large_n_are_accepted(self):
+        # C = 1e-308 and A^2 Y^2's scalar near 1e507: the scalars take C folded into A^2 and B^2,
+        # and the ladder after them, so the band ends are those of a 900-digit evaluation
+        n_dim, args = 200, (-1e154, -1e154, -1e100, -3.0, 1.0)
+        bands = HamiltonianSpec(TransformParams(*args[:4]), BasisSpec(n_dim=n_dim, freq=args[4])).bands
+        ends = [(n_dim - 2, n_dim - 2), (n_dim - 1, n_dim - 1), (n_dim - 3, n_dim - 1), (n_dim - 1, n_dim - 3)]
+        true = oracles.mp_entries(*args, n_dim, ends, dps=900)
+        got = [bands.diag[-2], bands.diag[-1], bands.upper[-1], bands.lower[-1]]
+        assert max(abs(g - t) for g, t in zip(got, true)) <= 1e-14 * max(map(abs, true))
+
+    def test_band_entries_are_within_rounding_of_mpmath(self):
+        # every band entry, scalar times ladder, within 16 eps max|H| of H from 50-digit mpmath
+        rng = np.random.default_rng(27)
+        draws = 0
+        while draws < 40:
+            l_coef, r_coef = rng.uniform(-2.0, 2.0, size=2)
+            if abs(1.0 + l_coef * r_coef) < 0.3:
+                continue
+            draws += 1
+            a_coef, b_coef = rng.uniform(0.2, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+            n_dim, w = int(rng.integers(2, 41)), float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+            bands = HamiltonianSpec(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim, w)).bands
+            places = [(k, k) for k in range(n_dim)] + [(k, k + 2) for k in range(n_dim - 2)]
+            places += [(k + 2, k) for k in range(n_dim - 2)]
+            true = np.array(oracles.mp_entries(l_coef, r_coef, a_coef, b_coef, w, n_dim, places, dps=50))
+            got = np.concatenate(bands)
+            assert np.abs(got - true).max() <= 16 * EPS * np.abs(true).max(), (l_coef, r_coef, a_coef, b_coef, w, n_dim)
 
     @pytest.mark.parametrize("n_dim", [2, 3, 40])
     @pytest.mark.parametrize("freq", [2.0, 4.0, 9.0])
@@ -352,7 +402,7 @@ class TestDiagonalExpectation:
             fresh[params, w] = [diagonal_expectation(spec, level, w).hex() for level in levels]
             assert fresh[params, w] == [v.hex() for v in h.diagonal()[levels]]
         assert seen == {"built", "H overflows float64", "H underflows float64", "H cancels to zero in float64",
-                        "A^2 overflows float64", "A^2 underflows float64", "B^2 overflows float64",
+                        "H cancels to noise in float64", "A^2 overflows float64", "A^2 underflows float64", "B^2 overflows float64",
                         "B^2 underflows float64"}
         # second pass: one spec per params, its (params, N) half made once and kept over every w of
         # the grid (the folded (1.0, C A^2, C B^2) order included), gives the fresh specs' bits and messages
@@ -467,7 +517,7 @@ class TestDiagonalExpectation:
         basis = BasisSpec(n_dim=10)
         f32, f64 = HamiltonianSpec(params=as_f32, basis=basis), HamiltonianSpec(params=as_float, basis=basis)
         assert diagonal_expectation(f32, 3, 4.1).hex() == diagonal_expectation(f64, 3, 4.1).hex()
-        assert diagonal_expectation(f32, 3, 4.1) == 18.785412611132838  # 18.785413974517244 in float32 bands
+        assert diagonal_expectation(f32, 3, 4.1) == 18.785412611132834  # 18.785413974517244 in float32 bands
         assert build_hamiltonian(f32).tobytes() == build_hamiltonian(f64).tobytes()
         python = TransformParams(l_coef=3.0, r_coef=0.1, a_coef=1.0, b_coef=5.0)
         assert (python.l_coef, python.r_coef) == (3.0, 0.1) and python.r_coef.hex() == (0.1).hex()
