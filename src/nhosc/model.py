@@ -45,20 +45,26 @@ class HamiltonianSpec:
 
     @cached_property
     def _scalars(self) -> tuple[float, ...]:
-        """(C, A^2, B^2, lev, pair, lev_norm, pair_norm): the half of H's check that (params, N) fix,
+        """(sigma, a, b, lev, pair, lev_norm, pair_norm): the half of H's check that (params, N) fix,
         made once per spec; _checked_bands makes the half that the basis frequency fixes.
 
-        A^2 and B^2 come from _coefficient_squares, whose ValueError is raised on every access (a
-        cached_property keeps no error).  lev and pair are the ends of the diagonal and +-2 ladders, and
-        lev_norm, pair_norm their 2-norms sqrt(sum(x^2)), from the sums in _checked_bands' docstring.
-        ValueError naming N when sum(lev^2), the largest of these, is past float64 (N above about 5e102).
+        sigma = sign(1+LR) and a, b = |A|, |B| over sqrt|1+LR|, so C A^2 = sigma a^2, C B^2 = sigma b^2.
+        lev and pair are the ends of the diagonal and +-2 ladders, lev_norm and pair_norm their 2-norms
+        from the sums in _checked_bands' docstring.  Raises ValueError anew on every access (a
+        cached_property keeps no error): _coefficient_squares' for A^2 and B^2, one when 1 + LR
+        overflows, and one naming N when sum(lev^2) is past float64 (N above about 5e102).
         """
-        n, (a2, b2) = self.basis.n_dim, _coefficient_squares(self.params)
+        params, n = self.params, self.basis.n_dim
+        _coefficient_squares(params)
+        norm = 1.0 + params.l_coef * params.r_coef
+        if not math.isfinite(norm):
+            raise ValueError(f"H overflows float64 (1 + L R = {norm}) for {params}")
         lev_squares = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)  # exact: a Python int
         if lev_squares > _HUGE:  # a Python float: an exact comparison, no conversion of the int
             raise ValueError(f"N = {n} is too large: the sum of H's squared diagonal ladder overflows float64")
-        lev, pair = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0))
-        return self.params.norm_c, a2, b2, lev, pair, math.sqrt(lev_squares), pair * math.sqrt(n / 3)
+        lev, pair, root = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0)), math.sqrt(abs(norm))
+        sigma, a, b = math.copysign(1.0, norm), abs(params.a_coef) / root, abs(params.b_coef) / root
+        return sigma, a, b, lev, pair, math.sqrt(lev_squares), pair * math.sqrt(n / 3)
 
 
 @dataclass(frozen=True)
@@ -110,47 +116,37 @@ def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, fl
     basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.
     The half that (params, N) fix is spec._scalars, made once per spec; this is the half that freq fixes.
 
-    With y = iY, z = Z and the (below, above) coefficients (u, v) of the real tridiagonals Y, Z
-    from basis._shear_bands, H = C(-A^2 Y^2 + B^2 Z^2).  A zero-diagonal tridiagonal with
-    T[k,k-1] = u sqrt(k) and T[k-1,k] = v sqrt(k) squares to u v (2k+1) on the diagonal
-    (u v (N-1) at the edge k = N-1), v^2 sqrt((k+1)(k+2)) at (k, k+2), u^2 sqrt((k+1)(k+2)) at
-    (k+2, k), and zero +-1 bands.  So each band is one scalar k (kb2 s_z - ka2 s_y), s_z and s_y the
-    u v, v^2 or u^2 of Z and Y, times a fixed ladder that the callers apply last: its largest entry sits
-    at the ladder's end, and |H|_F = hypot(D |lev|, U |pair|, V |pair|) with the ladders' 2-norms from
-    sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.  (k, ka2, kb2) is
-    (C, A^2, B^2); only where N |H|_F is then not finite (a term kb2 s_z or ka2 s_y overflows though
-    C < 1 would bring H back) and C A^2, C B^2 stay normal or zero, as _coefficient_squares asks, are
-    the scalars formed again with (1.0, C A^2, C B^2).  Raises ValueError as _coefficient_squares does,
-    when N |H|_F overflows in both orders, and, A or B nonzero, when each band's two terms agree to
-    within 16 eps of their magnitudes (H "cancels to noise": float64 keeps only their rounding) or no
-    entry is normal: H "underflows" if a magnitude bound of its terms, made from |u| and |v|, is below
-    the smallest normal, else it "cancels to zero".
+    With y = iY, z = Z and (u, v) the (below, above) coefficients of the real tridiagonals Y, Z from
+    basis._shear_bands, H = C(B^2 Z^2 - A^2 Y^2).  A zero-diagonal tridiagonal with T[k,k-1] = u sqrt(k)
+    and T[k-1,k] = v sqrt(k) squares to u v times the ladder lev_k = 2k+1 (N-1 at k = N-1) on the
+    diagonal, v^2 and u^2 times sqrt((k+1)(k+2)) on the +2 and -2 bands.  So, with Z's (u, v) scaled by
+    b and Y's by a, each band is one scalar sigma (t_z - t_y), the two terms the u v, v^2 or u^2 of the
+    scaled Z and Y, times a ladder that the callers apply last.  Each ladder's end is its largest entry,
+    and |H|_F = hypot(D |lev|, U |pair|, V |pair|) with the 2-norms from sum(lev^2) =
+    (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.  ValueError as spec._scalars raises
+    it, when N |H|_F overflows, and, A or B nonzero, when each band's two terms agree to within 16 eps of
+    their magnitudes (H "cancels to noise": float64 keeps only their rounding) or no entry is normal:
+    H "underflows" if a bound on its terms, from the scaled |u| and |v|, is subnormal, else it "cancels to zero".
     """
-    c, a2, b2, lev, pair, lev_norm, pair_norm = spec._scalars
+    sigma, a, b, lev, pair, lev_norm, pair_norm = spec._scalars
     n, params = spec.basis.n_dim, spec.params
     (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
-    # (s_z, s_y) of the diagonal, +2 and -2 bands; N = 2 has no +-2 bands, whose 0 keeps an inf out of N |H|_F
-    sd_z, sd_y = u_z * v_z, u_y * v_y
-    sp_z, sp_y, sq_z, sq_y = (v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y) if n > 2 else (0.0, 0.0, 0.0, 0.0)
-    coefs, straight = (c, a2, b2), None
-    while True:
-        k, ka2, kb2 = coefs
-        d_z, d_y, p_z, p_y, q_z, q_y = kb2 * sd_z, ka2 * sd_y, kb2 * sp_z, ka2 * sp_y, kb2 * sq_z, ka2 * sq_y
-        diag, up, low = k * (d_z - d_y), k * (p_z - p_y), k * (q_z - q_y)
-        # hypot scales, so no square overflows.  A finite N |H|_F bounds the trace and eigenvalue sums
-        # of the solve: eig.eigenvalues rejects any other matrix
-        bound = math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n
-        if math.isfinite(bound):
-            break
-        if straight is not None or not all(abs(s) >= _TINY or not s for s in (c * a2, c * b2)):
-            raise ValueError(f"H overflows float64 (N |H|_F = {straight or bound}) for {params}, {BasisSpec(n, freq)}")
-        straight, coefs = bound, (1.0, c * a2, c * b2)  # C folded into A^2 and B^2; the 1.0 is exact
+    u_y, v_y, u_z, v_z = a * u_y, a * v_y, b * u_z, b * v_z
+    # (t_z, t_y) of the diagonal, +2 and -2 bands; N = 2 has no +-2 bands, whose 0 keeps an inf out of N |H|_F
+    d_z, d_y = u_z * v_z, u_y * v_y
+    p_z, p_y, q_z, q_y = (v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y) if n > 2 else (0.0, 0.0, 0.0, 0.0)
+    diag, up, low = sigma * (d_z - d_y), sigma * (p_z - p_y), sigma * (q_z - q_y)
+    # hypot scales, so no square overflows.  A finite N |H|_F bounds the trace and eigenvalue sums
+    # of the solve: eig.eigenvalues rejects any other matrix
+    bound = math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n
+    if not math.isfinite(bound):
+        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {BasisSpec(n, freq)}")
     if ((abs(d_z - d_y) <= _NOISE * (abs(d_z) + abs(d_y)) and abs(p_z - p_y) <= _NOISE * (abs(p_z) + abs(p_y))
          and abs(q_z - q_y) <= _NOISE * (abs(q_z) + abs(q_y)))
             or (abs(diag) * lev < _TINY and abs(up) * pair < _TINY and abs(low) * pair < _TINY)):
         if params.a_coef or params.b_coef:
             m_z, m_y = max(abs(u_z), abs(v_z)), max(abs(u_y), abs(v_y))  # no u/v cancellation in these
-            size = abs(k) * (abs(kb2) * (m_z * m_z) + abs(ka2) * (m_y * m_y)) * lev  # C A^2 may be < 0
+            size = (m_z * m_z + m_y * m_y) * lev
             cause = ("cancels to noise in float64 (each band's two terms agree to within 16 eps)"
                      if max(abs(diag) * lev, abs(up) * pair, abs(low) * pair) >= _TINY else
                      f"{'underflows' if size < _TINY else 'cancels to zero in'} float64 (no entry reaches {_TINY:.3e})")

@@ -595,7 +595,12 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         # A^2 and B^2 are normal; the basis factor 1/(2w) or w/2 takes H below them
         "argv",
-        ["spectrum --A 0 --B 1e-153 --w 1e12 --N 6", "spectrum --A 1e-153 --B 0 --w 1e-12 --N 6 --format json"],
+        [
+            "spectrum --A 0 --B 1e-153 --w 1e12 --N 6",
+            "spectrum --A 1e-153 --B 0 --w 1e-12 --N 6 --format json",
+            # H = -C A^2 Y^2 is near 1e-349 (C = 1e-149), though Z's u^2 (near 2e308) overflows beside B = 0
+            "spectrum --L 1e-5 --R 1e154 --A 1e-100 --B 0 --w 4 --N 3",
+        ],
     )
     def test_float64_underflow_is_config_error(self, argv, capsys):
         assert main(argv.split()) == 2
@@ -617,13 +622,24 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("command", ["spectrum", "duality"])
     def test_float64_cancellation_to_noise_is_config_error(self, command, capsys):
-        # B^2 = L^2 A^2: every band is the rounding of two cancelled 1e200 terms
-        assert main(f"{command} --L=-1e100 --A 1 --B 1e100 --w 4 --N 3".split()) == 2
+        # B R = 1 but for the inputs' rounding: every band is the rounding of two cancelled 5e149 terms
+        assert main(f"{command} --R 1e-100 --A 1 --B 1e100 --w 1e150 --N 3".split()) == 2
         captured = capsys.readouterr()
         assert "H cancels to noise in float64" in captured.err and captured.out == ""
+        # B^2 = L^2 A^2: the scaled 1e200 terms agree bit for bit, so every entry is 0
+        assert main(f"{command} --L=-1e100 --A 1 --B 1e100 --w 4 --N 3".split()) == 2
+        captured = capsys.readouterr()
+        assert "H cancels to zero in float64" in captured.err and captured.out == ""
+
+    def test_overflowing_shear_product_beside_zero_coefficient_solves(self, capsys):
+        # Z's v^2 overflows, but B = 0: H = -A^2 Y^2, whose spectrum is 0, 3/2, 3/2 at N = 3
+        assert main("spectrum --R 1e155 --A 1 --B 0 --w 1 --N 3 --format json".split()) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        assert [v["im"] for v in values] == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose([v["re"] for v in values], [0.0, 1.5, 1.5], rtol=1e-14, atol=1e-14)
 
     def test_terms_that_overflow_before_c_at_large_n_solve(self, capsys):
-        # C = 1e-308 folds into A^2 and B^2 before any ladder value: the scalars stay finite
+        # C = 1e-308 meets Y's and Z's coefficients before any ladder value: the scalars stay finite
         argv = "spectrum --L=-1e154 --R=-1e154 --A=-1e100 --B=-3 --w 1 --N 200 --format json"
         assert main(argv.split()) == 0
         values = json.loads(capsys.readouterr().out)["values"]

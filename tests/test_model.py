@@ -13,8 +13,6 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 from nhosc import model
-from nhosc.basis import _shear_bands
-from nhosc.eig import _frobenius_norm
 from nhosc import (
     BasisSpec,
     HamiltonianSpec,
@@ -195,7 +193,7 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("n_dim", [2, 3, 50, 400])
     def test_folded_overflow_threshold_is_n_times_frobenius_norm(self, n_dim):
-        # with C folded into A^2 and B^2: a term overflows 2x over, |C| < 1e-4 brings H back
+        # a term A^2 y^2 or B^2 z^2 overflows 2x over, |C| < 1e-4 brings H back
         check_overflow_threshold(n_dim, folded=True)
 
     @pytest.mark.parametrize(
@@ -208,8 +206,7 @@ class TestBuildHamiltonian:
     )
     def test_overflow_before_normalization_is_accepted(self, l_coef, r_coef, a_coef, b_coef, w, n_dim):
         # |C| < 1 brings N |H|_F to (1 - 1e-9) of the float64 maximum, but a term
-        # A^2 y^2 or B^2 z^2 that H's entries form before C overflows: the build
-        # folds C into A^2 and B^2 and accepts H
+        # A^2 y^2 or B^2 z^2 overflows before C: the build, which never forms it, accepts H
         ref = oracles.hamiltonian(n_dim, w, l_coef, r_coef, a_coef, b_coef).real
         norm = float(np.linalg.norm(ref))
         t = math.sqrt(1.0 - 1e-9) * math.sqrt(sys.float_info.max / (n_dim * norm))
@@ -223,31 +220,33 @@ class TestBuildHamiltonian:
         assert np.linalg.norm(h) == pytest.approx(norm, rel=1e-12)
         assert np.abs(h - ref).max() <= 1e-14 * norm
 
-    @pytest.mark.parametrize("n_dim", [2, 3, 7])
-    def test_c_is_folded_only_where_the_straight_order_overflows(self, n_dim):
-        # over the extreme grid, an accepted H's band scalars k (kb2 s_z - ka2 s_y) keep the
-        # coefficients (C, A^2, B^2) bit for bit while N |H|_F of their bands in that order is finite,
-        # and take (1.0, C A^2, C B^2) only where it is not; that norm here comes from every entry
-        levels = np.append(2.0 * np.arange(n_dim - 1) + 1.0, n_dim - 1)
-        pairs = np.sqrt(np.arange(1.0, n_dim - 1) * np.arange(2.0, n_dim))
-        orders = set()
-        for params, w in extreme_grid():
-            try:
-                scalars = model._checked_bands(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), w)
-            except ValueError:
-                continue
-            (u_y, v_y), (u_z, v_z) = _shear_bands(w, params)
-            shears = ((u_z * v_z, u_y * v_y), (v_z * v_z, v_y * v_y), (u_z * u_z, u_y * u_y))
-            c, a2, b2 = params.norm_c, params.a_coef * params.a_coef, params.b_coef * params.b_coef
-            straight = [c * (b2 * s_z - a2 * s_y) for s_z, s_y in shears]
-            with np.errstate(over="ignore", invalid="ignore"):
-                norm = _frobenius_norm(*(s * x for s, x in zip(straight, (levels, pairs, pairs))))
-                finite = math.isfinite(n_dim * norm)
-            want = straight if finite else [c * b2 * s_z - c * a2 * s_y for s_z, s_y in shears]
-            bands = 3 if n_dim > 2 else 1  # N = 2 has no +-2 bands
-            assert [v.hex() for v in scalars[:bands]] == [v.hex() for v in want[:bands]], (params, w)
-            orders.add(finite)
-        assert orders == {True, False}
+    @pytest.mark.parametrize(
+        "l_coef, r_coef, a_coef, b_coef, w",
+        [
+            (0.0, 1e155, 1.0, 0.0, 1.0),  # Z's v^2 overflows beside B = 0: H = -A^2 Y^2
+            (0.0, 1e155, 1.0, 1e-150, 1.0),  # B^2 brings Z's v^2 (near 5e309) back to 5e9
+            (0.0, 1e100, 0.0, 0.0, 1e150),  # Z's v^2 overflows beside A = B = 0: H = 0
+            (0.0, 1e100, 1.0, 0.0, 1e150),
+        ],
+    )
+    def test_shear_products_that_overflow_before_their_coefficient_are_accepted(self, l_coef, r_coef, a_coef, b_coef, w):
+        # a product u v, v^2 or u^2 of Y's or Z's coefficients overflows, but never meets A^2 or B^2
+        # unscaled: every band entry is within 16 eps max|H| of a 900-digit evaluation
+        n_dim = 3
+        bands = HamiltonianSpec(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim, w)).bands
+        places = [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]
+        true = np.array(oracles.mp_entries(l_coef, r_coef, a_coef, b_coef, w, n_dim, places, dps=900))
+        assert np.abs(np.concatenate(bands) - true).max() <= 16 * EPS * np.abs(true).max()
+
+    def test_overflowing_normalization_is_named(self):
+        # 1 + LR overflows: no scale |A| / sqrt|1 + LR| is left to form, and the message says so
+        for l_coef in (1e200, -1e200):
+            spec = HamiltonianSpec(TransformParams(l_coef, 1e200), BasisSpec(n_dim=10))
+            message = rf"^H overflows float64 \(1 \+ L R = {'-' * (l_coef < 0)}inf\) for TransformParams\("
+            with pytest.raises(ValueError, match=message):
+                spec.bands
+            with pytest.raises(ValueError, match=message):
+                diagonal_expectation(spec, 0, 4.0)
 
     @pytest.mark.parametrize(
         "l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max",
@@ -256,6 +255,8 @@ class TestBuildHamiltonian:
             (-1e100, -1.0, -1e100, -1e100, 1e150, 2, 5.0e149),  # L^2 alpha^2 = 5e49 is lost beside beta^2 = 5e149
             (-1e100, -1.0, -1e100, -1e100, 1e150, 3, math.sqrt(2.0) * 1e200),
             (-1e154, -1.0, 0.0, 1e154, 1.0, 2, 0.0),  # v_z = alpha - beta = 0 at w = 1: H is the zero matrix
+            # B^2 = L^2 A^2: the scaled 1e200 x^2 terms agree bit for bit, but the true +-2 bands are 1.4e100
+            (-1e100, 0.0, 1.0, 1e100, 4.0, 3, math.sqrt(2.0) * 1e100),
         ],
     )
     def test_cancellation_to_zero_is_rejected(self, l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max):
@@ -278,23 +279,23 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("n_dim", [3, 40])
     def test_cancellation_to_noise_is_rejected(self, n_dim):
-        # B^2 = L^2 A^2: the 1e200 x^2 terms of every band cancel, and float64 keeps only their
-        # rounding, near 1e184, where the true entries are at most O(1e100)
-        params = TransformParams(l_coef=-1e100, a_coef=1.0, b_coef=1e100)
-        spec = HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=4.0))
+        # B R = 1 but for the rounding of the inputs: the w/2 = 5e149 p^2 terms of every band cancel,
+        # and the true entries left, near 1e134, lie below the terms' rounding, which is all float64 keeps
+        params, w = TransformParams(r_coef=1e-100, a_coef=1.0, b_coef=1e100), 1e150
+        spec = HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=w))
         with pytest.raises(ValueError, match=r"^H cancels to noise in float64") as raised:
             spec.bands
         for level in (0, n_dim - 1):
             with pytest.raises(ValueError) as expected:
-                diagonal_expectation(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), level, 4.0)
+                diagonal_expectation(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), level, w)
             assert str(expected.value) == str(raised.value)
         ends = [(n_dim - 2, n_dim - 2), (n_dim - 3, n_dim - 1), (n_dim - 1, n_dim - 3)]
-        true = oracles.mp_entries(-1e100, 0.0, 1.0, 1e100, 4.0, n_dim, ends, dps=900)
-        assert 0.0 < max(map(abs, true)) < 1e103
+        true = oracles.mp_entries(0.0, 1e-100, 1.0, 1e100, w, n_dim, ends, dps=900)
+        assert 0.0 < max(map(abs, true)) < 16 * EPS * (w / 2.0) * (2 * n_dim - 3)
 
     def test_terms_that_overflow_before_c_at_large_n_are_accepted(self):
-        # C = 1e-308 and A^2 Y^2's scalar near 1e507: the scalars take C folded into A^2 and B^2,
-        # and the ladder after them, so the band ends are those of a 900-digit evaluation
+        # C = 1e-308 and A^2 Y^2's scalar near 1e507: the scalars take C in Y's and Z's scaled
+        # coefficients, and the ladder after them, so the band ends are those of a 900-digit evaluation
         n_dim, args = 200, (-1e154, -1e154, -1e100, -3.0, 1.0)
         bands = HamiltonianSpec(TransformParams(*args[:4]), BasisSpec(n_dim=n_dim, freq=args[4])).bands
         ends = [(n_dim - 2, n_dim - 2), (n_dim - 1, n_dim - 1), (n_dim - 3, n_dim - 1), (n_dim - 1, n_dim - 3)]
@@ -405,7 +406,7 @@ class TestDiagonalExpectation:
                         "H cancels to noise in float64", "A^2 overflows float64", "A^2 underflows float64", "B^2 overflows float64",
                         "B^2 underflows float64"}
         # second pass: one spec per params, its (params, N) half made once and kept over every w of
-        # the grid (the folded (1.0, C A^2, C B^2) order included), gives the fresh specs' bits and messages
+        # the grid, gives the fresh specs' bits and messages
         specs = {}
         for params, w in extreme_grid():
             if params not in specs:
