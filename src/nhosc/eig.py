@@ -11,7 +11,7 @@ Any other matrix is one block: diagonal balancing (Parlett-Reinsch, radix
 2) and Householder reduction to upper Hessenberg form in this module.
 LAPACK's QR stage (``np.linalg.eigvals``) solves each block.  The spectrum
 comes back sorted by (Re, Im), its complex values in exact conjugate pairs,
-which classify matches by sorting.  Eigenvalues only.
+which classify matches by sorting, then counts.  Eigenvalues only.
 """
 
 from __future__ import annotations
@@ -68,14 +68,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ClassifiedSpectrum:
-    """Spectrum split into real values and conjugate pairs.
+    """The counts of a spectrum's real values and conjugate pairs;
+    n_real + 2*n_complex = matrix dimension."""
 
-    complex_pairs holds (real part, |imaginary part|) per pair; the
-    counts always satisfy n_real + 2*n_complex = matrix dimension.
-    """
-
-    real_values: np.ndarray
-    complex_pairs: list[tuple[float, float]]
     n_real: int
     n_complex: int
 
@@ -266,7 +261,7 @@ def real_mask(s: Spectrum) -> np.ndarray:
 
 
 def classify(s: Spectrum) -> ClassifiedSpectrum:
-    """Split a real-matrix spectrum into real values (by real_mask) and conjugate pairs.
+    """Count a real-matrix spectrum's real values (by real_mask) and conjugate pairs.
 
     The k-th Im>0 value and the k-th conjugated Im<0 value, both sorted by
     (Re, Im), form a pair.  Unequal counts, or a pair further apart than
@@ -274,7 +269,6 @@ def classify(s: Spectrum) -> ClassifiedSpectrum:
     ValueError.
     """
     mask = real_mask(s)
-    reals = np.sort(s.values[mask].real)
     rest = s.values[~mask]
     pos = np.sort_complex(rest[rest.imag > 0.0])
     neg = np.sort_complex(rest[rest.imag < 0.0].conj())
@@ -290,11 +284,4 @@ def classify(s: Spectrum) -> ClassifiedSpectrum:
         raise ValueError(
             f"no conjugate partner for {pos[j]} within {pair_tol[j]:.3e} (best {dists[j]:.3e})"
         )
-    pairs = list(zip(0.5 * (pos.real + neg.real), 0.5 * (pos.imag + neg.imag)))
-    reals.setflags(write=False)
-    return ClassifiedSpectrum(
-        real_values=reals,
-        complex_pairs=pairs,
-        n_real=int(reals.shape[0]),
-        n_complex=len(pairs),
-    )
+    return ClassifiedSpectrum(n_real=int(np.count_nonzero(mask)), n_complex=len(pos))

@@ -131,7 +131,9 @@ def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, fl
     sigma, a, b, lev, pair, lev_norm, pair_norm = spec._scalars
     n, params = spec.basis.n_dim, spec.params
     (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
-    u_y, v_y, u_z, v_z = a * u_y, a * v_y, b * u_z, b * v_z
+    # a zero scale leaves its operator out of H, even where its coefficients overflow (0 inf = nan)
+    u_y, v_y = (a * u_y, a * v_y) if a else (0.0, 0.0)
+    u_z, v_z = (b * u_z, b * v_z) if b else (0.0, 0.0)
     # (t_z, t_y) of the diagonal, +2 and -2 bands; N = 2 has no +-2 bands, whose 0 keeps an inf out of N |H|_F
     d_z, d_y = u_z * v_z, u_y * v_y
     p_z, p_y, q_z, q_y = (v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y) if n > 2 else (0.0, 0.0, 0.0, 0.0)

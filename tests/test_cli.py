@@ -638,6 +638,18 @@ class TestMainExitCodes:
         assert [v["im"] for v in values] == [0.0, 0.0, 0.0]
         np.testing.assert_allclose([v["re"] for v in values], [0.0, 1.5, 1.5], rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("spectrum --L 1e300 --A 0 --w 1e-300 --N 3 --format json", "--L"),
+        ("spectrum --R 1e300 --B 0 --w 1e300 --N 3 --format json", "--R"),
+    ])
+    def test_overflowing_shear_coefficient_beside_zero_scale_solves(self, capsys, argv, flag):
+        # L alpha (R beta) overflows, but A = 0 (B = 0) leaves that operator out: the values are those at flag 0
+        assert main(argv.split()) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        assert main(argv.replace(f"{flag} 1e300", f"{flag} 0").split()) == 0
+        assert values == json.loads(capsys.readouterr().out)["values"]
+        assert all(math.isfinite(v["re"]) and v["im"] == 0.0 for v in values)
+
     def test_terms_that_overflow_before_c_at_large_n_solve(self, capsys):
         # C = 1e-308 meets Y's and Z's coefficients before any ladder value: the scalars stay finite
         argv = "spectrum --L=-1e154 --R=-1e154 --A=-1e100 --B=-3 --w 1 --N 200 --format json"

@@ -227,6 +227,10 @@ class TestBuildHamiltonian:
             (0.0, 1e155, 1.0, 1e-150, 1.0),  # B^2 brings Z's v^2 (near 5e309) back to 5e9
             (0.0, 1e100, 0.0, 0.0, 1e150),  # Z's v^2 overflows beside A = B = 0: H = 0
             (0.0, 1e100, 1.0, 0.0, 1e150),
+            # Z's (Y's) u and v themselves overflow beside B = 0 (A = 0), which leaves Z (Y) out, not 0 inf = nan;
+            # measured within 0 and 9.5e-17 max|H|
+            (3.0, 1e300, 1.0, 0.0, 1e300),
+            (1e300, 0.5, 0.0, 5.0, 1e-300),
         ],
     )
     def test_shear_products_that_overflow_before_their_coefficient_are_accepted(self, l_coef, r_coef, a_coef, b_coef, w):
@@ -237,6 +241,21 @@ class TestBuildHamiltonian:
         places = [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]
         true = np.array(oracles.mp_entries(l_coef, r_coef, a_coef, b_coef, w, n_dim, places, dps=900))
         assert np.abs(np.concatenate(bands) - true).max() <= 16 * EPS * np.abs(true).max()
+
+    # u_y = beta + L alpha (u_z = alpha - R beta) overflows, but A = 0 (B = 0) leaves Y (Z) out of H
+    @pytest.mark.parametrize("n_dim", [2, 3, 200])
+    @pytest.mark.parametrize("couplings, zeroed, w", [
+        ((1e300, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), 1e-300),
+        ((0.0, 1e300, 1.0, 0.0), (0.0, 0.0, 1.0, 0.0), 1e300),
+    ])
+    def test_overflowing_coefficient_beside_zero_scale_is_left_out(self, couplings, zeroed, w, n_dim):
+        # the band scalars, and so the bands and the diagonal, are those with that coupling set to 0, bit for bit
+        spec, same = (HamiltonianSpec(TransformParams(*c), BasisSpec(n_dim, w)) for c in (couplings, zeroed))
+        assert model._checked_bands(spec, w) == model._checked_bands(same, w)
+        for band, want in zip(spec.bands, same.bands):
+            assert np.array_equal(band, want) and np.isfinite(band).all()
+        for level in {0, 1, n_dim - 2, n_dim - 1}:
+            assert diagonal_expectation(spec, level, w) == diagonal_expectation(same, level, w)
 
     def test_overflowing_normalization_is_named(self):
         # 1 + LR overflows: no scale |A| / sqrt|1 + LR| is left to form, and the message says so
