@@ -106,14 +106,16 @@ def ladder_weights(n_dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, n_dim, dtype=float))
 
 
-def _shear_bands(freq: float, params: TransformParams) -> tuple[tuple[float, float], ...]:
-    """(below, above) coefficients (see _tridiagonal) of Y = P + Lx and Z = x - RP, P = -ip, at freq."""
+def _shear_bands(freq: float, l_coef: float, r_coef: float) -> tuple[float, float, float, float]:
+    """(u_y, v_y, u_z, v_z): the (below, above) coefficients (see _tridiagonal) of Y = P + Lx, then those
+    of Z = x - RP (P = -ip), at freq, as one flat tuple: model's H check unpacks it on every call."""
     # alpha = 1/sqrt(2 freq) as beta / freq, which is beta at freq = 1; where freq / 2 rounds (below
     # twice the smallest normal float) alpha is formed from 2 freq, which does not
-    beta = math.sqrt(freq / 2.0)
-    alpha = beta / freq if freq / 2.0 >= _TINY else 1.0 / math.sqrt(2.0 * freq)
-    y_bands = (beta + params.l_coef * alpha, params.l_coef * alpha - beta)
-    return y_bands, (alpha - params.r_coef * beta, alpha + params.r_coef * beta)
+    half = freq / 2.0
+    beta = math.sqrt(half)
+    alpha = beta / freq if half >= _TINY else 1.0 / math.sqrt(2.0 * freq)
+    l_alpha, r_beta = l_coef * alpha, r_coef * beta
+    return beta + l_alpha, l_alpha - beta, alpha - r_beta, alpha + r_beta
 
 
 def _tridiagonal(n_dim: int, below: float, above: float) -> np.ndarray:
@@ -125,7 +127,8 @@ def _tridiagonal(n_dim: int, below: float, above: float) -> np.ndarray:
 # not in __all__: benchmarks/test_bench.py still looks it up as model.transformed_momentum
 def transformed_momentum(basis: BasisSpec, params: TransformParams) -> np.ndarray:
     """Sheared momentum p + iL x = iY as a dense complex array (unnormalized)."""
-    return 1j * _tridiagonal(basis.n_dim, *_shear_bands(basis.freq, params)[0])
+    u_y, v_y, _, _ = _shear_bands(basis.freq, params.l_coef, params.r_coef)
+    return 1j * _tridiagonal(basis.n_dim, u_y, v_y)
 
 
 def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> CommutatorDefect:
@@ -142,11 +145,11 @@ def normalized_commutator_check(basis: BasisSpec, params: TransformParams) -> Co
     """
     n = basis.n_dim
     norm = 1.0 + params.l_coef * params.r_coef
-    y_bands, z_bands = _shear_bands(basis.freq, params)
+    u_y, v_y, u_z, v_z = _shear_bands(basis.freq, params.l_coef, params.r_coef)
     # max|Y| and max|Z| both sit on the last ladder weight sqrt(n-1)
-    max_yz = max(map(abs, y_bands)) * max(map(abs, z_bands)) * (n - 1)
+    max_yz = max(abs(u_y), abs(v_y)) * max(abs(u_z), abs(v_z)) * (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        big_y, big_z = _tridiagonal(n, *y_bands), _tridiagonal(n, *z_bands)
+        big_y, big_z = _tridiagonal(n, u_y, v_y), _tridiagonal(n, u_z, v_z)
         c = big_z @ big_y
         c -= big_y @ big_z
     if not (math.isfinite(norm) and np.isfinite(c).all()):

@@ -88,12 +88,15 @@ class Report:
     `rows` is the CSV table and the table inside the JSON document `doc`;
     their keys are the CSV header, which `fields` gives when the table may
     be empty.  `lines` formats the text rendering from the same rows.
+    `failed` names each sweep point that failed as `key=value: message`:
+    text and JSON show failures in the table, CSV has no row for them.
     """
 
     doc: dict
     rows: list[dict]
     lines: Callable[[], list[str]]
     fields: list[str] | None = None
+    failed: tuple[str, ...] = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -432,7 +435,8 @@ def _build_sweep(config: RunConfig) -> Report:
             out.append(" | ".join(map(str, cells)))
         return out + [f"{_fmt_param(f[key])} | failed: {f['error']}" for f in failures]
 
-    return Report({"config": _config_echo(config), "points": table, "failures": failures}, table, lines, fields)
+    failed = tuple(f"{key}={f[key]}: {f['error']}" for f in failures)
+    return Report({"config": _config_echo(config), "points": table, "failures": failures}, table, lines, fields, failed)
 
 
 _BUILDERS = {
@@ -470,8 +474,13 @@ def render(report: Report, fmt: Format) -> str:
 
 def run(config: RunConfig) -> str:
     """Execute the configured pipeline and render it once; the rendered
-    report is also written to the optional output path (UTF-8, LF endings)."""
-    output = render(_execute(config), config.fmt)
+    report is also written to the optional output path (UTF-8, LF endings).
+    A CSV sweep writes each failed point to stderr as `failed: key=value: message`."""
+    report = _execute(config)
+    output = render(report, config.fmt)
+    if config.fmt is Format.CSV:
+        for cell in report.failed:
+            print(f"failed: {cell}", file=sys.stderr)
     if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(output)

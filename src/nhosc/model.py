@@ -44,9 +44,10 @@ class HamiltonianSpec:
         return _bands(self)
 
     @cached_property
-    def _scalars(self) -> tuple[float, ...]:
-        """(sigma, a, b, lev, pair, lev_norm, pair_norm): the half of H's check that (params, N) fix,
-        made once per spec; _checked_bands makes the half that the basis frequency fixes.
+    def _scalars(self) -> tuple[int | float, ...]:
+        """(N, L, R, sigma, a, b, lev, pair, lev_norm, pair_norm): the half of H's check that (params, N)
+        fix, made once per spec, with the N and couplings that _checked_bands reads; _checked_bands makes
+        the half that the basis frequency fixes, from these locals alone.
 
         sigma = sign(1+LR) and a, b = |A|, |B| over sqrt|1+LR|, so C A^2 = sigma a^2, C B^2 = sigma b^2.
         lev and pair are the ends of the diagonal and +-2 ladders, lev_norm and pair_norm their 2-norms
@@ -56,7 +57,8 @@ class HamiltonianSpec:
         """
         params, n = self.params, self.basis.n_dim
         _coefficient_squares(params)
-        norm = 1.0 + params.l_coef * params.r_coef
+        l_coef, r_coef = params.l_coef, params.r_coef
+        norm = 1.0 + l_coef * r_coef
         if not math.isfinite(norm):
             raise ValueError(f"H overflows float64 (1 + L R = {norm}) for {params}")
         lev_squares = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)  # exact: a Python int
@@ -64,7 +66,7 @@ class HamiltonianSpec:
             raise ValueError(f"N = {n} is too large: the sum of H's squared diagonal ladder overflows float64")
         lev, pair, root = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0)), math.sqrt(abs(norm))
         sigma, a, b = math.copysign(1.0, norm), abs(params.a_coef) / root, abs(params.b_coef) / root
-        return sigma, a, b, lev, pair, math.sqrt(lev_squares), pair * math.sqrt(n / 3)
+        return n, l_coef, r_coef, sigma, a, b, lev, pair, math.sqrt(lev_squares), pair * math.sqrt(n / 3)
 
 
 @dataclass(frozen=True)
@@ -124,28 +126,48 @@ def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, fl
     scaled Z and Y, times a ladder that the callers apply last.  Each ladder's end is its largest entry,
     and |H|_F = hypot(D |lev|, U |pair|, V |pair|) with the 2-norms from sum(lev^2) =
     (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.  ValueError as spec._scalars raises
-    it, when N |H|_F overflows, and, A or B nonzero, when each band's two terms agree to within 16 eps of
-    their magnitudes (H "cancels to noise": float64 keeps only their rounding) or no entry is normal:
-    H "underflows" if a bound on its terms, from the scaled |u| and |v|, is subnormal, else it "cancels to zero".
+    it, when N |H|_F overflows (H's "terms overflow float64 before they cancel" where it is nan because
+    a band's two terms are both infinite), and, A or B nonzero, when each band's two terms agree to
+    within 16 eps of their magnitudes (H "cancels to noise": float64 keeps only their rounding) or no
+    entry is normal: H "underflows" if a bound on its terms, from the scaled |u| and |v|, is subnormal,
+    else it "cancels to zero".
     """
-    sigma, a, b, lev, pair, lev_norm, pair_norm = spec._scalars
-    n, params = spec.basis.n_dim, spec.params
-    (u_y, v_y), (u_z, v_z) = _shear_bands(freq, params)
+    n, l_coef, r_coef, sigma, a, b, lev, pair, lev_norm, pair_norm = spec._scalars
+    u_y, v_y, u_z, v_z = _shear_bands(freq, l_coef, r_coef)
     # a zero scale leaves its operator out of H, even where its coefficients overflow (0 inf = nan)
-    u_y, v_y = (a * u_y, a * v_y) if a else (0.0, 0.0)
-    u_z, v_z = (b * u_z, b * v_z) if b else (0.0, 0.0)
+    if a:
+        u_y, v_y = a * u_y, a * v_y
+    else:
+        u_y = v_y = 0.0
+    if b:
+        u_z, v_z = b * u_z, b * v_z
+    else:
+        u_z = v_z = 0.0
     # (t_z, t_y) of the diagonal, +2 and -2 bands; N = 2 has no +-2 bands, whose 0 keeps an inf out of N |H|_F
     d_z, d_y = u_z * v_z, u_y * v_y
-    p_z, p_y, q_z, q_y = (v_z * v_z, v_y * v_y, u_z * u_z, u_y * u_y) if n > 2 else (0.0, 0.0, 0.0, 0.0)
+    if n > 2:
+        p_z, p_y = v_z * v_z, v_y * v_y
+        q_z, q_y = u_z * u_z, u_y * u_y
+    else:
+        p_z = p_y = q_z = q_y = 0.0
     diag, up, low = sigma * (d_z - d_y), sigma * (p_z - p_y), sigma * (q_z - q_y)
     # hypot scales, so no square overflows.  A finite N |H|_F bounds the trace and eigenvalue sums
     # of the solve: eig.eigenvalues rejects any other matrix
     bound = math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n
     if not math.isfinite(bound):
-        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) for {params}, {BasisSpec(n, freq)}")
-    if ((abs(d_z - d_y) <= _NOISE * (abs(d_z) + abs(d_y)) and abs(p_z - p_y) <= _NOISE * (abs(p_z) + abs(p_y))
-         and abs(q_z - q_y) <= _NOISE * (abs(q_z) + abs(q_y)))
+        where = f"for {spec.params}, {BasisSpec(n, freq)}"
+        # hypot is inf where any band is, so a nan bound is a nan band: inf - inf where both its terms
+        # overflow, and float64 cannot tell what they cancel to
+        if math.isnan(bound) and any(abs(t_z) == abs(t_y) == math.inf
+                                     for t_z, t_y in ((d_z, d_y), (p_z, p_y), (q_z, q_y))):
+            raise ValueError(f"H's terms overflow float64 before they cancel "
+                             f"(both terms of a band are infinite) {where}")
+        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) {where}")
+    # |sigma (t_z - t_y)| is |t_z - t_y|, so each band's noise test reads its scalar
+    if ((abs(diag) <= _NOISE * (abs(d_z) + abs(d_y)) and abs(up) <= _NOISE * (abs(p_z) + abs(p_y))
+         and abs(low) <= _NOISE * (abs(q_z) + abs(q_y)))
             or (abs(diag) * lev < _TINY and abs(up) * pair < _TINY and abs(low) * pair < _TINY)):
+        params = spec.params
         if params.a_coef or params.b_coef:
             m_z, m_y = max(abs(u_z), abs(v_z)), max(abs(u_y), abs(v_y))  # no u/v cancellation in these
             size = (m_z * m_z + m_y * m_y) * lev
@@ -183,7 +205,7 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once;
     each call pays only the half that trial_freq fixes.
     """
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+    if type(level) is not int and (isinstance(level, bool) or not isinstance(level, (int, np.integer))):
         raise TypeError(f"level must be an integer, got {level!r}")
     n = spec.basis.n_dim
     if not 0 <= level < n:

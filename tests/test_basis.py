@@ -29,8 +29,8 @@ def truncated_xp_commutator(n):
 
 def library_yz(basis, params):
     """The library's real tridiagonals Y, Z, with y = iY and z = Z."""
-    y_bands, z_bands = _shear_bands(basis.freq, params)
-    return _tridiagonal(basis.n_dim, *y_bands), _tridiagonal(basis.n_dim, *z_bands)
+    u_y, v_y, u_z, v_z = _shear_bands(basis.freq, params.l_coef, params.r_coef)
+    return _tridiagonal(basis.n_dim, u_y, v_y), _tridiagonal(basis.n_dim, u_z, v_z)
 
 
 def both_x(basis):
@@ -114,7 +114,7 @@ class TestTransformedOperators:
     def test_basis_factors(self, freq):
         # alpha = 1/sqrt(2w) is formed as beta / w, so it is beta at w = 1 and beta scaled exactly at a
         # power-of-two w, and finite where 2w overflows; a subnormal w forms it from 2w, since w / 2 would round
-        (beta, minus_beta), (alpha, alpha_too) = _shear_bands(freq, TransformParams())
+        beta, minus_beta, alpha, alpha_too = _shear_bands(freq, 0.0, 0.0)
         assert (minus_beta, alpha_too) == (-beta, alpha)
         if freq / 2.0 >= np.finfo(float).tiny:
             assert alpha == beta / freq and (alpha == beta) == (freq == 1.0)

@@ -458,6 +458,23 @@ class TestExportFormats:
         assert lines[0].startswith("w,n_real,n_complex_pairs")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("argv, points", [
+        ("sweep-w --L 3 --B 5 --values 1e-320,4 --N 6", ["w=1e-320"]),  # both terms of H's bands overflow
+        ("sweep-n --L 2 --values 12,6", ["N=6", "N=12"]),  # the broken regime has no isospectral report
+    ])
+    def test_csv_sweep_names_its_failures_on_stderr(self, argv, points, capsys):
+        # a CSV table has no row for a failed point: stdout holds the points that passed, exit 0, and
+        # stderr names each failed point with the message of the text rendering's cell
+        assert main(argv.split()) == 0
+        text = capsys.readouterr()
+        messages = [ln.split(" | failed: ", 1)[1] for ln in text.out.splitlines() if " | failed: " in ln]
+        assert main([*argv.split(), "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"failed: {p}: {m}" for p, m in zip(points, messages, strict=True)]
+        header, *rows = csv.reader(io.StringIO(captured.out))
+        assert len(rows) == len(text.out.splitlines()) - 1 - len(points)
+        assert text.err == ""
+
 
 class TestMainExitCodes:
     def test_success(self, capsys):
@@ -540,6 +557,16 @@ class TestMainExitCodes:
         monkeypatch.setattr(np.linalg, "eigvals", no_qr)
         assert main(argv.split() + ["--N", "10"]) == 2
         assert "overflows float64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("l_coef, cause", [
+        ("1", "H's terms overflow float64 before they cancel (both terms of a band are infinite)"),  # inf - inf
+        ("0", "H overflows float64 (N |H|_F = inf)"),
+    ])
+    def test_overflow_message_names_its_cause(self, l_coef, cause, capsys):
+        assert main(["spectrum", "--L", l_coef, "--w", "1e-320", "--N", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {cause} for TransformParams(")
+        assert "nan" not in captured.err
 
     def test_commutator_rounding_floor_is_config_error(self, capsys):
         # the check used to exit 0 here with max |diag - 1| = 2: pure rounding

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import enum
 import itertools
 import math
 import sys
@@ -257,6 +258,23 @@ class TestBuildHamiltonian:
         for level in {0, 1, n_dim - 2, n_dim - 1}:
             assert diagonal_expectation(spec, level, w) == diagonal_expectation(same, level, w)
 
+    @pytest.mark.parametrize("l_coef, message, true_max", [
+        # 1/sqrt(2w) is near 7e159: at L = 1 both terms of every band overflow, so each band is
+        # inf - inf, while the 900-digit entries stay below 10.5 in magnitude
+        (1.0, r"^H's terms overflow float64 before they cancel \(both terms of a band are infinite\) for ", 10.49),
+        (0.0, r"^H overflows float64 \(N \|H\|_F = inf\) for ", math.inf),  # Y's terms stay finite: a true overflow
+    ])
+    def test_terms_that_overflow_before_they_cancel_are_named(self, l_coef, message, true_max):
+        n_dim, w = 12, 1e-320
+        spec = HamiltonianSpec(TransformParams(l_coef=l_coef), BasisSpec(n_dim=n_dim))
+        for call in (lambda: build_hamiltonian(HamiltonianSpec(spec.params, BasisSpec(n_dim, w))),
+                     lambda: diagonal_expectation(spec, 0, w)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        places = [(i, j) for i in range(n_dim) for j in range(n_dim) if abs(i - j) in (0, 2)]
+        true = oracles.mp_entries(l_coef, 0.0, 1.0, 1.0, w, n_dim, places, dps=900)
+        assert max(map(abs, true)) == pytest.approx(true_max, rel=1e-3)
+
     def test_overflowing_normalization_is_named(self):
         # 1 + LR overflows: no scale |A| / sqrt|1 + LR| is left to form, and the message says so
         for l_coef in (1e200, -1e200):
@@ -421,9 +439,10 @@ class TestDiagonalExpectation:
             seen.add("built")
             fresh[params, w] = [diagonal_expectation(spec, level, w).hex() for level in levels]
             assert fresh[params, w] == [v.hex() for v in h.diagonal()[levels]]
-        assert seen == {"built", "H overflows float64", "H underflows float64", "H cancels to zero in float64",
-                        "H cancels to noise in float64", "A^2 overflows float64", "A^2 underflows float64", "B^2 overflows float64",
-                        "B^2 underflows float64"}
+        assert seen == {"built", "H overflows float64", "H's terms overflow float64 before they cancel",
+                        "H underflows float64", "H cancels to zero in float64", "H cancels to noise in float64",
+                        "A^2 overflows float64", "A^2 underflows float64",
+                        "B^2 overflows float64", "B^2 underflows float64"}
         # second pass: one spec per params, its (params, N) half made once and kept over every w of
         # the grid, gives the fresh specs' bits and messages
         specs = {}
@@ -614,8 +633,23 @@ class TestDiagonalExpectation:
             diagonal_expectation(spec, level, 1.0)
 
     def test_numpy_integer_level(self):
+        # a numpy level is not an int: it gives the plain-int value as a Python float, not an np.float64
         spec = HamiltonianSpec(params=TransformParams(l_coef=0.5), basis=BasisSpec(n_dim=5))
-        assert diagonal_expectation(spec, np.int64(4), 2.0) == diagonal_expectation(spec, 4, 2.0)
+        for level in (0, 2, 4):
+            value = diagonal_expectation(spec, np.int64(level), 2.0)
+            assert type(value) is float and value == diagonal_expectation(spec, level, 2.0)
+
+    def test_int_subclass_level(self):
+        # an int subclass other than bool passes the level check, as int does, with the plain-int value
+        class Level(enum.IntEnum):
+            GROUND = 0
+            MIDDLE = 2
+            EDGE = 4
+
+        spec = HamiltonianSpec(params=TransformParams(l_coef=0.5), basis=BasisSpec(n_dim=5))
+        for level in Level:
+            value = diagonal_expectation(spec, level, 2.0)
+            assert type(value) is float and value == diagonal_expectation(spec, int(level), 2.0)
 
     def test_minimizer_matches_variational_frequency(self, table1_params):
         # golden-section minimization oracle, independent of the closed form
