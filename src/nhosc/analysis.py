@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import BasisSpec, TransformParams
 from .eig import EigensolverError, classify, eigenvalues, real_mask
-from .model import HamiltonianSpec, Regime, classify_regime
+from .model import HamiltonianSpec, Regime, _coefficient_squares, classify_regime
 
 __all__ = [
     "IsospectralReport",
@@ -61,8 +61,10 @@ class SweepResult:
 
 def isospectral_report(params: TransformParams, basis: BasisSpec) -> IsospectralReport:
     """Build, solve and compare against the analytic reference levels."""
-    # build first, so that a float64 overflow is reported as such
+    # build first, so that a float64 overflow is reported as such; the regime is read from float64
+    # A^2 and B^2, so a square outside the normal range is named
     bands = HamiltonianSpec(params=params, basis=basis).bands
+    _coefficient_squares(params)
     if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
         raise ValueError("isospectral report undefined in the broken regime")
     spec = eigenvalues(bands)

@@ -3,7 +3,8 @@
 All operators act on the N-dimensional truncation of the harmonic oscillator
 number basis (hbar = m = 1, so the basis frequency w alone fixes x and p).  With
 p = iP, y = iY and z = Z for the real tridiagonals Y = P + Lx and Z = x - RP (x, p:
-L = R = 0), whose bands ``_shear_bands`` defines for this module and for model's H.
+L = R = 0), whose bands ``_shear_bands`` defines for the commutator check and
+``transformed_momentum``; model builds H from its quadratic form, not from these.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def ladder_weights(n_dim: int) -> np.ndarray:
 
 def _shear_bands(freq: float, l_coef: float, r_coef: float) -> tuple[float, float, float, float]:
     """(u_y, v_y, u_z, v_z): the (below, above) coefficients (see _tridiagonal) of Y = P + Lx, then those
-    of Z = x - RP (P = -ip), at freq, as one flat tuple: model's H check unpacks it on every call."""
+    of Z = x - RP (P = -ip), at freq, as one flat tuple."""
     # alpha = 1/sqrt(2 freq) as beta / freq, which is beta at freq = 1; where freq / 2 rounds (below
     # twice the smallest normal float) alpha is formed from 2 freq, which does not
     half = freq / 2.0

@@ -393,7 +393,7 @@ def _build_duality(config: RunConfig) -> Report:
 
     def lines() -> list[str]:
         # no relative distance when h_norm = 0: H = 0 (A = B = 0; the build
-        # rejects an H that underflows or cancels to zero)
+        # rejects an H that underflows or is zero)
         rel = f"{distance / h_norm:.3e}" if h_norm > 0.0 else "-"
         return [
             f"duality check at N={basis.n_dim}: "

@@ -1,5 +1,6 @@
-"""General non-Hermitian quadratic oscillator: the real banded Hamiltonian, built as three checked
-band scalars times fixed ladders, variational frequency, regime classification and reality window."""
+"""General non-Hermitian quadratic oscillator: the real banded Hamiltonian, built from its exact quadratic
+form as three checked band scalars times fixed ladders, variational frequency, regime classification and
+reality window."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSpec, TransformParams, _check_freq, _shear_bands
+from .basis import BasisSpec, TransformParams, _check_freq
 from .eig import Bands
 from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py looks it up here)
 
@@ -28,7 +29,6 @@ __all__ = [
 
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 _HUGE = float(np.finfo(np.float64).max)  # largest finite float64
-_NOISE = 16.0 * float(np.finfo(np.float64).eps)  # two terms this close, relative to their size, cancel to rounding
 
 
 @dataclass(frozen=True)
@@ -44,29 +44,38 @@ class HamiltonianSpec:
         return _bands(self)
 
     @cached_property
-    def _scalars(self) -> tuple[int | float, ...]:
-        """(N, L, R, sigma, a, b, lev, pair, lev_norm, pair_norm): the half of H's check that (params, N)
-        fix, made once per spec, with the N and couplings that _checked_bands reads; _checked_bands makes
-        the half that the basis frequency fixes, from these locals alone.
-
-        sigma = sign(1+LR) and a, b = |A|, |B| over sqrt|1+LR|, so C A^2 = sigma a^2, C B^2 = sigma b^2.
-        lev and pair are the ends of the diagonal and +-2 ladders, lev_norm and pair_norm their 2-norms
-        from the sums in _checked_bands' docstring.  Raises ValueError anew on every access (a
-        cached_property keeps no error): _coefficient_squares' for A^2 and B^2, one when 1 + LR
-        overflows, and one naming N when sum(lev^2) is past float64 (N above about 5e102).
+    def _triple(self) -> tuple[int, int, int, int]:
+        """(n_a, n_b, n_c, den) with a/2, b/2, c = n_a/den, n_b/den, n_c/den exactly: H's quadratic form
+        (a, b, c) = C (A^2 - R^2 B^2, B^2 - L^2 A^2, L A^2 + R B^2) of the float inputs, no rounding.
+        With L, R = l/k, r/k and A^2, B^2 = p/m, q/m over integers, C = k^2/(k^2 + l r), so over
+        (k^2 + l r) m, a = k^2 p - r^2 q, b = k^2 q - l^2 p and c = k (l p + r q).
         """
-        params, n = self.params, self.basis.n_dim
-        _coefficient_squares(params)
-        l_coef, r_coef = params.l_coef, params.r_coef
-        norm = 1.0 + l_coef * r_coef
-        if not math.isfinite(norm):
-            raise ValueError(f"H overflows float64 (1 + L R = {norm}) for {params}")
+        params = self.params
+        (l_num, l_den), (r_num, r_den) = params.l_coef.as_integer_ratio(), params.r_coef.as_integer_ratio()
+        (a_num, a_den), (b_num, b_den) = params.a_coef.as_integer_ratio(), params.b_coef.as_integer_ratio()
+        k, l_int, r_int = l_den * r_den, l_num * r_den, r_num * l_den
+        p, q, kk = (a_num * b_den) ** 2, (b_num * a_den) ** 2, k * k
+        den = 2 * (kk + l_int * r_int) * (a_den * b_den) ** 2  # nonzero: TransformParams rejects 1 + LR = 0
+        return kk * p - r_int * r_int * q, kk * q - l_int * l_int * p, 2 * k * (l_int * p + r_int * q), den
+
+    @cached_property
+    def _scalars(self) -> tuple[int | float, ...]:
+        """(N, a/2, b/2, c, lev_norm, pair_norm, floor): the half of H's check that (params, N) fix, made
+        once per spec; _checked_bands makes the half that the basis frequency fixes from these alone.
+        a/2, b/2 and c are _triple's rounded once, or nan where that is not 0 or a normal float64, which
+        sends every call to _exact_bands.  lev_norm and pair_norm are the ladders' 2-norms, from
+        sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.  An N |H|_F below
+        floor does not show a normal band scalar; at N = 2 floor is inf, as H = D I has no +-2 band to
+        bound the cancellation in D.  Raises ValueError anew on every access (a cached_property keeps no error)
+        when sum(lev^2) is past float64 (N above about 5e102)."""
+        n = self.basis.n_dim
         lev_squares = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)  # exact: a Python int
         if lev_squares > _HUGE:  # a Python float: an exact comparison, no conversion of the int
             raise ValueError(f"N = {n} is too large: the sum of H's squared diagonal ladder overflows float64")
-        lev, pair, root = 2.0 * (n - 2) + 1.0, math.sqrt((n - 2.0) * (n - 1.0)), math.sqrt(abs(norm))
-        sigma, a, b = math.copysign(1.0, norm), abs(params.a_coef) / root, abs(params.b_coef) / root
-        return n, l_coef, r_coef, sigma, a, b, lev, pair, math.sqrt(lev_squares), pair * math.sqrt(n / 3)
+        n_a, n_b, n_c, den = self._triple
+        lev_norm, pair_norm = math.sqrt(lev_squares), math.sqrt((n - 2.0) * (n - 1.0) * n / 3.0)
+        floor = 4.0 * n * _TINY * (lev_norm + pair_norm) if n > 2 else math.inf
+        return n, _normal(n_a, den), _normal(n_b, den), _normal(n_c, den), lev_norm, pair_norm, floor
 
 
 @dataclass(frozen=True)
@@ -113,69 +122,57 @@ def _coefficient_squares(params: TransformParams) -> tuple[float, float]:
     raise ValueError(f"{name}^2 {'overflows' if square == math.inf else 'underflows'} float64 ({name} = {coef!r})")
 
 
+def _normal(num: int, den: int) -> float:
+    """num / den rounded once where that is 0 or a normal float64, else nan."""
+    try:
+        value = num / den  # int / int: correctly rounded, OverflowError past float64
+    except OverflowError:
+        return math.nan
+    return value if not num or abs(value) >= _TINY else math.nan
+
+
 def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, float]:
     """The scalars (D, U, V) of H's diagonal, +2 and -2 bands at a basis frequency that passed
-    basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.
-    The half that (params, N) fix is spec._scalars, made once per spec; this is the half that freq fixes.
-
-    With y = iY, z = Z and (u, v) the (below, above) coefficients of the real tridiagonals Y, Z from
-    basis._shear_bands, H = C(B^2 Z^2 - A^2 Y^2).  A zero-diagonal tridiagonal with T[k,k-1] = u sqrt(k)
-    and T[k-1,k] = v sqrt(k) squares to u v times the ladder lev_k = 2k+1 (N-1 at k = N-1) on the
-    diagonal, v^2 and u^2 times sqrt((k+1)(k+2)) on the +2 and -2 bands.  So, with Z's (u, v) scaled by
-    b and Y's by a, each band is one scalar sigma (t_z - t_y), the two terms the u v, v^2 or u^2 of the
-    scaled Z and Y, times a ladder that the callers apply last.  Each ladder's end is its largest entry,
-    and |H|_F = hypot(D |lev|, U |pair|, V |pair|) with the 2-norms from sum(lev^2) =
-    (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.  ValueError as spec._scalars raises
-    it, when N |H|_F overflows (H's "terms overflow float64 before they cancel" where it is nan because
-    a band's two terms are both infinite), and, A or B nonzero, when each band's two terms agree to
-    within 16 eps of their magnitudes (H "cancels to noise": float64 keeps only their rounding) or no
-    entry is normal: H "underflows" if a bound on its terms, from the scaled |u| and |v|, is subnormal,
-    else it "cancels to zero".
-    """
-    n, l_coef, r_coef, sigma, a, b, lev, pair, lev_norm, pair_norm = spec._scalars
-    u_y, v_y, u_z, v_z = _shear_bands(freq, l_coef, r_coef)
-    # a zero scale leaves its operator out of H, even where its coefficients overflow (0 inf = nan)
-    if a:
-        u_y, v_y = a * u_y, a * v_y
-    else:
-        u_y = v_y = 0.0
-    if b:
-        u_z, v_z = b * u_z, b * v_z
-    else:
-        u_z = v_z = 0.0
-    # (t_z, t_y) of the diagonal, +2 and -2 bands; N = 2 has no +-2 bands, whose 0 keeps an inf out of N |H|_F
-    d_z, d_y = u_z * v_z, u_y * v_y
-    if n > 2:
-        p_z, p_y = v_z * v_z, v_y * v_y
-        q_z, q_y = u_z * u_z, u_y * u_y
-    else:
-        p_z = p_y = q_z = q_y = 0.0
-    diag, up, low = sigma * (d_z - d_y), sigma * (p_z - p_y), sigma * (q_z - q_y)
+    basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation; the half
+    that freq fixes, as spec._scalars is the half that (params, N) fix.  In the number basis, p^2 =
+    (w/2)(lev - a^2 - a+^2), x^2 = (lev + a^2 + a+^2)/(2w) and i(xp + px) = a^2 - a+^2, so H = a p^2 +
+    b x^2 + i c (xp + px) has D = (a w + b/w)/2 and U, V = (b/w - a w)/2 +- c times ladders that the
+    callers apply last.  With x = (a/2) w and y = (b/2)/w, each term of D = x + y and U, V = (y - x) +- c
+    is at most max(|D|, |U|, |V|), so each scalar is within a few eps of the largest.  Where a term is
+    not finite or N |H|_F is below spec._scalars' floor, _exact_bands decides."""
+    n, half_a, half_b, c, lev_norm, pair_norm, floor = spec._scalars
+    x = half_a * freq
+    y = half_b / freq
+    t = y - x
+    diag, up, low = x + y, t + c, t - c
     # hypot scales, so no square overflows.  A finite N |H|_F bounds the trace and eigenvalue sums
     # of the solve: eig.eigenvalues rejects any other matrix
-    bound = math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n
-    if not math.isfinite(bound):
-        where = f"for {spec.params}, {BasisSpec(n, freq)}"
-        # hypot is inf where any band is, so a nan bound is a nan band: inf - inf where both its terms
-        # overflow, and float64 cannot tell what they cancel to
-        if math.isnan(bound) and any(abs(t_z) == abs(t_y) == math.inf
-                                     for t_z, t_y in ((d_z, d_y), (p_z, p_y), (q_z, q_y))):
-            raise ValueError(f"H's terms overflow float64 before they cancel "
-                             f"(both terms of a band are infinite) {where}")
-        raise ValueError(f"H overflows float64 (N |H|_F = {bound}) {where}")
-    # |sigma (t_z - t_y)| is |t_z - t_y|, so each band's noise test reads its scalar
-    if ((abs(diag) <= _NOISE * (abs(d_z) + abs(d_y)) and abs(up) <= _NOISE * (abs(p_z) + abs(p_y))
-         and abs(low) <= _NOISE * (abs(q_z) + abs(q_y)))
-            or (abs(diag) * lev < _TINY and abs(up) * pair < _TINY and abs(low) * pair < _TINY)):
-        params = spec.params
-        if params.a_coef or params.b_coef:
-            m_z, m_y = max(abs(u_z), abs(v_z)), max(abs(u_y), abs(v_y))  # no u/v cancellation in these
-            size = (m_z * m_z + m_y * m_y) * lev
-            cause = ("cancels to noise in float64 (each band's two terms agree to within 16 eps)"
-                     if max(abs(diag) * lev, abs(up) * pair, abs(low) * pair) >= _TINY else
-                     f"{'underflows' if size < _TINY else 'cancels to zero in'} float64 (no entry reaches {_TINY:.3e})")
-            raise ValueError(f"H {cause} for {params}, {BasisSpec(n, freq)}")
-    return diag, up, low
+    if floor <= math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n < math.inf:
+        return diag, up, low
+    return _exact_bands(spec, freq)
+
+
+def _exact_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, float]:
+    """_checked_bands' scalars from spec._triple and freq taken exactly, each rounded once.  ValueError when
+    N |H|_F overflows and, A or B nonzero, when no entry is normal: H "underflows", or "is zero" exactly."""
+    n, _, _, _, lev_norm, pair_norm, _ = spec._scalars
+    n_a, n_b, n_c, den = spec._triple
+    w_num, w_den = float(freq).as_integer_ratio()  # a w/2 = x / over and b/(2w) = y / over
+    x, y, cross, over = n_a * w_num * w_num, n_b * w_den * w_den, n_c * w_num * w_den, den * w_num * w_den
+    terms = (x + y, y - x + cross, y - x - cross) if n > 2 else (x + y, 0, 0)  # N = 2 has no +-2 bands
+    try:
+        diag, up, low = (term / over for term in terms)
+    except OverflowError:
+        diag = up = low = math.inf
+    params, lev, pair = spec.params, 2.0 * n - 3.0, math.sqrt((n - 2.0) * (n - 1.0))  # the ladders' ends
+    if not math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n < math.inf:
+        cause = "overflows float64 (N |H|_F = inf)"
+    elif max(abs(diag) * lev, abs(up) * pair, abs(low) * pair) < _TINY and (params.a_coef or params.b_coef):
+        cause = ("is zero (every entry is 0)" if not any(terms)
+                 else f"underflows float64 (no entry reaches {_TINY:.3e})")
+    else:
+        return diag, up, low
+    raise ValueError(f"H {cause} for {params}, {BasisSpec(n, freq)}")
 
 
 def _bands(spec: HamiltonianSpec) -> Bands:
@@ -201,7 +198,8 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w]; the cross term
     adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: _checked_bands' D times
     the level's ladder value, bit-identical to build_hamiltonian(...)[level, level], with the build's
-    errors (BasisSpec's freq check, then _checked_bands).  TypeError for a level that is no integer (or a bool), IndexError outside.
+    errors (BasisSpec's freq check, then _checked_bands).  TypeError for a level that is no integer (or a
+    bool), IndexError outside.
     A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once;
     each call pays only the half that trial_freq fixes.
     """

@@ -9,7 +9,8 @@ francis_qr is the EISPACK-style double-shift QR for an upper Hessenberg
 matrix, the reference eigenvalue solver of whole matrices.  The exact_* functions
 count the eigenvalues of the truncated H in exact rational arithmetic, with
 no floating-point eigensolver at any precision.  mp_entries gives single
-entries of H from the same definitions in mpmath at any precision.
+entries of H, and mp_bands its band scalars and norm, from the same
+definitions in mpmath at any precision.
 """
 
 import functools
@@ -51,6 +52,30 @@ def hamiltonian(n_dim, freq, l_coef, r_coef, a_coef, b_coef) -> np.ndarray:
     return (a_coef**2 * (y @ y) + b_coef**2 * (z @ z)) / (1.0 + l_coef * r_coef)
 
 
+def _mp_entries(l_coef, r_coef, a_coef, b_coef, freq, n_dim, index_pairs) -> list:
+    """H[i, j] for each (i, j) of index_pairs as mpmath reals at the working precision (see mp_entries)."""
+    l_coef, r_coef, a_coef, b_coef, freq = map(mpmath.mpf, (l_coef, r_coef, a_coef, b_coef, freq))
+
+    def sheared_entries(i, k):
+        """(y[i,k], z[i,k]) for |i - k| = 1."""
+        root = mpmath.sqrt(max(i, k))
+        x = root / mpmath.sqrt(2 * freq)
+        p = 1j * mpmath.sqrt(freq / 2) * (root if i > k else -root)
+        return p + 1j * l_coef * x, x + 1j * r_coef * p
+
+    values = []
+    for i, j in index_pairs:
+        h = mpmath.mpc(0)
+        for k in (i - 1, i + 1):
+            if 0 <= k < n_dim and abs(k - j) == 1:
+                (y_ik, z_ik), (y_kj, z_kj) = sheared_entries(i, k), sheared_entries(k, j)
+                h += a_coef**2 * y_ik * y_kj + b_coef**2 * z_ik * z_kj
+        h /= 1 + l_coef * r_coef
+        assert h.imag == 0, (i, j, h)
+        values.append(h.real)
+    return values
+
+
 def mp_entries(l_coef, r_coef, a_coef, b_coef, freq, n_dim, index_pairs, dps) -> list[float]:
     """H[i, j] for each (i, j) of index_pairs, as the float nearest its dps-digit mpmath value.
 
@@ -60,26 +85,25 @@ def mp_entries(l_coef, r_coef, a_coef, b_coef, freq, n_dim, index_pairs, dps) ->
     operation and no closed form of H's bands enters.
     """
     with mpmath.workdps(dps):
-        l_coef, r_coef, a_coef, b_coef, freq = map(mpmath.mpf, (l_coef, r_coef, a_coef, b_coef, freq))
+        return [float(h) for h in _mp_entries(l_coef, r_coef, a_coef, b_coef, freq, n_dim, index_pairs)]
 
-        def sheared_entries(i, k):
-            """(y[i,k], z[i,k]) for |i - k| = 1."""
-            root = mpmath.sqrt(max(i, k))
-            x = root / mpmath.sqrt(2 * freq)
-            p = 1j * mpmath.sqrt(freq / 2) * (root if i > k else -root)
-            return p + 1j * l_coef * x, x + 1j * r_coef * p
 
-        values = []
-        for i, j in index_pairs:
-            h = mpmath.mpc(0)
-            for k in (i - 1, i + 1):
-                if 0 <= k < n_dim and abs(k - j) == 1:
-                    (y_ik, z_ik), (y_kj, z_kj) = sheared_entries(i, k), sheared_entries(k, j)
-                    h += a_coef**2 * y_ik * y_kj + b_coef**2 * z_ik * z_kj
-            h /= 1 + l_coef * r_coef
-            assert h.imag == 0, (i, j, h)
-            values.append(float(h.real))
-        return values
+def mp_bands(l_coef, r_coef, a_coef, b_coef, freq, n_dim, dps) -> tuple[list[float], float, mpmath.mpf]:
+    """([D, U, V], N |H|_F, max|H_ij|): the first two as the floats nearest their dps-digit mpmath
+    values, the last as that mpmath value (it may lie below the smallest subnormal float).
+
+    D = H[0,0] and U, V = H[0,2], H[2,0] over sqrt(2) are the scalars of H's diagonal, +2 and -2
+    bands (U = V = 0 at N = 2, which has no +-2 bands); the norm and the largest magnitude are
+    taken over every entry of those bands, each from mp_entries' definitions.
+    """
+    places = [(k, k) for k in range(n_dim)] + [(k, k + 2) for k in range(n_dim - 2)]
+    places += [(k + 2, k) for k in range(n_dim - 2)]
+    with mpmath.workdps(dps):
+        entries = _mp_entries(l_coef, r_coef, a_coef, b_coef, freq, n_dim, places)
+        scalars = [entries[0], entries[n_dim] / mpmath.sqrt(2), entries[2 * n_dim - 2] / mpmath.sqrt(2)] \
+            if n_dim > 2 else [entries[0], 0, 0]
+        norm = n_dim * mpmath.sqrt(mpmath.fsum(h * h for h in entries))
+        return [float(s) for s in scalars], float(norm), max(map(abs, entries))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

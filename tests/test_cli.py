@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import nhosc
 import nhosc.analysis
 import nhosc.cli as cli
+import oracles
 from nhosc import (
     BasisSpec,
     EigensolverError,
@@ -540,7 +542,6 @@ class TestMainExitCodes:
             "spectrum --w 1e-300 --B 1e5",
             "spectrum --w 1e300 --A 1e5",
             "spectrum --A 1e200",
-            "spectrum --L 1e200 --R 1e200",
             "commutator-check --w 1e10 --R 1e300",
             "commutator-check --R 1e300 --L 1e300",  # 1+LR overflows
             "commutator-check --L 1e300 --w 1e-10",
@@ -548,6 +549,7 @@ class TestMainExitCodes:
             "commutator-check --L 1e308",
             "table1 --W 1e300",
             "table1 --W 4 --L 1e300",
+            "table2 --W 4 --R 1e308",  # c = R B^2 = 1e308 on the +-2 bands
         ],
     )
     def test_float64_overflow_is_config_error(self, argv, monkeypatch, capsys):
@@ -558,15 +560,70 @@ class TestMainExitCodes:
         assert main(argv.split() + ["--N", "10"]) == 2
         assert "overflows float64" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("l_coef, cause", [
-        ("1", "H's terms overflow float64 before they cancel (both terms of a band are infinite)"),  # inf - inf
-        ("0", "H overflows float64 (N |H|_F = inf)"),
-    ])
-    def test_overflow_message_names_its_cause(self, l_coef, cause, capsys):
-        assert main(["spectrum", "--L", l_coef, "--w", "1e-320", "--N", "12"]) == 2
+    def test_overflow_message_names_its_cause(self, capsys):
+        # b / (2w) = 5e319: a true overflow, named by N |H|_F, never nan
+        assert main(["spectrum", "--L", "0", "--w", "1e-320", "--N", "12"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"error: {cause} for TransformParams(")
+        assert captured.out == "" and captured.err.startswith("error: H overflows float64 (N |H|_F = inf) for ")
         assert "nan" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --L 1e200 --R 1e200 --N 10",  # 1 + LR overflows in float64
+        "spectrum --B 1e-200 --w 1e-200 --N 6",  # B^2 underflows in float64; H is diagonal, (2n+1)e-200
+        "spectrum --B 1e200 --w 1e200 --N 6",  # B^2 overflows in float64
+        # shear coefficients whose products cancel (B R = 1 but for the inputs' rounding; B^2 = L^2 A^2)
+        "spectrum --R 1e-100 --A 1 --B 1e100 --w 1e150 --N 3",
+        "duality --R 1e-100 --A 1 --B 1e100 --w 1e150 --N 3",
+        "duality --L=-1e100 --A 1 --B 1e100 --w 4 --N 3",  # its spectrum: test_b_equal_to_l_a_solves_...
+    ])
+    def test_h_that_float64_intermediates_lose_solves(self, argv, capsys):
+        # H's triple is exact from the float inputs, so an A^2, B^2, 1 + LR or shear product beyond
+        # float64 costs nothing: exit 0, with band scalars within 4 eps of 900-digit mpmath
+        assert main(argv.split() + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)
+        config = parse_config(argv.split())
+        p, b = config.params, config.basis
+        true, _, _ = oracles.mp_bands(p.l_coef, p.r_coef, p.a_coef, p.b_coef, b.freq, b.n_dim, dps=900)
+        got = nhosc.model._checked_bands(HamiltonianSpec(p, b), b.freq)
+        assert max(abs(g - t) for g, t in zip(got, true)) <= 4 * np.finfo(np.float64).eps * max(map(abs, true))
+
+    def test_b_equal_to_l_a_solves_with_its_exact_bands(self, capsys):
+        # B^2 = L^2 A^2 makes b = 0 exactly: (D, U, V) = (a w / 2, -a w / 2 + c, -a w / 2 - c) = (2, -1e100, 1e100)
+        argv = "spectrum --L=-1e100 --A 1 --B 1e100 --w 4 --N 3"
+        config = parse_config(argv.split())
+        assert nhosc.model._checked_bands(HamiltonianSpec(config.params, config.basis), 4.0) == (2.0, -1e100, 1e100)
+        assert main(argv.split() + ["--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        assert [complex(v["re"], v["im"]) for v in values] == pytest.approx([-1.4142135623730951e100j,
+                                                                              1.4142135623730951e100j, 6.0])
+
+    @pytest.mark.parametrize("argv, level_0", [
+        # a shear coefficient that cancels: accepted as 8.64e50 while H was formed from the shear products
+        ("spectrum --L=69.13304933807956 --R=8.878467928194506e+29 --A=6.696600120056964e+40 "
+         "--B=75425176665.79794 --w=5.537241693088149e+16 --N 3", 5.941411694965223e50),
+        # a shear coefficient that overflowed before its tiny scale rejected this finite H
+        ("spectrum --L 1e300 --R 2e-8 --A 1.5e-154 --w 5e-21 --N 3", None),
+        # both terms of every band overflowed (inf - inf), though every entry is below 10.5
+        ("spectrum --L 1 --w 1e-320 --N 12", None),
+    ])
+    def test_shear_path_defects_solve_to_mpmath(self, argv, level_0, capsys):
+        # exit 0 with each printed value within 1e-13 max|H| of an eigenvalue of the truncated H whose
+        # entries are 900-digit mpmath's, solved in 60 digits, and each of those near a printed value
+        assert main(argv.split() + ["--format", "json"]) == 0
+        got = [complex(v["re"], v["im"]) for v in json.loads(capsys.readouterr().out)["values"]]
+        p, b = (config := parse_config(argv.split())).params, config.basis
+        places = [(i, j) for i in range(b.n_dim) for j in range(b.n_dim)]
+        entries = oracles.mp_entries(p.l_coef, p.r_coef, p.a_coef, p.b_coef, b.freq, b.n_dim, places, dps=900)
+        with mpmath.workdps(60):
+            h = mpmath.matrix(b.n_dim, b.n_dim)
+            for (i, j), entry in zip(places, entries):
+                h[i, j] = entry
+            true = [complex(e) for e in mpmath.eig(h, left=False, right=False)]
+        tol = 1e-13 * max(map(abs, entries))
+        assert all(min(abs(g - t) for t in true) <= tol for g in got)
+        assert all(min(abs(g - t) for g in got) <= tol for t in true)
+        if level_0 is not None:
+            assert got[0] == pytest.approx(level_0, rel=1e-12)
 
     def test_commutator_rounding_floor_is_config_error(self, capsys):
         # the check used to exit 0 here with max |diag - 1| = 2: pure rounding
@@ -635,28 +692,17 @@ class TestMainExitCodes:
         assert "underflows float64" in captured.err and captured.out == ""
 
     def test_float64_cancellation_is_config_error(self, capsys):
-        # the normal terms C B^2 z^2 and C A^2 y^2 cancel exactly: every entry of H is 0 in float64
+        # a = b = 0 exactly and N = 2 has no +-2 bands: every entry of H is exactly 0
         assert main("spectrum --L 1 --R 1 --A 1 --B 1 --w 4 --N 2".split()) == 2
         captured = capsys.readouterr()
-        assert "H cancels to zero in float64" in captured.err and captured.out == ""
+        assert "H is zero (every entry is 0)" in captured.err and captured.out == ""
 
     def test_zero_h_from_cancelled_shear_is_config_error(self, capsys):
-        # at w = 1 Z's above coefficient alpha - beta is exactly 0, so with A = 0 the true H is the
-        # zero matrix at N = 2, though its terms' magnitudes are normal: it cancels, not underflows
+        # a = C(0 - R^2 B^2) and b = C B^2 cancel in D = (a w + b/w)/2 at w = 1, and N = 2 has no
+        # +-2 bands: the true H is the zero matrix, though A^2 and B^2 are normal
         assert main("spectrum --L=-1e154 --R=-1 --A 0 --B 1e154 --w 1 --N 2".split()) == 2
         captured = capsys.readouterr()
-        assert "H cancels to zero in float64" in captured.err and captured.out == ""
-
-    @pytest.mark.parametrize("command", ["spectrum", "duality"])
-    def test_float64_cancellation_to_noise_is_config_error(self, command, capsys):
-        # B R = 1 but for the inputs' rounding: every band is the rounding of two cancelled 5e149 terms
-        assert main(f"{command} --R 1e-100 --A 1 --B 1e100 --w 1e150 --N 3".split()) == 2
-        captured = capsys.readouterr()
-        assert "H cancels to noise in float64" in captured.err and captured.out == ""
-        # B^2 = L^2 A^2: the scaled 1e200 terms agree bit for bit, so every entry is 0
-        assert main(f"{command} --L=-1e100 --A 1 --B 1e100 --w 4 --N 3".split()) == 2
-        captured = capsys.readouterr()
-        assert "H cancels to zero in float64" in captured.err and captured.out == ""
+        assert "H is zero (every entry is 0)" in captured.err and captured.out == ""
 
     def test_overflowing_shear_product_beside_zero_coefficient_solves(self, capsys):
         # Z's v^2 overflows, but B = 0: H = -A^2 Y^2, whose spectrum is 0, 3/2, 3/2 at N = 3
@@ -687,11 +733,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # H is diagonal here, (2n+1)e-200 exactly: B^2 would vanish
-            ("spectrum --B 1e-200 --w 1e-200 --N 6", "B^2 underflows float64"),
+            # the table commands read the regime from float64 A^2 and B^2 (ROADMAP item 25)
             ("table1 --W 1e-200 --N 6", "B^2 underflows float64"),
             ("table1 --W 1e200 --N 6", "B^2 overflows float64"),
-            ("table2 --W 4 --R 1e308", "A^2 overflows float64"),
             # --w auto names the square, not an undefined frequency
             ("spectrum --B 1e-200 --w auto --N 6", "B^2 underflows float64"),
             ("spectrum --A 1e200 --w auto --N 6", "A^2 overflows float64"),

@@ -1,0 +1,140 @@
+"""H's float64 contract, against 900-digit mpmath (oracles.mp_bands).
+
+Every H the build accepts has band scalars (D, U, V) within K eps of its largest exact band
+scalar, and a finite N |H|_F; every H it rejects has N |H|_F past float64 ("H overflows"), or
+no normal entry ("H underflows"), or is exactly zero ("H is zero").  The inputs are built to
+cancel, where float64 loses most: B ~ LA (the x^2 coefficient B^2 - L^2 A^2), A ~ RB (the p^2
+coefficient A^2 - R^2 B^2) and LA^2 ~ -RB^2 (the cross coefficient), at subnormal, huge and
+spread frequencies, together with every argv that CHANGES.md names in a FOUND or MENDED line.
+"""
+
+import math
+import random
+import sys
+
+import pytest
+
+import oracles
+from nhosc import BasisSpec, HamiltonianSpec, TransformParams, model
+from nhosc.cli import ConfigError, parse_config
+
+EPS = sys.float_info.epsilon
+TINY = sys.float_info.min
+K = 4  # fixed: never loosened
+
+# the argvs of CHANGES.md's FOUND and MENDED lines; the last block stops in parse_config, before any H
+NAMED_ARGVS = [
+    "commutator-check --L 1e300 --N 10",
+    "spectrum --L=-1.34 --R=-1.82 --A=-4.1199211783996836e+153 --B=8.649834512902248e+153 --w 1.99 --N 2",
+    "spectrum --L 1 --R 1 --A 1 --B 1 --w 4 --N 2",
+    "spectrum --L=-1e100 --A 1 --B 1e100 --w 4 --N 3",
+    "spectrum --R 1e155 --A 1 --B 0 --w 1 --N 3",
+    "spectrum --R 1e155 --B 1e-150 --w 1 --N 3",
+    "spectrum --L 1e-5 --R 1e100 --A 1e100 --B 1 --w 4 --N 2",
+    "spectrum --L=69.13304933807956 --R=8.878467928194506e+29 --A=6.696600120056964e+40 "
+    "--B=75425176665.79794 --w=5.537241693088149e+16 --N 3",
+    "spectrum --L 1e300 --A 0 --w 1e-300 --N 3",
+    "spectrum --L 0 --A 0 --w 1e-300 --N 3",
+    "spectrum --R 1e300 --B 0 --w 1e300 --N 3",
+    "spectrum --L 1e300 --R 2e-8 --A 1.5e-154 --w 5e-21 --N 3",
+    "spectrum --L 1 --w 1e-320 --N 12",
+    "commutator-check --N 2000",
+]
+CONFIG_ERRORS = [
+    "spectrum --s 1e-300 --N 6",  # --s is no flag any more: x and p are fixed by w alone
+    "duality --s 1e-300",
+    "duality --s 1e-85 --N 6",
+    "spectrum --s 1e78 --N 6",
+    "spectrum --B 1e-200 --w auto --N 6",
+    "spectrum --A 1e200 --w auto --N 6",
+    "table2 --W 5e-324",
+    "duality --W 5e-324 --R 3",
+    "spectrum --L inf",
+    "spectrum --w inf",
+    "spectrum --w nan",
+    "spectrum --w 0 --N 6",
+    "spectrum --w=-2 --N 6",
+    "spectrum --w=-inf --N 6",
+]
+
+
+def _near(rng, value):
+    """value exactly, a few ulps off, or off by a relative 1e-15 .. 1e-3."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return value
+    if kind == 1:
+        return value * (1.0 + rng.choice([-1, 1]) * rng.randint(1, 4) * EPS)
+    return value * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -3.0))
+
+
+def cancelling_inputs(count=200, seed=31):
+    """(L, R, A, B, w, N): B ~ LA, A ~ RB or LA^2 ~ -RB^2 over magnitudes up to 1e+-20 or 1e+-160,
+    A and B then scaled together (which keeps each relation) by 1 or by 1e-170 .. 1e-150, with w
+    subnormal, 1e300 or log-uniform over 1e-300 .. 1e300, and N = 3 or 6."""
+    rng = random.Random(seed)
+    inputs = []
+    while len(inputs) < count:
+        span = rng.choice([20.0, 160.0])
+        mag = lambda: rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-span, span)  # noqa: E731
+        l_coef, r_coef, a_coef, b_coef = mag(), mag(), mag(), mag()
+        kind = rng.randrange(3)
+        if kind == 0:
+            b_coef = _near(rng, l_coef * a_coef)
+        elif kind == 1:
+            a_coef = _near(rng, r_coef * b_coef)
+        else:
+            r_coef = _near(rng, -l_coef * (a_coef / b_coef) * (a_coef / b_coef))
+        scale = rng.choice([1.0, 10.0 ** rng.uniform(-170.0, -150.0)])
+        a_coef, b_coef = scale * a_coef, scale * b_coef
+        w = rng.choice([10.0 ** rng.uniform(-323.5, -308.0), 1e300, 10.0 ** rng.uniform(-300.0, 300.0)])
+        if not all(math.isfinite(v) for v in (l_coef, r_coef, a_coef, b_coef)) or not w > 0.0:
+            continue
+        if 1.0 + l_coef * r_coef == 0.0:
+            continue
+        inputs.append((l_coef, r_coef, a_coef, b_coef, w, rng.choice([3, 6])))
+    return inputs
+
+
+def check_contract(params, basis):
+    """Assert the contract for one H; return its outcome ("built" or the rejection's kind)."""
+    spec = HamiltonianSpec(params, basis)
+    couplings = (params.l_coef, params.r_coef, params.a_coef, params.b_coef, basis.freq, basis.n_dim)
+    true, norm, largest = oracles.mp_bands(*couplings, dps=900)
+    try:
+        got = model._checked_bands(spec, basis.freq)
+    except ValueError as exc:
+        kind = str(exc).split(" (")[0].split(" for ")[0]
+        if kind == "H overflows float64":
+            assert norm >= (1.0 - 8 * EPS) * sys.float_info.max, (couplings, str(exc), norm)
+        elif kind == "H underflows float64":
+            assert 0.0 < largest < TINY, (couplings, largest)
+        else:
+            assert kind == "H is zero" and largest == 0.0, (couplings, str(exc), largest)
+        return kind
+    assert norm <= (1.0 + 8 * EPS) * sys.float_info.max, (couplings, norm)
+    assert largest >= TINY or params.a_coef == params.b_coef == 0.0, (couplings, largest)
+    # below the smallest normal float64 the spacing is 2^-1074, whatever the scale
+    bound = K * EPS * max(map(abs, true)) + 2.0**-1074
+    assert max(abs(g - t) for g, t in zip(got, true)) <= bound, (couplings, got, true)
+    assert spec.bands.diag[0] == got[0]
+    return "built"
+
+
+def test_cancelling_inputs_keep_the_contract():
+    outcomes = [check_contract(TransformParams(*c[:4]), BasisSpec(c[5], c[4])) for c in cancelling_inputs()]
+    # the set reaches each outcome that N = 3 and 6 allow: an H with A or B nonzero is exactly zero only at N = 2
+    assert set(outcomes) == {"built", "H overflows float64", "H underflows float64"}
+
+
+@pytest.mark.parametrize("argv", NAMED_ARGVS)
+def test_named_argvs_keep_the_contract(argv):
+    config = parse_config(argv.split())
+    check_contract(config.params, config.basis)
+
+
+@pytest.mark.parametrize("argv", CONFIG_ERRORS)
+def test_named_argvs_that_stop_before_h(argv):
+    with pytest.raises(ConfigError):
+        parse_config(argv.split())
+

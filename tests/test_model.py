@@ -131,6 +131,29 @@ class TestBuildHamiltonian:
         assert h.dtype == np.float64
         assert not h.flags.writeable
 
+    def test_table_one_band_scalars_are_exact(self, table1_params):
+        # (a, b, c) = (1, 16, 3) at w = 4: D = (a w + b/w)/2 = 4, U, V = (b/w - a w)/2 +- c = +-3, bit for bit
+        for n_dim in (3, 100):
+            spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=4.0))
+            assert model._checked_bands(spec, 4.0) == (4.0, 3.0, -3.0)
+            bands = spec.bands
+            root = math.sqrt(2.0)
+            assert (bands.diag[0], bands.upper[0], bands.lower[0]) == (4.0, 3.0 * root, -3.0 * root)
+
+    def test_band_scalars_keep_the_invariant(self):
+        # D^2 - U V = a b + c^2 = (A B)^2 (RegimeReport's ab_plus_csq) to a few eps of the largest scalar squared
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            l_coef, r_coef = rng.uniform(-2.0, 2.0, size=2)
+            if abs(1.0 + l_coef * r_coef) < 0.3:
+                continue
+            a_coef, b_coef = rng.uniform(0.2, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+            w = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+            spec = HamiltonianSpec(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim=5))
+            diag, up, low = model._checked_bands(spec, w)
+            largest = max(abs(diag), abs(up), abs(low))
+            assert abs(diag * diag - up * low - (a_coef * b_coef) ** 2) <= 8 * EPS * largest * largest
+
     def test_exactly_real_for_random_real_parameters(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -162,20 +185,24 @@ class TestBuildHamiltonian:
         )
 
     @pytest.mark.parametrize(
-        "params, message",
+        "params, overflows",
         [
-            (TransformParams(a_coef=1e200), r"A\^2 overflows"),
-            (TransformParams(b_coef=-1e155), r"B\^2 overflows"),
-            (TransformParams(a_coef=1e-170), r"A\^2 underflows"),
-            (TransformParams(b_coef=1e-155), r"B\^2 underflows"),  # B^2 is subnormal
+            (TransformParams(a_coef=1e200), True),  # a = 1e400
+            (TransformParams(b_coef=-1e155), True),  # b = 1e310
+            (TransformParams(a_coef=1e-170), False),
+            (TransformParams(b_coef=1e-155), False),  # B^2 is subnormal
         ],
     )
-    def test_coefficient_square_out_of_normal_range_is_rejected(self, params, message):
-        # A^2 and B^2 are formed before they meet the basis factors: an
-        # underflowed square would drop its term from H, an overflowed one
-        # would reach H as inf or nan
-        with pytest.raises(ValueError, match=message):
-            build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=6)))
+    def test_coefficient_square_out_of_normal_range_enters_exactly(self, params, overflows):
+        # A^2 and B^2 enter H's triple exactly, never as floats: an overflowing square rejects H
+        # because H's entries overflow, and a square below the normal range keeps its term
+        spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=6))
+        if overflows:
+            with pytest.raises(ValueError, match=r"^H overflows float64 \(N \|H\|_F = inf\) for "):
+                build_hamiltonian(spec)
+            return
+        true, _, _ = oracles.mp_bands(params.l_coef, params.r_coef, params.a_coef, params.b_coef, 1.0, 6, dps=900)
+        assert model._checked_bands(spec, 1.0) == tuple(true)
 
     def test_coefficient_square_in_normal_range_is_kept(self):
         # B^2 = 1e-300 is normal: at w = B/A the +-2 bands cancel to rounding
@@ -258,50 +285,41 @@ class TestBuildHamiltonian:
         for level in {0, 1, n_dim - 2, n_dim - 1}:
             assert diagonal_expectation(spec, level, w) == diagonal_expectation(same, level, w)
 
-    @pytest.mark.parametrize("l_coef, message, true_max", [
-        # 1/sqrt(2w) is near 7e159: at L = 1 both terms of every band overflow, so each band is
-        # inf - inf, while the 900-digit entries stay below 10.5 in magnitude
-        (1.0, r"^H's terms overflow float64 before they cancel \(both terms of a band are infinite\) for ", 10.49),
-        (0.0, r"^H overflows float64 \(N \|H\|_F = inf\) for ", math.inf),  # Y's terms stay finite: a true overflow
-    ])
-    def test_terms_that_overflow_before_they_cancel_are_named(self, l_coef, message, true_max):
+    def test_terms_that_overflow_in_float64_build_the_exact_h(self):
+        # 1/sqrt(2w) is near 7e159: at L = 1 the shear coefficients' products overflow, while H's
+        # triple (a, b, c) = (1, 0, 1) gives D = w/2 and U, V = -+1 (entries below 10.5 in magnitude)
         n_dim, w = 12, 1e-320
-        spec = HamiltonianSpec(TransformParams(l_coef=l_coef), BasisSpec(n_dim=n_dim))
-        for call in (lambda: build_hamiltonian(HamiltonianSpec(spec.params, BasisSpec(n_dim, w))),
-                     lambda: diagonal_expectation(spec, 0, w)):
-            with pytest.raises(ValueError, match=message):
-                call()
-        places = [(i, j) for i in range(n_dim) for j in range(n_dim) if abs(i - j) in (0, 2)]
-        true = oracles.mp_entries(l_coef, 0.0, 1.0, 1.0, w, n_dim, places, dps=900)
-        assert max(map(abs, true)) == pytest.approx(true_max, rel=1e-3)
+        spec = HamiltonianSpec(TransformParams(l_coef=1.0), BasisSpec(n_dim=n_dim))
+        built = HamiltonianSpec(spec.params, BasisSpec(n_dim, w)).bands
+        true, _, largest = oracles.mp_bands(1.0, 0.0, 1.0, 1.0, w, n_dim, dps=900)
+        assert model._checked_bands(spec, w) == tuple(true) == (5e-321, 1.0, -1.0)
+        assert float(largest) == pytest.approx(10.49, rel=1e-3)
+        assert [diagonal_expectation(spec, k, w) for k in range(n_dim)] == list(built.diag)
+        # at L = 0, b = 1 and b / (2w) = 5e319: a true overflow
+        with pytest.raises(ValueError, match=r"^H overflows float64 \(N \|H\|_F = inf\) for "):
+            diagonal_expectation(HamiltonianSpec(TransformParams(), BasisSpec(n_dim=n_dim)), 0, w)
 
-    def test_overflowing_normalization_is_named(self):
-        # 1 + LR overflows: no scale |A| / sqrt|1 + LR| is left to form, and the message says so
+    def test_overflowing_normalization_builds_the_exact_h(self):
+        # 1 + LR overflows in float64, but C = 1/(1 + LR) enters the triple exactly: near -1, 2e-200
         for l_coef in (1e200, -1e200):
             spec = HamiltonianSpec(TransformParams(l_coef, 1e200), BasisSpec(n_dim=10))
-            message = rf"^H overflows float64 \(1 \+ L R = {'-' * (l_coef < 0)}inf\) for TransformParams\("
-            with pytest.raises(ValueError, match=message):
-                spec.bands
-            with pytest.raises(ValueError, match=message):
-                diagonal_expectation(spec, 0, 4.0)
+            true, _, _ = oracles.mp_bands(l_coef, 1e200, 1.0, 1.0, 4.0, 10, dps=900)
+            got = model._checked_bands(spec, 4.0)
+            assert max(abs(g - t) for g, t in zip(got, true)) <= 4 * EPS * max(map(abs, true))
+            assert diagonal_expectation(spec, 0, 4.0) == got[0]
 
     @pytest.mark.parametrize(
-        "l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max",
+        "l_coef, r_coef, a_coef, b_coef, w, n_dim",
         [
-            (1.0, 1.0, 1.0, 1.0, 4.0, 2, 0.0),  # H = -2 A^2 C (Px + xP): no diagonal, no +-2 bands at N = 2
-            (-1e100, -1.0, -1e100, -1e100, 1e150, 2, 5.0e149),  # L^2 alpha^2 = 5e49 is lost beside beta^2 = 5e149
-            (-1e100, -1.0, -1e100, -1e100, 1e150, 3, math.sqrt(2.0) * 1e200),
-            (-1e154, -1.0, 0.0, 1e154, 1.0, 2, 0.0),  # v_z = alpha - beta = 0 at w = 1: H is the zero matrix
-            # B^2 = L^2 A^2: the scaled 1e200 x^2 terms agree bit for bit, but the true +-2 bands are 1.4e100
-            (-1e100, 0.0, 1.0, 1e100, 4.0, 3, math.sqrt(2.0) * 1e100),
+            (1.0, 1.0, 1.0, 1.0, 4.0, 2),  # H = -2 A^2 C (Px + xP): no diagonal, no +-2 bands at N = 2
+            (-1e154, -1.0, 0.0, 1e154, 1.0, 2),  # a = b = 0: H = i c (xp + px), no diagonal at N = 2
         ],
     )
-    def test_cancellation_to_zero_is_rejected(self, l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max):
-        # every entry of H is 0 in float64, as the terms C B^2 z^2 and C A^2 y^2 (both normal) cancel
-        # exactly; the true H, from the float inputs in 500 digits, is 0 in the first case and far
-        # from it in the others, which float64 cannot tell apart: the build rejects them all
+    def test_exactly_zero_h_is_rejected(self, l_coef, r_coef, a_coef, b_coef, w, n_dim):
+        # with A or B nonzero, an H whose exact entries are all 0 is rejected by name; the true H,
+        # from the float inputs in 500 digits, is 0
         spec = HamiltonianSpec(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim=n_dim, freq=w))
-        with pytest.raises(ValueError, match=r"^H cancels to zero in float64"):
+        with pytest.raises(ValueError, match=r"^H is zero \(every entry is 0\) for TransformParams\("):
             build_hamiltonian(spec)
         with mpmath.workdps(500):
             l_coef, r_coef, a_coef, b_coef, w = map(mpmath.mpf, (l_coef, r_coef, a_coef, b_coef, w))
@@ -312,23 +330,33 @@ class TestBuildHamiltonian:
             big_p = (raise_op - raise_op.T) * mpmath.sqrt(w / 2)
             y, z = big_p + l_coef * x, x - r_coef * big_p  # y = iY, z = Z
             h = (b_coef**2 * z * z - a_coef**2 * y * y) / (1 + l_coef * r_coef)
-            assert float(max(abs(v) for v in h)) == pytest.approx(true_max, rel=1e-12, abs=0.0)
+            assert max(abs(v) for v in h) == 0
 
-    @pytest.mark.parametrize("n_dim", [3, 40])
-    def test_cancellation_to_noise_is_rejected(self, n_dim):
-        # B R = 1 but for the rounding of the inputs: the w/2 = 5e149 p^2 terms of every band cancel,
-        # and the true entries left, near 1e134, lie below the terms' rounding, which is all float64 keeps
-        params, w = TransformParams(r_coef=1e-100, a_coef=1.0, b_coef=1e100), 1e150
-        spec = HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=w))
-        with pytest.raises(ValueError, match=r"^H cancels to noise in float64") as raised:
-            spec.bands
-        for level in (0, n_dim - 1):
-            with pytest.raises(ValueError) as expected:
-                diagonal_expectation(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), level, w)
-            assert str(expected.value) == str(raised.value)
-        ends = [(n_dim - 2, n_dim - 2), (n_dim - 3, n_dim - 1), (n_dim - 1, n_dim - 3)]
-        true = oracles.mp_entries(0.0, 1e-100, 1.0, 1e100, w, n_dim, ends, dps=900)
-        assert 0.0 < max(map(abs, true)) < 16 * EPS * (w / 2.0) * (2 * n_dim - 3)
+    @pytest.mark.parametrize(
+        "l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max",
+        [
+            (-1e100, -1.0, -1e100, -1e100, 1e150, 2, 5.0e149),  # L^2 alpha^2 = 5e49 is lost beside beta^2 = 5e149
+            (-1e100, -1.0, -1e100, -1e100, 1e150, 3, math.sqrt(2.0) * 1e200),
+            # B^2 = L^2 A^2: b = 0 exactly, and the true +-2 bands are 1.4e100
+            (-1e100, 0.0, 1.0, 1e100, 4.0, 3, math.sqrt(2.0) * 1e100),
+            # B R = 1 but for the rounding of the inputs: a is near 1e-16, and the true entries near 1e134
+            (0.0, 1e-100, 1.0, 1e100, 1e150, 3, None),
+            (0.0, 1e-100, 1.0, 1e100, 1e150, 40, None),
+        ],
+    )
+    def test_cancelling_terms_build_the_exact_h(self, l_coef, r_coef, a_coef, b_coef, w, n_dim, true_max):
+        # inputs whose shear products cancel in float64 (rejected, or accepted as noise, while H was
+        # formed from them): the exact triple gives every band scalar within 4 eps of the largest,
+        # against 900 digits, and diagonal_expectation the built diagonal
+        params = TransformParams(l_coef, r_coef, a_coef, b_coef)
+        bands = HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=w)).bands
+        true, _, largest = oracles.mp_bands(l_coef, r_coef, a_coef, b_coef, w, n_dim, dps=900)
+        got = model._checked_bands(HamiltonianSpec(params, BasisSpec(n_dim=n_dim)), w)
+        assert max(abs(g - t) for g, t in zip(got, true)) <= 4 * EPS * max(map(abs, true))
+        if true_max is not None:
+            assert float(largest) == pytest.approx(true_max, rel=1e-12, abs=0.0)
+        spec = HamiltonianSpec(params, BasisSpec(n_dim=n_dim))
+        assert [diagonal_expectation(spec, k, w) for k in range(n_dim)] == list(bands.diag)
 
     def test_terms_that_overflow_before_c_at_large_n_are_accepted(self):
         # C = 1e-308 and A^2 Y^2's scalar near 1e507: the scalars take C in Y's and Z's scaled
@@ -439,10 +467,9 @@ class TestDiagonalExpectation:
             seen.add("built")
             fresh[params, w] = [diagonal_expectation(spec, level, w).hex() for level in levels]
             assert fresh[params, w] == [v.hex() for v in h.diagonal()[levels]]
-        assert seen == {"built", "H overflows float64", "H's terms overflow float64 before they cancel",
-                        "H underflows float64", "H cancels to zero in float64", "H cancels to noise in float64",
-                        "A^2 overflows float64", "A^2 underflows float64",
-                        "B^2 overflows float64", "B^2 underflows float64"}
+        # an H with A or B nonzero is exactly zero only at N = 2, whose H = D I has no +-2 bands
+        zero = {"H is zero"} if n_dim == 2 else set()
+        assert seen == {"built", "H overflows float64", "H underflows float64"} | zero
         # second pass: one spec per params, its (params, N) half made once and kept over every w of
         # the grid, gives the fresh specs' bits and messages
         specs = {}
@@ -457,21 +484,23 @@ class TestDiagonalExpectation:
             assert reused == fresh[params, w], (params, w)
 
     def test_errors_are_not_kept(self):
-        # A^2 overflows: the spec's (params, N) half raises anew on every call, with one message, and
+        # N past 5e102: the spec's (params, N) half raises anew on every call, with one message, and
         # only after the level and trial frequency checks, as the build raises it from spec.bands
-        spec = HamiltonianSpec(params=TransformParams(a_coef=1e200), basis=BasisSpec(n_dim=7))
+        n_dim = 10**103
+        spec = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=n_dim))
         with pytest.raises(ValueError) as first:
             diagonal_expectation(spec, 0, 1.0)
         with pytest.raises(ValueError) as second:
             diagonal_expectation(spec, 6, 4.0)
         assert first.value is not second.value
-        assert str(first.value) == str(second.value) == "A^2 overflows float64 (A = 1e+200)"
+        assert str(first.value) == str(second.value) == (
+            f"N = {n_dim} is too large: the sum of H's squared diagonal ladder overflows float64")
         with pytest.raises(TypeError, match="level must be an integer"):
             diagonal_expectation(spec, 2.5, 1.0)
         with pytest.raises(IndexError):
-            diagonal_expectation(spec, 7, 1.0)
+            diagonal_expectation(spec, n_dim, 1.0)
         with pytest.raises(ValueError) as basis_error:
-            BasisSpec(n_dim=7, freq=0.0)
+            BasisSpec(n_dim=n_dim, freq=0.0)
         with pytest.raises(ValueError) as bad_w:
             diagonal_expectation(spec, 0, 0.0)
         assert str(bad_w.value) == str(basis_error.value)
@@ -505,9 +534,9 @@ class TestDiagonalExpectation:
                 assert build_hamiltonian(moved).tobytes() == build_hamiltonian(fresh).tobytes()
 
     def test_search_checks_params_once(self, table1_params, monkeypatch):
-        # a 42-call golden-section search on one spec makes the (params, N) half once
-        squares, calls = model._coefficient_squares, []
-        monkeypatch.setattr(model, "_coefficient_squares", lambda params: calls.append(params) or squares(params))
+        # a 42-call golden-section search on one spec makes the (params, N) half once: a/2, b/2, c
+        rounded, calls = model._normal, []
+        monkeypatch.setattr(model, "_normal", lambda num, den: calls.append(num) or rounded(num, den))
         spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=100))
         values = []
 
@@ -528,7 +557,7 @@ class TestDiagonalExpectation:
                 a, c, fc = c, d, fd
                 d = a + inv_phi * (b - a)
                 fd = f(d)
-        assert len(values) == 42 and calls == [table1_params]
+        assert len(values) == 42 and len(calls) == 3
         assert (a + b) / 2.0 == pytest.approx(variational_frequency(table1_params).w_v, abs=1e-5)
 
     @pytest.mark.parametrize("w", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf, "4", None])
