@@ -3,6 +3,7 @@ duality check on H's bands, and sweeps of the report over a list of bases."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .basis import BasisSpec, TransformParams
 from .eig import EigensolverError, classify, eigenvalues, real_mask
-from .model import HamiltonianSpec, Regime, _coefficient_squares, classify_regime
+from .model import HamiltonianSpec, Regime, classify_regime
 
 __all__ = [
     "IsospectralReport",
@@ -61,10 +62,8 @@ class SweepResult:
 
 def isospectral_report(params: TransformParams, basis: BasisSpec) -> IsospectralReport:
     """Build, solve and compare against the analytic reference levels."""
-    # build first, so that a float64 overflow is reported as such; the regime is read from float64
-    # A^2 and B^2, so a square outside the normal range is named
+    # build first, so that a float64 overflow is reported as such
     bands = HamiltonianSpec(params=params, basis=basis).bands
-    _coefficient_squares(params)
     if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
         raise ValueError("isospectral report undefined in the broken regime")
     spec = eigenvalues(bands)
@@ -105,9 +104,11 @@ def duality_check(params: TransformParams, basis: BasisSpec) -> float:
     and +2 bands of H.  Both H are built and checked as every solve builds
     them, and their bands are compared in O(N), no spectrum solved: the
     distance is the rounding of the two builds (within 32 eps max|H_ij| on
-    the tests' random draws), not the solver's.
+    the tests' random draws), not the solver's.  ValueError, naming w, where 1/w is past float64.
     """
     h = HamiltonianSpec(params=params, basis=basis).bands
+    if 1.0 / basis.freq == math.inf:
+        raise ValueError(f"the dual's basis frequency 1/w overflows float64 (w = {basis.freq!r})")
     dual_basis = BasisSpec(n_dim=basis.n_dim, freq=1.0 / basis.freq)
     dual = HamiltonianSpec(params=dual_params(params), basis=dual_basis).bands
     return float(np.abs(np.concatenate([dual.diag - h.diag, dual.upper + h.lower, dual.lower + h.upper])).max())

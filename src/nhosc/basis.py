@@ -77,11 +77,6 @@ class TransformParams:
         if 1.0 + self.l_coef * self.r_coef == 0.0:
             raise ValueError("1 + L*R must be nonzero (normalization is singular)")
 
-    @property
-    def norm_c(self) -> float:
-        """Normalization 1/(1+LR) shared by transform and Hamiltonian."""
-        return 1.0 / (1.0 + self.l_coef * self.r_coef)
-
 
 @dataclass(frozen=True)
 class CommutatorDefect:

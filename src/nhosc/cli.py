@@ -18,12 +18,7 @@ from enum import Enum
 from .analysis import dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
 from .eig import EigensolverError, classify, eigenvalues
-from .model import (
-    HamiltonianSpec,
-    _coefficient_squares,
-    reality_window,
-    variational_frequency,
-)
+from .model import HamiltonianSpec, _quadratic_form, reality_window, variational_frequency
 
 __all__ = [
     "Command",
@@ -197,8 +192,9 @@ def parse_config(argv: list[str]) -> RunConfig:
     if ns.w == "auto":
         freq = variational_frequency(params).w_v
         if freq is None:
-            _validated(_coefficient_squares, params=params)  # names an out-of-range A^2 or B^2
-            raise ConfigError("--w auto: variational frequency undefined for these parameters")
+            n_a, n_b, _, _ = _quadratic_form(params)
+            cause = "sqrt(b/a) is outside float64" if n_a * n_b > 0 else "undefined: b/a is not positive"
+            raise ConfigError(f"--w auto: variational frequency {cause}")
     elif ns.w is not None:
         try:
             freq = float(ns.w)
@@ -310,12 +306,13 @@ def _summary_line(summary: dict) -> str:
 
 def _window(params: TransformParams, freq: float) -> dict:
     """The reality window (w-, w+) and whether freq lies where the truncated
-    spectrum is real at every N (w <= w- or w >= w+); None in the broken regime."""
+    spectrum is real at every N (w <= w- or w >= w+); None in the broken regime, and an
+    edge past float64 (inf) is None, as w_v is."""
     window = reality_window(params)
     if window is None:
         return {"w_minus": None, "w_plus": None, "in_real_window": None}
-    w_minus, w_plus = window
-    return {"w_minus": w_minus, "w_plus": w_plus, "in_real_window": freq <= w_minus or freq >= w_plus}
+    w_minus, w_plus = (edge if edge < math.inf else None for edge in window)
+    return {"w_minus": w_minus, "w_plus": w_plus, "in_real_window": freq <= window[0] or freq >= window[1]}
 
 
 def _build_isospectral(config: RunConfig) -> Report:

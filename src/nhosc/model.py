@@ -31,6 +31,21 @@ _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 _HUGE = float(np.finfo(np.float64).max)  # largest finite float64
 
 
+def _quadratic_form(params: TransformParams) -> tuple[int, int, int, int]:
+    """(n_a, n_b, n_c, den) with a/2, b/2, c = n_a/den, n_b/den, n_c/den exactly: H's quadratic form
+    (a, b, c) = C (A^2 - R^2 B^2, B^2 - L^2 A^2, L A^2 + R B^2) of the float inputs, no rounding.  The
+    one form of H in this module: the build, the regime, w_v and the reality window all read it.
+    With L, R = l/k, r/k and A^2, B^2 = p/m, q/m over integers, C = k^2/(k^2 + l r), so over
+    (k^2 + l r) m, a = k^2 p - r^2 q, b = k^2 q - l^2 p and c = k (l p + r q).
+    """
+    (l_num, l_den), (r_num, r_den) = params.l_coef.as_integer_ratio(), params.r_coef.as_integer_ratio()
+    (a_num, a_den), (b_num, b_den) = params.a_coef.as_integer_ratio(), params.b_coef.as_integer_ratio()
+    k, l_int, r_int = l_den * r_den, l_num * r_den, r_num * l_den
+    p, q, kk = (a_num * b_den) ** 2, (b_num * a_den) ** 2, k * k
+    den = 2 * (kk + l_int * r_int) * (a_den * b_den) ** 2  # nonzero: TransformParams rejects 1 + LR = 0
+    return kk * p - r_int * r_int * q, kk * q - l_int * l_int * p, 2 * k * (l_int * p + r_int * q), den
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Parameter bundle for the quadratic family C [A^2 y^2 + B^2 z^2]."""
@@ -45,18 +60,8 @@ class HamiltonianSpec:
 
     @cached_property
     def _triple(self) -> tuple[int, int, int, int]:
-        """(n_a, n_b, n_c, den) with a/2, b/2, c = n_a/den, n_b/den, n_c/den exactly: H's quadratic form
-        (a, b, c) = C (A^2 - R^2 B^2, B^2 - L^2 A^2, L A^2 + R B^2) of the float inputs, no rounding.
-        With L, R = l/k, r/k and A^2, B^2 = p/m, q/m over integers, C = k^2/(k^2 + l r), so over
-        (k^2 + l r) m, a = k^2 p - r^2 q, b = k^2 q - l^2 p and c = k (l p + r q).
-        """
-        params = self.params
-        (l_num, l_den), (r_num, r_den) = params.l_coef.as_integer_ratio(), params.r_coef.as_integer_ratio()
-        (a_num, a_den), (b_num, b_den) = params.a_coef.as_integer_ratio(), params.b_coef.as_integer_ratio()
-        k, l_int, r_int = l_den * r_den, l_num * r_den, r_num * l_den
-        p, q, kk = (a_num * b_den) ** 2, (b_num * a_den) ** 2, k * k
-        den = 2 * (kk + l_int * r_int) * (a_den * b_den) ** 2  # nonzero: TransformParams rejects 1 + LR = 0
-        return kk * p - r_int * r_int * q, kk * q - l_int * l_int * p, 2 * k * (l_int * p + r_int * q), den
+        """_quadratic_form(params), formed once per spec for _scalars and _exact_bands."""
+        return _quadratic_form(self.params)
 
     @cached_property
     def _scalars(self) -> tuple[int | float, ...]:
@@ -82,8 +87,8 @@ class HamiltonianSpec:
 class VariationalResult:
     """Oscillation frequency minimizing the diagonal expectation.
 
-    w_v is None when the ratio (B^2 - L^2 A^2) / (A^2 - R^2 B^2) is not
-    a positive finite number (no stationary positive frequency exists).
+    w_v is sqrt(b/a), with b/a = (B^2 - L^2 A^2) / (A^2 - R^2 B^2) exact, within 1 ulp; None when
+    b/a is not positive (no stationary positive frequency exists) or sqrt(b/a) is outside float64.
     """
 
     w_v: float | None
@@ -102,6 +107,8 @@ class RegimeReport:
     a = C(A^2 - R^2 B^2), b = C(B^2 - L^2 A^2), c = C(L A^2 + R B^2);
     the spectrum is guaranteed real when both a and b are positive.
     ab_plus_csq records the invariant combination a*b + c^2 = (A*B)^2.
+    The regime is decided on the exact signs of a and b, and each float
+    field is its exact value rounded once, +-inf past float64.
     """
 
     coef_p2: float
@@ -111,24 +118,18 @@ class RegimeReport:
     ab_plus_csq: float
 
 
-def _coefficient_squares(params: TransformParams) -> tuple[float, float]:
-    """(A^2, B^2) as floats; ValueError if a nonzero A or B has a square outside the normal float64 range."""
-    a, b = params.a_coef, params.b_coef
-    a2, b2 = a * a, b * b
-    a_ok, b_ok = a2 < math.inf and (a2 >= _TINY or not a), b2 < math.inf and (b2 >= _TINY or not b)
-    if a_ok and b_ok:
-        return a2, b2
-    name, coef, square = ("B", b, b2) if a_ok else ("A", a, a2)
-    raise ValueError(f"{name}^2 {'overflows' if square == math.inf else 'underflows'} float64 ({name} = {coef!r})")
+def _rounded(num: int, den: int) -> float:
+    """num / den rounded once, or +-inf past float64."""
+    try:
+        return num / den  # int / int: correctly rounded, OverflowError past float64
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def _normal(num: int, den: int) -> float:
     """num / den rounded once where that is 0 or a normal float64, else nan."""
-    try:
-        value = num / den  # int / int: correctly rounded, OverflowError past float64
-    except OverflowError:
-        return math.nan
-    return value if not num or abs(value) >= _TINY else math.nan
+    value = _rounded(num, den)
+    return value if not num or _TINY <= abs(value) < math.inf else math.nan
 
 
 def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, float]:
@@ -209,50 +210,49 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     if not 0 <= level < n:
         raise IndexError(f"level {level} outside basis of dimension {n}")
     _check_freq(trial_freq)
+    if type(trial_freq) is not float:  # an np.float32 would keep the bands in float32
+        trial_freq = float(trial_freq)
     return _checked_bands(spec, trial_freq)[0] * (2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1))
 
 
-def _quadratic_form(params: TransformParams) -> tuple[float, float, float]:
-    """(A^2 - R^2 B^2, B^2 - L^2 A^2, L A^2 + R B^2): the p^2, x^2 and cross
-    coefficients of H before the factor C."""
-    # products, not **: float64 overflow then gives inf/nan instead of OverflowError
-    a2, b2 = params.a_coef * params.a_coef, params.b_coef * params.b_coef
-    l_coef, r_coef = params.l_coef, params.r_coef
-    return a2 - r_coef * r_coef * b2, b2 - l_coef * l_coef * a2, l_coef * a2 + r_coef * b2
-
-
 def variational_frequency(params: TransformParams) -> VariationalResult:
-    """Stationary basis frequency sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2))."""
-    den, num, _ = _quadratic_form(params)
-    if den == 0.0 or not 0.0 < num / den < math.inf:
+    """Stationary basis frequency sqrt(b/a) = sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)), from the exact
+    form: the integer square root of b/a scaled by 4^shift to 128 bits or more, rounded once.  b/a
+    itself is not rounded, as it may be outside float64 where its root is not (B = 1e-200)."""
+    n_a, n_b, _, _ = _quadratic_form(params)
+    if n_a * n_b <= 0:
         return VariationalResult(w_v=None)
-    return VariationalResult(w_v=math.sqrt(num / den))
+    n_a, n_b = abs(n_a), abs(n_b)
+    shift = max(0, (n_a.bit_length() - n_b.bit_length() + 130) // 2)  # the root gets 64 bits or more
+    w_v = _rounded(math.isqrt((n_b << 2 * shift) // n_a), 1 << shift)
+    return VariationalResult(w_v=w_v if 0.0 < w_v < math.inf else None)
 
 
 def classify_regime(params: TransformParams) -> RegimeReport:
-    """Expand the quadratic family and classify reality of its spectrum."""
-    c_norm = params.norm_c
-    coef_p2, coef_x2, coef_cross = (c_norm * q for q in _quadratic_form(params))
-    regime = Regime.REAL_SPECTRUM if coef_p2 > 0.0 and coef_x2 > 0.0 else Regime.BROKEN
+    """Expand the quadratic family and classify reality of its spectrum on the exact signs of a and b."""
+    n_a, n_b, n_c, den = _quadratic_form(params)
     return RegimeReport(
-        coef_p2=coef_p2,
-        coef_x2=coef_x2,
-        coef_cross=coef_cross,
-        regime=regime,
-        ab_plus_csq=coef_p2 * coef_x2 + coef_cross * coef_cross,
+        coef_p2=_rounded(2 * n_a, den),
+        coef_x2=_rounded(2 * n_b, den),
+        coef_cross=_rounded(n_c, den),
+        regime=Regime.REAL_SPECTRUM if n_a * den > 0 < n_b * den else Regime.BROKEN,  # a > 0 and b > 0
+        ab_plus_csq=_rounded(4 * n_a * n_b + n_c * n_c, den * den),
     )
 
 
 def reality_window(params: TransformParams) -> tuple[float, float] | None:
-    """(w-, w+) = ((|AB| - |c|)/a, (|AB| + |c|)/a) in the real regime, else None,
-    with a and c the p^2 and cross coefficients of classify_regime.
+    """(w-, w+) = (b/(|AB| + |c|), (|AB| + |c|)/a) in the real regime, else None, with a, b and c
+    the coefficients of classify_regime; as ab + c^2 = (AB)^2, these are ((|AB| -+ |c|)/a).
+
+    Each is the exact rational rounded once (+inf past float64): over den, |AB| is the integer
+    square root of 4 n_a n_b + n_c^2, exactly, and the sum |AB| + |c| cancels nothing.
 
     At a basis frequency w <= w- or w >= w+ the +2 and -2 bands of H have one sign,
     so each parity block is symmetrizable and the truncated spectrum is real at
     every N.  Strictly inside, conjugate pairs are possible, not guaranteed.
     """
-    report = classify_regime(params)
-    if report.regime is not Regime.REAL_SPECTRUM:
+    n_a, n_b, n_c, den = _quadratic_form(params)
+    if not n_a * den > 0 < n_b * den:  # the real regime of classify_regime
         return None
-    ab, c = abs(params.a_coef * params.b_coef), abs(report.coef_cross)
-    return (ab - c) / report.coef_p2, (ab + c) / report.coef_p2
+    ab_plus_c = math.isqrt(4 * n_a * n_b + n_c * n_c) + abs(n_c)  # (|AB| + |c|) |den|
+    return _rounded(2 * abs(n_b), ab_plus_c), _rounded(ab_plus_c, 2 * abs(n_a))

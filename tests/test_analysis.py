@@ -193,6 +193,11 @@ class TestDuality:
         basis = BasisSpec(n_dim=20, freq=np.float32(3.0))
         assert duality_check(table1_params, basis) == duality_check(table1_params, BasisSpec(n_dim=20, freq=3.0))
 
+    def test_overflowing_dual_frequency_is_named(self):
+        # H is finite at w = 1e-320, but the dual's basis frequency 1/w is past float64
+        with pytest.raises(ValueError, match=r"^the dual's basis frequency 1/w overflows float64 \(w = 1e-320\)$"):
+            duality_check(TransformParams(b_coef=1e-150), BasisSpec(n_dim=3, freq=1e-320))
+
     def test_dual_params_swap(self, table1_params):
         d = dual_params(table1_params)
         assert (d.l_coef, d.r_coef, d.a_coef, d.b_coef) == (0.0, 3.0, 5.0, 1.0)

@@ -336,6 +336,17 @@ class TestRealityWindowFields:
         doc = json.loads(run(parse_config(["spectrum", "--L", "2", "--N", "4", "--format", "json"])))
         assert [doc["summary"][k] for k in ("w_minus", "w_plus", "in_real_window")] == [None, None, None]
 
+    def test_edges_past_float64_are_null(self):
+        # reality_window gives inf for an edge past float64; the export writes null, as for w_v
+        # with A = 1 and R = 0, (w-, w+) = (B - L, B + L) exactly: 7e307 and 2.7e308
+        window = cli._window(TransformParams(l_coef=1e308, b_coef=1.7e308), 1.0)
+        assert window == {"w_minus": 1.7e308 - 1e308, "w_plus": None, "in_real_window": True}
+        # A = 5e-324: w- and w+ are both near B/A = 2e323
+        argv = "spectrum --L=1e-160 --A=5e-324 --B=1 --w 4 --N 6 --format json"
+        doc = json.loads(run(parse_config(argv.split())))
+        assert [doc["summary"][k] for k in ("w_minus", "w_plus", "in_real_window")] == [None, None, True]
+        assert doc["config"]["w_v"] is None
+
     def test_sweep_column(self):
         # inside (2, 8) the spectrum may stay real (w = 2.01 and 7.9 at N = 20);
         # the window edges themselves belong to the real side
@@ -436,8 +447,8 @@ class TestExportFormats:
             ["table1", "--W", "4", "--L", "3", "--format", "json", "--out", str(out2)]
         ))
         assert json.loads(out2.read_text())["config"]["w_v"] == 4.0
-        # A^2 overflows, so w_v is undefined; commutator-check does not use A
-        doc = run(parse_config(["commutator-check", "--A", "1e200", "--N", "6", "--format", "json"]))
+        # sqrt(b/a) = B/A = 2e631 is past float64, so w_v is undefined; commutator-check does not use A or B
+        doc = run(parse_config(["commutator-check", "--A", "5e-324", "--B", "1e308", "--N", "6", "--format", "json"]))
         assert json.loads(doc)["config"]["w_v"] is None
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -505,9 +516,15 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert "--values must be positive" in captured.err and captured.out == ""
 
-    def test_undefined_auto_frequency_is_config_error(self, capsys):
-        assert main(["spectrum", "--L", "2", "--w", "auto"]) == 2
-        assert "variational frequency undefined" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, cause", [
+        ("spectrum --L 2 --w auto", "undefined: b/a is not positive"),
+        ("spectrum --R 1 --w auto", "undefined: b/a is not positive"),  # a = 0
+        ("spectrum --A 5e-324 --B 1e308 --w auto", "sqrt(b/a) is outside float64"),  # 2e631
+        ("spectrum --A 1e308 --B 5e-324 --w auto", "sqrt(b/a) is outside float64"),  # 5e-632
+    ])
+    def test_undefined_auto_frequency_is_config_error(self, argv, cause, capsys):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: --w auto: variational frequency {cause}\n"
 
     def test_solver_failure(self, monkeypatch, capsys):
         import nhosc.cli as cli_mod
@@ -547,8 +564,6 @@ class TestMainExitCodes:
             "commutator-check --L 1e300 --w 1e-10",
             "commutator-check --R 1e308",  # Z overflows while 1+LR = 1, and must raise before numpy warns
             "commutator-check --L 1e308",
-            "table1 --W 1e300",
-            "table1 --W 4 --L 1e300",
             "table2 --W 4 --R 1e308",  # c = R B^2 = 1e308 on the +-2 bands
         ],
     )
@@ -731,20 +746,44 @@ class TestMainExitCodes:
         assert all(math.isfinite(v["re"]) and math.isfinite(v["im"]) for v in values)
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, w",
         [
-            # the table commands read the regime from float64 A^2 and B^2 (ROADMAP item 25)
-            ("table1 --W 1e-200 --N 6", "B^2 underflows float64"),
-            ("table1 --W 1e200 --N 6", "B^2 overflows float64"),
-            # --w auto names the square, not an undefined frequency
-            ("spectrum --B 1e-200 --w auto --N 6", "B^2 underflows float64"),
-            ("spectrum --A 1e200 --w auto --N 6", "A^2 overflows float64"),
+            # H = diag(B (2k+1), N-1 at the edge), exactly: a = 1, b = B^2, c = 0 and w = B
+            ("table1 --W 1e300 --N 10", 1e300),
+            ("table1 --W 1e200 --N 6", 1e200),
+            ("table1 --W 1e-200 --N 6", 1e-200),
+            ("spectrum --B 1e-200 --w auto --N 6", 1e-200),  # w_v = sqrt(b/a) = B, though b/a = 1e-400
+            ("spectrum --A 1e200 --w auto --N 6", 1e-200),  # w_v = 1/A: H = diag(A (2k+1), ...) within 1 eps
         ],
     )
-    def test_coefficient_square_out_of_range_is_config_error(self, argv, message, capsys):
-        assert main(argv.split()) == 2
+    def test_coefficient_squares_past_float64_solve(self, argv, w, capsys):
+        # A^2 or B^2 is outside float64, the exact quadratic form is not: the regime is real, the
+        # window (w-, w+) = (w, w) = (b/|AB|, |AB|/a) and w_v are exact, and the spectrum is the ladder
+        assert main([*argv.split(), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        config, summary = doc["config"], doc["summary"]
+        assert config["w"] == config["w_v"] == summary["w_minus"] == summary["w_plus"] == w
+        assert summary["n_real"] == config["N"] and summary["in_real_window"] is True
+        ab, n_dim = abs(config["A"] * config["B"]), config["N"]
+        ladder = sorted([(2 * k + 1) * ab for k in range(n_dim - 1)] + [(n_dim - 1) * ab])
+        values = [complex(v["re"], v["im"]) for v in doc.get("rows", doc.get("values"))]
+        assert all(v.imag == 0.0 for v in values)
+        assert max(abs(v.real - e) / e for v, e in zip(values, ladder)) <= 4 * np.finfo(np.float64).eps
+
+    def test_b_equal_to_l_a_in_a_table_is_the_broken_regime(self, capsys):
+        # B = hypot(4, 1e300) = 1e300 = L in float64, so b = B^2 - L^2 A^2 = 0 exactly: no real regime
+        config = parse_config("table1 --W 4 --L 1e300 --N 10".split())
+        assert config.params.b_coef == config.params.l_coef == 1e300
+        assert nhosc.model._quadratic_form(config.params)[1] == 0
+        assert main("table1 --W 4 --L 1e300 --N 10".split()) == 2
         captured = capsys.readouterr()
-        assert message in captured.err and captured.out == ""
+        assert captured.err == "error: isospectral report undefined in the broken regime\n" and captured.out == ""
+
+    def test_duality_names_an_overflowing_dual_frequency(self, capsys):
+        assert main("duality --B 1e-150 --w 1e-320 --N 3".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the dual's basis frequency 1/w overflows float64 (w = 1e-320)\n"
+        assert captured.out == ""
 
     def test_duality_of_zero_hamiltonian(self, capsys):
         assert main(["duality", "--A", "0", "--B", "0", "--N", "6"]) == 0

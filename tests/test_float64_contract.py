@@ -1,4 +1,4 @@
-"""H's float64 contract, against 900-digit mpmath (oracles.mp_bands).
+"""H's float64 contract, against 900-digit mpmath (oracles.mp_bands), and the regime's, against Fraction.
 
 Every H the build accepts has band scalars (D, U, V) within K eps of its largest exact band
 scalar, and a finite N |H|_F; every H it rejects has N |H|_F past float64 ("H overflows"), or
@@ -6,16 +6,24 @@ no normal entry ("H underflows"), or is exactly zero ("H is zero").  The inputs 
 cancel, where float64 loses most: B ~ LA (the x^2 coefficient B^2 - L^2 A^2), A ~ RB (the p^2
 coefficient A^2 - R^2 B^2) and LA^2 ~ -RB^2 (the cross coefficient), at subnormal, huge and
 spread frequencies, together with every argv that CHANGES.md names in a FOUND or MENDED line.
+
+The regime contract, on the same kind of inputs: the regime is the exact signs of a and b, the
+coefficients a, b, c and the reality window are their exact values rounded once, and w_v is
+within 1 ulp of sqrt(b/a) (60-digit mpmath), or None where b/a is not positive or its root is
+outside float64.
 """
 
 import math
 import random
 import sys
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 import oracles
-from nhosc import BasisSpec, HamiltonianSpec, TransformParams, model
+from nhosc import BasisSpec, HamiltonianSpec, Regime, TransformParams, model
+from nhosc import classify_regime, reality_window, variational_frequency
 from nhosc.cli import ConfigError, parse_config
 
 EPS = sys.float_info.epsilon
@@ -39,14 +47,16 @@ NAMED_ARGVS = [
     "spectrum --L 1e300 --R 2e-8 --A 1.5e-154 --w 5e-21 --N 3",
     "spectrum --L 1 --w 1e-320 --N 12",
     "commutator-check --N 2000",
+    "spectrum --B 1e-200 --w auto --N 6",
+    "spectrum --A 1e200 --w auto --N 6",
+    "spectrum --L 0.19050204223716805 --R 0.1 --A 0.19215634136855086 --B 1.9215634136855084 --N 6 --w auto",
+    "duality --B 1e-150 --w 1e-320 --N 3",
 ]
 CONFIG_ERRORS = [
     "spectrum --s 1e-300 --N 6",  # --s is no flag any more: x and p are fixed by w alone
     "duality --s 1e-300",
     "duality --s 1e-85 --N 6",
     "spectrum --s 1e78 --N 6",
-    "spectrum --B 1e-200 --w auto --N 6",
-    "spectrum --A 1e200 --w auto --N 6",
     "table2 --W 5e-324",
     "duality --W 5e-324 --R 3",
     "spectrum --L inf",
@@ -121,6 +131,54 @@ def check_contract(params, basis):
     return "built"
 
 
+def _float(x):
+    """A Fraction rounded once, +-inf past float64."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def check_regime(params):
+    """Assert the regime contract for one parameter set; return the regime."""
+    l, r, a, b = map(Fraction, (params.l_coef, params.r_coef, params.a_coef, params.b_coef))
+    c = 1 / (1 + l * r)
+    p2, x2, cross = c * (a * a - r * r * b * b), c * (b * b - l * l * a * a), c * (l * a * a + r * b * b)
+    report = classify_regime(params)
+    assert (report.regime is Regime.REAL_SPECTRUM) == (p2 > 0 and x2 > 0), params
+    got = (report.coef_p2, report.coef_x2, report.coef_cross, report.ab_plus_csq)
+    assert got == tuple(map(_float, (p2, x2, cross, (a * b) ** 2))), params
+    window = reality_window(params)
+    if report.regime is Regime.REAL_SPECTRUM:
+        assert window == tuple(map(_float, oracles.exact_reality_window(*map(float, (l, r, a, b))))), params
+    else:
+        assert window is None
+    w_v = variational_frequency(params).w_v
+    if not p2 or x2 / p2 <= 0:
+        assert w_v is None, params
+        return report.regime
+    with mpmath.workdps(60):
+        ratio = x2 / p2
+        root = mpmath.sqrt(mpmath.mpf(ratio.numerator) / ratio.denominator)
+        if w_v is None:
+            assert root >= sys.float_info.max or root <= 2.0**-1074, (params, root)
+        else:
+            assert abs(w_v - root) <= math.ulp(w_v), (params, w_v, root)
+    return report.regime
+
+
+def test_cancelling_inputs_keep_the_regime_contract():
+    # 2000 draws: B ~ LA, A ~ RB and LA^2 ~ -RB^2 at ordinary and extreme scales
+    regimes = [check_regime(TransformParams(*c[:4])) for c in cancelling_inputs(count=2000, seed=32)]
+    assert set(regimes) == {Regime.REAL_SPECTRUM, Regime.BROKEN}
+
+
+def test_table_one_regime_is_exact():
+    params = TransformParams(l_coef=3.0, b_coef=5.0)
+    assert check_regime(params) is Regime.REAL_SPECTRUM
+    assert reality_window(params) == (2.0, 8.0) and variational_frequency(params).w_v == 4.0
+
+
 def test_cancelling_inputs_keep_the_contract():
     outcomes = [check_contract(TransformParams(*c[:4]), BasisSpec(c[5], c[4])) for c in cancelling_inputs()]
     # the set reaches each outcome that N = 3 and 6 allow: an H with A or B nonzero is exactly zero only at N = 2
@@ -131,6 +189,7 @@ def test_cancelling_inputs_keep_the_contract():
 def test_named_argvs_keep_the_contract(argv):
     config = parse_config(argv.split())
     check_contract(config.params, config.basis)
+    check_regime(config.params)
 
 
 @pytest.mark.parametrize("argv", CONFIG_ERRORS)

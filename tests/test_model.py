@@ -4,6 +4,7 @@ import enum
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -401,8 +402,11 @@ class TestBuildHamiltonian:
         assert bands.entries.tobytes() == h.tobytes() == build_hamiltonian(spec).tobytes()
         assert not bands.entries.flags.writeable and not any(band.flags.writeable for band in bands)
 
-    def test_norm_c_field(self):
-        np.testing.assert_allclose(TransformParams(l_coef=3.0, r_coef=4.0).norm_c, 1.0 / 13.0)
+    def test_normalization_enters_the_exact_form(self):
+        # C = 1/(1 + LR) = 1/13: (a/2, b/2, c) = (-15/26, -8/26, 7/13) exactly
+        n_a, n_b, n_c, den = model._quadratic_form(TransformParams(l_coef=3.0, r_coef=4.0))
+        assert [Fraction(n, den) for n in (n_a, n_b, n_c)] == [Fraction(-15, 26), Fraction(-8, 26), Fraction(7, 13)]
+        assert HamiltonianSpec(TransformParams(3.0, 4.0), BasisSpec(4))._triple == (n_a, n_b, n_c, den)
 
     def test_matches_dense_complex_product(self):
         # reference: C (A^2 y@y + B^2 z@z) from the oracle's complex shear matrices.
@@ -590,6 +594,13 @@ class TestDiagonalExpectation:
         python = TransformParams(l_coef=3.0, r_coef=0.1, a_coef=1.0, b_coef=5.0)
         assert (python.l_coef, python.r_coef) == (3.0, 0.1) and python.r_coef.hex() == (0.1).hex()
 
+    def test_float32_trial_frequency_is_a_python_float(self):
+        # NumPy 2 keeps float * np.float32 in float32: the trial frequency enters as its float value
+        spec = HamiltonianSpec(TransformParams(3.0, 0.1, 1.0, 5.0), BasisSpec(10))
+        got = diagonal_expectation(spec, 3, np.float32(4.1))
+        assert type(got) is float and got.hex() == diagonal_expectation(spec, 3, float(np.float32(4.1))).hex()
+        assert got == 18.785412809791296  # 18.785414 in float32
+
     def test_valid_call_builds_no_basis(self, table1_params, monkeypatch):
         # O(1) with no object on the way: the trial frequency is checked in place
         h = build_hamiltonian(HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7, freq=4.1)))
@@ -714,20 +725,31 @@ class TestVariationalFrequency:
         assert variational_frequency(TransformParams(l_coef=2.0)).w_v is None
         # zero denominator
         assert variational_frequency(TransformParams(r_coef=1.0)).w_v is None
-        # float64 overflow of A^2: no ratio, and no OverflowError
-        assert variational_frequency(TransformParams(a_coef=1e200)).w_v is None
+        # sqrt(b/a) past float64 either way: 2e631 and 5e-632
+        assert variational_frequency(TransformParams(a_coef=5e-324, b_coef=1e308)).w_v is None
+        assert variational_frequency(TransformParams(a_coef=1e308, b_coef=5e-324)).w_v is None
 
-    def test_bit_identical_to_expanded_form(self):
-        # sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)) with the same float operations
+    @pytest.mark.parametrize("kw, w_v", [({"a_coef": 1e200}, 1e-200), ({"b_coef": 1e-200}, 1e-200)])
+    def test_root_of_a_ratio_outside_float64(self, kw, w_v):
+        # b/a = 1e-400 is no float64, its root is: the ratio is never rounded
+        assert variational_frequency(TransformParams(**kw)).w_v == w_v
+
+    def test_within_one_ulp_of_the_exact_root(self):
+        # sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)) of the exact inputs, against 60-digit mpmath
         rng = np.random.default_rng(22)
         for _ in range(200):
             l_coef, r_coef, a_coef, b_coef = rng.uniform(-4.0, 4.0, size=4)
             if abs(1.0 + l_coef * r_coef) < 1e-3:
                 continue
-            a2, b2 = a_coef * a_coef, b_coef * b_coef
-            num, den = b2 - l_coef * l_coef * a2, a2 - r_coef * r_coef * b2
-            expected = math.sqrt(num / den) if den != 0.0 and 0.0 < num / den < math.inf else None
-            assert variational_frequency(TransformParams(l_coef, r_coef, a_coef, b_coef)).w_v == expected
+            (l, r), (a2, b2) = map(Fraction, (l_coef, r_coef)), (Fraction(a_coef) ** 2, Fraction(b_coef) ** 2)
+            ratio = (b2 - l * l * a2) / (a2 - r * r * b2)
+            w_v = variational_frequency(TransformParams(l_coef, r_coef, a_coef, b_coef)).w_v
+            if ratio <= 0:
+                assert w_v is None
+                continue
+            with mpmath.workdps(60):
+                exact = mpmath.sqrt(mpmath.mpf(ratio.numerator) / ratio.denominator)
+                assert abs(w_v - exact) <= math.ulp(w_v), (l_coef, r_coef, a_coef, b_coef)
 
     def test_matches_regime_expansion(self):
         rng = np.random.default_rng(21)
@@ -757,19 +779,22 @@ class TestClassifyRegime:
         assert (report.coef_p2, report.coef_x2, report.coef_cross) == (1.0, 1.0, 0.0)
         assert report.regime is Regime.REAL_SPECTRUM
 
-    def test_coefficients_bit_identical_to_expanded_form(self):
-        # C (A^2 - R^2 B^2), C (B^2 - L^2 A^2), C (L A^2 + R B^2) with the same float operations
+    def test_coefficients_are_the_exact_values_rounded_once(self):
+        # C (A^2 - R^2 B^2), C (B^2 - L^2 A^2), C (L A^2 + R B^2) and (AB)^2 of the exact inputs
         rng = np.random.default_rng(34)
         for _ in range(200):
             l_coef, r_coef, a_coef, b_coef = rng.uniform(-4.0, 4.0, size=4)
             if abs(1.0 + l_coef * r_coef) < 1e-3:
                 continue
             params = TransformParams(l_coef, r_coef, a_coef, b_coef)
-            c, a2, b2 = params.norm_c, a_coef * a_coef, b_coef * b_coef
+            l, r, a, b = map(Fraction, (l_coef, r_coef, a_coef, b_coef))
+            c = 1 / (1 + l * r)
+            p2, x2 = c * (a * a - r * r * b * b), c * (b * b - l * l * a * a)
             report = classify_regime(params)
-            assert report.coef_p2 == c * (a2 - r_coef * r_coef * b2)
-            assert report.coef_x2 == c * (b2 - l_coef * l_coef * a2)
-            assert report.coef_cross == c * (l_coef * a2 + r_coef * b2)
+            assert report.coef_p2 == float(p2) and report.coef_x2 == float(x2)
+            assert report.coef_cross == float(c * (l * a * a + r * b * b))
+            assert report.ab_plus_csq == float((a * b) ** 2)
+            assert (report.regime is Regime.REAL_SPECTRUM) == (p2 > 0 and x2 > 0)
 
     def test_product_identity_random(self):
         # a b + c^2 == (A B)^2, the basis-independence of the reference levels
@@ -848,17 +873,15 @@ class TestRealityWindow:
         weights=st.tuples(*[st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))] * 2),
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_window_bit_identical_to_closed_form(self, shears, weights):
-        # ((|AB| - |c|)/a, (|AB| + |c|)/a) with the float operations of classify_regime
+    def test_window_is_the_exact_window_rounded_once(self, shears, weights):
+        # ((|AB| - |c|)/a, (|AB| + |c|)/a) of the exact inputs, each rounded once
         assume(1.0 + shears[0] * shears[1] != 0.0)
         params = TransformParams(*shears, *weights)
-        (l_coef, r_coef), (a_coef, b_coef) = shears, weights
-        a2, b2 = a_coef * a_coef, b_coef * b_coef
-        a = params.norm_c * (a2 - r_coef * r_coef * b2)
-        b = params.norm_c * (b2 - l_coef * l_coef * a2)
-        c = abs(params.norm_c * (l_coef * a2 + r_coef * b2))
-        ab = abs(a_coef * b_coef)
-        assert reality_window(params) == (((ab - c) / a, (ab + c) / a) if a > 0.0 and b > 0.0 else None)
+        l, r, a, b = map(Fraction, (*shears, *weights))
+        c = 1 / (1 + l * r)
+        real = c * (a * a - r * r * b * b) > 0 and c * (b * b - l * l * a * a) > 0
+        expected = tuple(map(float, oracles.exact_reality_window(*shears, *weights))) if real else None
+        assert reality_window(params) == expected
 
     @given(
         shears=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
@@ -870,22 +893,10 @@ class TestRealityWindow:
         assume(1.0 + shears[0] * shears[1] != 0.0)
         params = TransformParams(*shears, *weights)
         assume(classify_regime(params).regime is Regime.REAL_SPECTRUM)
-        (l_coef, r_coef), (a_coef, b_coef) = shears, weights
-        a = params.norm_c * (a_coef**2 - r_coef**2 * b_coef**2)
-        c = params.norm_c * (l_coef * a_coef**2 + r_coef * b_coef**2)
-        ab = abs(a_coef * b_coef)
-        w_lo, w_hi = (ab - abs(c)) / a, (ab + abs(c)) / a
-        # sqrt(w- w+) = sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)) = w_v exactly; in floats both
-        # sides lose what their cancellations lose: a few eps times the condition numbers of
-        # B^2 - L^2 A^2, A^2 - R^2 B^2 and |AB| -+ |c|, c with its own sum L A^2 + R B^2 and
-        # factor C = 1/(1+LR) (|AB| + |c| is the better conditioned of the two)
-        k_num = (b_coef**2 + (l_coef * a_coef) ** 2) / abs(b_coef**2 - (l_coef * a_coef) ** 2)
-        k_den = (a_coef**2 + (r_coef * b_coef) ** 2) / abs(a_coef**2 - (r_coef * b_coef) ** 2)
-        k_c = (1.0 + abs(l_coef * r_coef)) / abs(1.0 + l_coef * r_coef)
-        c_terms = abs(params.norm_c) * (abs(l_coef) * a_coef**2 + abs(r_coef) * b_coef**2) * k_c
-        k_minus = (ab + c_terms) / (ab - abs(c))
-        rel_tol = 4.0 * EPS * (k_num + k_den + k_minus)
-        assert math.isclose(math.sqrt(w_lo * w_hi), variational_frequency(params).w_v, rel_tol=rel_tol)
+        w_lo, w_hi = reality_window(params)
+        # sqrt(w- w+) = sqrt(b/a) = w_v exactly; each of w-, w+ and w_v is its exact value rounded
+        # once (w_v within 1 ulp), so the two sides differ by the product's and root's roundings alone
+        assert math.isclose(math.sqrt(w_lo * w_hi), variational_frequency(params).w_v, rel_tol=4.0 * EPS)
         for w in np.geomspace(w_lo / 50.0, 50.0 * w_hi, 100):
             if min(abs(w - w_lo) / w_lo, abs(w - w_hi) / w_hi) <= 1e-9:
                 continue
