@@ -22,8 +22,10 @@ __all__ = [
     "sweep",
 ]
 
-# largest |computed - (2n+1)|AB|| at which a real level counts as Iso
+# largest |computed - (2n+1)|AB|| at which a real level counts as Iso, or 4 eps (2n+1)|AB| where
+# that is more: past (2n+1)|AB| = 1.1e12 an absolute 1e-3 is finer than float64 resolves the level
 ISO_TOL = 1e-3
+_ISO_REL = 4.0 * float(np.finfo(np.float64).eps)
 
 # the columns of IsospectralReport.rows; a new per-level column is one more field
 _LEVEL = np.dtype([("epsilon", np.float64), ("computed", np.complex128), ("abs_dev", np.float64), ("iso", bool)])
@@ -41,7 +43,8 @@ class IsospectralReport:
     their distance `abs_dev` and the verdict `iso`.  Levels are aligned by
     sorted index (real part, then imaginary part), so a conjugate pair
     occupies two consecutive levels.  A level is iso only if its value
-    classifies as real and sits within ISO_TOL of the reference.
+    classifies as real and sits within max(ISO_TOL, 4 eps epsilon) of the
+    reference epsilon = (2n+1)|AB|.
     n_real + 2 n_complex_pairs = N.
     """
 
@@ -71,7 +74,7 @@ def isospectral_report(params: TransformParams, basis: BasisSpec) -> Isospectral
     diff = spec.values - eps
     # hypot, not np.abs: np.abs of a complex array can differ from abs() in the last bit
     dev = np.hypot(diff.real, diff.imag)
-    iso = (dev <= ISO_TOL) & real_mask(spec)
+    iso = (dev <= np.maximum(ISO_TOL, _ISO_REL * eps)) & real_mask(spec)
     deviations = np.flatnonzero(~iso)
     rows = np.empty(len(spec), dtype=_LEVEL)
     for name, column in zip(_LEVEL.names, (eps, spec.values, dev, iso)):

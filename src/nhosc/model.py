@@ -64,23 +64,46 @@ class HamiltonianSpec:
         return _quadratic_form(self.params)
 
     @cached_property
-    def _scalars(self) -> tuple[int | float, ...]:
-        """(N, a/2, b/2, c, lev_norm, pair_norm, floor): the half of H's check that (params, N) fix, made
-        once per spec; _checked_bands makes the half that the basis frequency fixes from these alone.
-        a/2, b/2 and c are _triple's rounded once, or nan where that is not 0 or a normal float64, which
-        sends every call to _exact_bands.  lev_norm and pair_norm are the ladders' 2-norms, from
-        sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) = (N-2)(N-1)N/3.  An N |H|_F below
-        floor does not show a normal band scalar; at N = 2 floor is inf, as H = D I has no +-2 band to
-        bound the cancellation in D.  Raises ValueError anew on every access (a cached_property keeps no error)
-        when sum(lev^2) is past float64 (N above about 5e102)."""
+    def _scalars(self) -> tuple[float, float, float, float, float]:
+        """(lo, hi, a/2, b/2, c): the half of H's check that (params, N) fix, made once per spec.  a/2, b/2
+        and c are _triple's rounded once, or nan where that is not 0 or a normal float64.  At every basis
+        frequency w in [lo, hi], _checked_bands' float D, U, V pass floor <= N |H|_F < inf, with N |H|_F =
+        N hypot(D lev_norm, U pair_norm, V pair_norm) in float64; an N |H|_F below floor = 4 N tiny
+        (lev_norm + pair_norm) does not show a normal band scalar.  With x = (a/2) w and y = (b/2)/w,
+        D = x + y and U, V = (y - x) +- c:
+        - Upper bound: each of |D|, |U|, |V| is at most |x| + |y| + |c|.  With K = HUGE / (8 N (lev_norm +
+          2 pair_norm)), lo = 2|b/2|/K and hi = K/(2|a/2|) keep |x| and |y| below K/2 (|y| below 3K/4 where
+          lo rounds as a subnormal), so with |c| <= K, N |H|_F stays below HUGE/3: room for every rounding.
+        - Lower bound: max(|D|, |U|, |V|) >= max(|c|, |x| + |y|) >= max(|c|, 2 sqrt(|a/2| |b/2|)), since
+          U - V = 2c and max(|x + y|, |y - x|) = |x| + |y|.  N |H|_F is at least N pair_norm (<= N lev_norm)
+          times this bound at every w: where x or y rounds below the normal range, the other is past twice
+          the bound.  A bound that passes floor with 16 eps to spare passes it after every rounding.
+        The interval is empty (lo = inf) where a rounded triple component is nan, |c| > K, or the lower
+        bound fails floor; at N = 2 it always fails, as pair_norm = 0: H = D I has no +-2 band to bound a
+        cancellation in D.  Raises _ladder_norms' ValueError anew on every access (a cached_property
+        keeps no error)."""
         n = self.basis.n_dim
-        lev_squares = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)  # exact: a Python int
-        if lev_squares > _HUGE:  # a Python float: an exact comparison, no conversion of the int
-            raise ValueError(f"N = {n} is too large: the sum of H's squared diagonal ladder overflows float64")
+        lev_norm, pair_norm = _ladder_norms(n)
         n_a, n_b, n_c, den = self._triple
-        lev_norm, pair_norm = math.sqrt(lev_squares), math.sqrt((n - 2.0) * (n - 1.0) * n / 3.0)
-        floor = 4.0 * n * _TINY * (lev_norm + pair_norm) if n > 2 else math.inf
-        return n, _normal(n_a, den), _normal(n_b, den), _normal(n_c, den), lev_norm, pair_norm, floor
+        half_a, half_b, c = _normal(n_a, den), _normal(n_b, den), _normal(n_c, den)
+        big = _HUGE / (8.0 * n * (lev_norm + 2.0 * pair_norm))
+        least = max(abs(c), 2.0 * math.sqrt(abs(half_a)) * math.sqrt(abs(half_b)))
+        floor = 4.0 * n * _TINY * (lev_norm + pair_norm)
+        if math.isnan(half_a + half_b + c) or abs(c) > big or not least * n * pair_norm * (1 - 2**-48) >= floor:
+            return math.inf, math.inf, half_a, half_b, c
+        lo = max(2.0 * abs(half_b) / big, 5e-324)
+        hi = min(big / (2.0 * abs(half_a)), _HUGE) if half_a else _HUGE
+        return lo, hi, half_a, half_b, c
+
+
+def _ladder_norms(n: int) -> tuple[float, float]:
+    """(lev_norm, pair_norm): the 2-norms of H's diagonal ladder lev (2k+1, and N-1 at the edge) and of its
+    +-2 ladder sqrt((k+1)(k+2)), from sum(lev^2) = (N-1)(2N-3)(2N-1)/3 + (N-1)^2 and sum(pair^2) =
+    (N-2)(N-1)N/3.  ValueError, naming N, when sum(lev^2) is past float64 (N above about 5e102)."""
+    lev_squares = (n - 1) * (2 * n - 3) * (2 * n - 1) // 3 + (n - 1) * (n - 1)  # exact: a Python int
+    if lev_squares > _HUGE:  # a Python float: an exact comparison, no conversion of the int
+        raise ValueError(f"N = {n} is too large: the sum of H's squared diagonal ladder overflows float64")
+    return math.sqrt(lev_squares), math.sqrt((n - 2.0) * (n - 1.0) * n / 3.0)
 
 
 @dataclass(frozen=True)
@@ -134,29 +157,27 @@ def _normal(num: int, den: int) -> float:
 
 def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, float]:
     """The scalars (D, U, V) of H's diagonal, +2 and -2 bands at a basis frequency that passed
-    basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation; the half
-    that freq fixes, as spec._scalars is the half that (params, N) fix.  In the number basis, p^2 =
-    (w/2)(lev - a^2 - a+^2), x^2 = (lev + a^2 + a+^2)/(2w) and i(xp + px) = a^2 - a+^2, so H = a p^2 +
-    b x^2 + i c (xp + px) has D = (a w + b/w)/2 and U, V = (b/w - a w)/2 +- c times ladders that the
-    callers apply last.  With x = (a/2) w and y = (b/2)/w, each term of D = x + y and U, V = (y - x) +- c
-    is at most max(|D|, |U|, |V|), so each scalar is within a few eps of the largest.  Where a term is
-    not finite or N |H|_F is below spec._scalars' floor, _exact_bands decides."""
-    n, half_a, half_b, c, lev_norm, pair_norm, floor = spec._scalars
-    x = half_a * freq
-    y = half_b / freq
-    t = y - x
-    diag, up, low = x + y, t + c, t - c
-    # hypot scales, so no square overflows.  A finite N |H|_F bounds the trace and eigenvalue sums
-    # of the solve: eig.eigenvalues rejects any other matrix
-    if floor <= math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n < math.inf:
-        return diag, up, low
+    basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.  In the
+    number basis, p^2 = (w/2)(lev - a^2 - a+^2), x^2 = (lev + a^2 + a+^2)/(2w) and i(xp + px) = a^2 - a+^2,
+    so H = a p^2 + b x^2 + i c (xp + px) has D = (a w + b/w)/2 and U, V = (b/w - a w)/2 +- c times
+    ladders that the callers apply last.  With x = (a/2) w and y = (b/2)/w, each term of D = x + y and
+    U, V = (y - x) +- c is at most max(|D|, |U|, |V|), so each scalar is within a few eps of the largest.
+    Inside spec._scalars' frequency interval these float scalars are H's: their N |H|_F is finite and
+    shows a normal entry.  Outside it, _exact_bands decides."""
+    lo, hi, half_a, half_b, c = spec._scalars
+    if lo <= freq <= hi:
+        x = half_a * freq
+        y = half_b / freq
+        t = y - x
+        return x + y, t + c, t - c
     return _exact_bands(spec, freq)
 
 
 def _exact_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, float]:
     """_checked_bands' scalars from spec._triple and freq taken exactly, each rounded once.  ValueError when
     N |H|_F overflows and, A or B nonzero, when no entry is normal: H "underflows", or "is zero" exactly."""
-    n, _, _, _, lev_norm, pair_norm, _ = spec._scalars
+    n = spec.basis.n_dim
+    lev_norm, pair_norm = _ladder_norms(n)
     n_a, n_b, n_c, den = spec._triple
     w_num, w_den = float(freq).as_integer_ratio()  # a w/2 = x / over and b/(2w) = y / over
     x, y, cross, over = n_a * w_num * w_num, n_b * w_den * w_den, n_c * w_num * w_den, den * w_num * w_den
@@ -199,20 +220,30 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w]; the cross term
     adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: _checked_bands' D times
     the level's ladder value, bit-identical to build_hamiltonian(...)[level, level], with the build's
-    errors (BasisSpec's freq check, then _checked_bands).  TypeError for a level that is no integer (or a
-    bool), IndexError outside.
+    errors in the build's order (BasisSpec's freq check, then spec._scalars, then _exact_bands).
+    TypeError for a level that is no integer (or a bool), IndexError outside.
     A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once;
-    each call pays only the half that trial_freq fixes.
+    a call inside its frequency interval then pays one chained comparison, one product, one division
+    and one sum.  A float trial_freq is checked in place by one chained comparison; basis._check_freq
+    runs only where that fails, to raise the build's message, or for another type, which then enters
+    as its float().
     """
-    if type(level) is not int and (isinstance(level, bool) or not isinstance(level, (int, np.integer))):
-        raise TypeError(f"level must be an integer, got {level!r}")
+    if type(level) is not int:
+        if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+            raise TypeError(f"level must be an integer, got {level!r}")
+        level = int(level)
     n = spec.basis.n_dim
     if not 0 <= level < n:
         raise IndexError(f"level {level} outside basis of dimension {n}")
-    _check_freq(trial_freq)
-    if type(trial_freq) is not float:  # an np.float32 would keep the bands in float32
+    if type(trial_freq) is not float or not 0.0 < trial_freq < math.inf:
+        _check_freq(trial_freq)  # raises for a float; passes an np.float32 or an int, which become floats
         trial_freq = float(trial_freq)
-    return _checked_bands(spec, trial_freq)[0] * (2.0 * int(level) + 1.0 if level < n - 1 else float(n - 1))
+    lo, hi, half_a, half_b, _ = spec._scalars
+    if lo <= trial_freq <= hi:  # _checked_bands' D, inlined, as a search over w repeats this call
+        diag = half_a * trial_freq + half_b / trial_freq
+    else:
+        diag = _exact_bands(spec, trial_freq)[0]
+    return diag * (2.0 * level + 1.0 if level < n - 1 else float(n - 1))
 
 
 def variational_frequency(params: TransformParams) -> VariationalResult:

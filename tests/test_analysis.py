@@ -71,6 +71,16 @@ class TestIsospectralReport:
         report = isospectral_report(table1_params, BasisSpec(n_dim=400, freq=16.0))
         assert (report.n_complex_pairs, report.first_deviation_index) == (0, 111)
 
+    @pytest.mark.parametrize("w_cap", [1e150, 1e300])
+    def test_level_within_rounding_of_a_huge_reference_is_iso(self, w_cap):
+        # table1 --W 1e150 / 1e300 --N 10 (L = 0, B = W, w = W): H is diagonal, but LAPACK returns level 0
+        # a fraction of an eps off (2n+1)|AB|, far past the absolute ISO_TOL; 4 eps of the level counts
+        # it Iso, so the first deviation is the truncation's, level 5, as at W = 1
+        report = isospectral_report(TransformParams(b_coef=w_cap), BasisSpec(n_dim=10, freq=w_cap))
+        assert report.first_deviation_index == 5 and report.rows["iso"][:5].all()
+        assert ISO_TOL < report.rows["abs_dev"][0] <= 4.0 * np.finfo(np.float64).eps * report.rows["epsilon"][0]
+        assert isospectral_report(TransformParams(), BasisSpec(n_dim=10)).first_deviation_index == 5
+
     @pytest.mark.parametrize("a_coef, b_coef", [(1.0, 5.0), (-1.0, 5.0), (1.0, -5.0), (-1.0, -5.0)])
     def test_reference_is_abs_ab_for_every_sign(self, table1_params, a_coef, b_coef):
         # H reads A and B only as A^2 and B^2: a negative A*B used to mark every level NoIso
@@ -107,7 +117,7 @@ class TestIsospectralReport:
         for n, v in enumerate(spec.values):
             eps_n = (2 * n + 1) * ab
             dev = abs(complex(v) - eps_n)
-            iso = dev <= ISO_TOL and is_real[n]
+            iso = dev <= max(ISO_TOL, 4.0 * np.finfo(np.float64).eps * eps_n) and is_real[n]
             if not iso and first_dev is None:
                 first_dev = n
             for name, x in zip(columns, (eps_n, complex(v), dev, iso)):

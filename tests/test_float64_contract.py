@@ -197,3 +197,70 @@ def test_named_argvs_that_stop_before_h(argv):
     with pytest.raises(ConfigError):
         parse_config(argv.split())
 
+
+def _parent_bound(bands, n_dim):
+    """The O(1) float64 bound that each band scalar triple of an earlier build met before it was kept:
+    floor <= N hypot(D lev_norm, U pair_norm, V pair_norm) < inf, with the ladders' 2-norms in closed
+    form, floor = 4 N tiny (lev_norm + pair_norm), and floor = inf at N = 2."""
+    lev_norm = math.sqrt((n_dim - 1) * (2 * n_dim - 3) * (2 * n_dim - 1) // 3 + (n_dim - 1) ** 2)
+    pair_norm = math.sqrt((n_dim - 2.0) * (n_dim - 1.0) * n_dim / 3.0)
+    floor = 4.0 * n_dim * TINY * (lev_norm + pair_norm) if n_dim > 2 else math.inf
+    diag, up, low = bands
+    return floor <= math.hypot(diag * lev_norm, up * pair_norm, low * pair_norm) * n_dim < math.inf
+
+
+def _outcome(call, *args):
+    """A call's band scalars as bits, or its ValueError's message."""
+    try:
+        return [v.hex() for v in call(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def interval_inputs(seed=33):
+    """(L, R, A, B, N): the cancelling draws' couplings at N = 2, 3, 6 and 200, as many log-uniform ones
+    (L, R within 1e+-3, A, B within 1e+-160), and 100 at L = R = 1, A = +-B, where a = b = 0 and
+    c = A^2 is 1e304 .. 1e308, so whether c alone may bring N |H|_F past float64 decides the interval."""
+    rng = random.Random(seed)
+    sign = lambda: rng.choice([-1.0, 1.0])  # noqa: E731
+    inputs = [(*c[:4], rng.choice([2, 3, 6, 200])) for c in cancelling_inputs()]
+    while len(inputs) < 400:
+        l_coef, r_coef = (sign() * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+        a_coef, b_coef = (sign() * 10.0 ** rng.uniform(-160.0, 160.0) for _ in range(2))
+        if 1.0 + l_coef * r_coef != 0.0:
+            inputs.append((l_coef, r_coef, a_coef, b_coef, rng.choice([2, 3, 6, 200])))
+    for _ in range(100):
+        a_coef = 10.0 ** rng.uniform(152.0, 154.0)
+        inputs.append((1.0, 1.0, a_coef, sign() * a_coef, rng.choice([3, 6, 200])))
+    return inputs
+
+
+def test_frequency_interval_is_inside_the_float_bound():
+    # at each spec's lo and hi, their neighbours and a log-uniform w between, a w inside [lo, hi] gets the
+    # float scalars bit for bit, and they meet the float64 bound; a w outside gets _exact_bands' answer
+    rng = random.Random(33)
+    inside = outside = 0
+    for *couplings, n_dim in interval_inputs():
+        spec = HamiltonianSpec(TransformParams(*couplings), BasisSpec(n_dim))
+        lo, hi, half_a, half_b, c = spec._scalars
+        if n_dim == 2:
+            assert lo == math.inf, couplings
+            continue
+        trial = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(lo, math.inf), math.nextafter(hi, 0.0),
+                 math.nextafter(hi, math.inf)]
+        if lo < hi:
+            trial.append(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+        for w in trial:
+            if not 0.0 < w < math.inf:
+                continue
+            got = _outcome(model._checked_bands, spec, w)
+            if lo <= w <= hi:
+                inside += 1
+                x, y = half_a * w, half_b / w
+                float_bands = (x + y, (y - x) + c, (y - x) - c)
+                assert _parent_bound(float_bands, n_dim), (couplings, n_dim, w)
+                assert got == [v.hex() for v in float_bands], (couplings, n_dim, w)
+            else:
+                outside += 1
+                assert got == _outcome(model._exact_bands, spec, w), (couplings, n_dim, w)
+    assert inside >= 1000 and outside >= 400, (inside, outside)
