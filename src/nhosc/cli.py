@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 # Largest basis size accepted on the command line.  commutator-check, the
-# command with the most dense N x N arrays, holds four float64 ones (about
-# 32 bytes per matrix entry) and peaks near 160 MB at N = MAX_N.
+# command with the most dense N x N arrays, holds four float64 ones at its
+# subtraction Z Y - Y Z (about 32 bytes per matrix entry) and peaks near
+# 155 MB at N = MAX_N.
 MAX_N = 2000
 
 

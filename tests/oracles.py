@@ -10,7 +10,9 @@ matrix, the reference eigenvalue solver of whole matrices.  The exact_* function
 count the eigenvalues of the truncated H in exact rational arithmetic, with
 no floating-point eigensolver at any precision.  mp_entries gives single
 entries of H, and mp_bands its band scalars and norm, from the same
-definitions in mpmath at any precision.
+definitions in mpmath at any precision.  dense_commutator_check is the
+commutator check with every step on the whole dense N x N array, the
+reference of the package's check, which divides and scans less of it.
 """
 
 import functools
@@ -108,6 +110,34 @@ def mp_bands(l_coef, r_coef, a_coef, b_coef, freq, n_dim, dps) -> tuple[list[flo
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
+
+
+def diag_sum_tridiagonal(n_dim: int, below: float, above: float) -> np.ndarray:
+    """below sqrt(k) at (k, k-1) and above sqrt(k) at (k-1, k), as the sum of two np.diag arrays."""
+    m = np.sqrt(np.arange(1, n_dim, dtype=float))
+    return np.diag(below * m, -1) + np.diag(above * m, 1)
+
+
+def dense_commutator_check(n_dim, u_y, v_y, u_z, v_z, norm) -> tuple[float, float, float]:
+    """(max |C_kk - 1| over k < N-1, C_{N-1,N-1}, max |C_jk| over j != k) of C = (Z Y - Y Z) / norm, with
+    Y, Z = diag_sum_tridiagonal(N, u_y, v_y), (N, u_z, v_z) and every step taken on the whole N x N
+    array: the whole-matrix finiteness test, the division and the absolute value.  ValueError as the
+    commutator check words it: when norm or C overflows float64, then when the rounding floor
+    2 eps max|Y| max|Z| / |norm| is above 1e-6."""
+    max_yz = max(abs(u_y), abs(v_y)) * max(abs(u_z), abs(v_z)) * (n_dim - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        big_y, big_z = diag_sum_tridiagonal(n_dim, u_y, v_y), diag_sum_tridiagonal(n_dim, u_z, v_z)
+        c = big_z @ big_y - big_y @ big_z
+    if not (math.isfinite(norm) and np.isfinite(c).all()):
+        raise ValueError(f"commutator check overflows float64 (1+LR = {norm}, max|Y| max|Z| = {max_yz:.3e})")
+    floor = 2.0 * max_yz / abs(norm) * _EPS
+    if not floor <= 1e-6:
+        raise ValueError(f"commutator check is beyond float64 resolution: rounding floor "
+                         f"2 eps max|Y| max|Z| / |1+LR| = {floor:.3e} > 1e-06")
+    c /= norm
+    diag = c.diagonal().copy()
+    np.fill_diagonal(c, 0.0)
+    return float(np.abs(diag[:-1] - 1.0).max()), float(diag[-1]), float(np.abs(c).max())
 
 
 class FrancisConvergenceError(RuntimeError):

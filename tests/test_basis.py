@@ -1,9 +1,12 @@
+import math
+import random
+
 import mpmath
 import numpy as np
 import pytest
 
 import oracles
-from nhosc import BasisSpec, TransformParams, ladder_weights, normalized_commutator_check
+from nhosc import BasisSpec, CommutatorDefect, TransformParams, ladder_weights, normalized_commutator_check
 from nhosc.basis import _shear_bands, _tridiagonal, transformed_momentum
 
 
@@ -189,7 +192,51 @@ class TestCommutator:
                 np.testing.assert_allclose(a @ b, naive_matmul(a, b), atol=1e-13)
 
 
+# couplings and frequencies at which the check's float64 steps round, overflow or meet signed zeros
+EXTREME_COUPLINGS = [s * m for m in (0.0, 1e-300, 1e-160, 1e155) for s in (1.0, -1.0)] + [3.0, 1e14, 1.7e308]
+EXTREME_FREQS = [5e-324, 1e-320, 1e-3, 1.0, 4.0, 1e300]
+
+
+def _report(call):
+    """repr of a call's result, or its ValueError's message."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestNormalizedCommutatorCheck:
+    def test_matches_dense_reference_bit_for_bit(self):
+        # every field by repr (signed zeros and nan included) and every message, against the check with
+        # every step on the whole dense array: each coupling pair and frequency at N = 2, 3 and 12, and
+        # seeded draws of them at N = 100 and 401; transformed_momentum against the np.diag-sum Y
+        rng = random.Random(34)
+        cases = [(n, l_coef, r_coef, w) for n in (2, 3, 12) for l_coef in EXTREME_COUPLINGS
+                 for r_coef in EXTREME_COUPLINGS for w in EXTREME_FREQS]
+        cases += [(n, rng.choice(EXTREME_COUPLINGS), rng.choice(EXTREME_COUPLINGS), rng.choice(EXTREME_FREQS))
+                  for n in (100, 401) for _ in range(60)]
+        signed_zero = 0
+        for n, l_coef, r_coef, w in cases:
+            if 1.0 + l_coef * r_coef == 0.0:
+                continue
+            basis, params = BasisSpec(n_dim=n, freq=w), TransformParams(l_coef=l_coef, r_coef=r_coef)
+            bands = _shear_bands(w, l_coef, r_coef)
+            signed_zero += any(b == 0.0 and math.copysign(1.0, b) < 0.0 for b in bands)
+            norm = 1.0 + l_coef * r_coef
+
+            def reference():
+                deviation, last, offdiag = oracles.dense_commutator_check(n, *bands, norm)
+                return CommutatorDefect(n_dim=n, max_diag_deviation=deviation, last_diag_entry=last,
+                                        expected_last=float(1 - n), max_offdiag=offdiag)
+
+            assert _report(lambda: normalized_commutator_check(basis, params)) == _report(reference), \
+                (n, l_coef, r_coef, w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = transformed_momentum(basis, params)
+                want = 1j * oracles.diag_sum_tridiagonal(n, bands[0], bands[1])
+            assert got.tobytes() == want.tobytes(), (n, l_coef, r_coef, w)
+        assert signed_zero  # as v_y = -0.0 at w = 5e-324, L = -0.0
+
     def test_full_size_configuration(self):
         defect = normalized_commutator_check(
             BasisSpec(n_dim=100), TransformParams(l_coef=3.0, r_coef=4.0)
