@@ -49,8 +49,9 @@ class BasisSpec:
 
 def _check_freq(freq) -> None:
     """The basis frequency check: ValueError unless freq > 0 and finite (TypeError for a non-number).
-    model.diagonal_expectation checks a float trial frequency in place with the same condition, as
-    0.0 < w < inf, and calls this only where that fails, so its messages are BasisSpec's."""
+    model.diagonal_expectation skips it only for a float trial frequency inside the spec's frequency
+    interval, which holds no float outside 0 < w < inf, and calls it otherwise, so its messages are
+    BasisSpec's."""
     if not (freq > 0.0) or not math.isfinite(freq):
         raise ValueError(f"freq must be positive and finite, got {freq}")
 

@@ -64,8 +64,9 @@ class HamiltonianSpec:
         return _quadratic_form(self.params)
 
     @cached_property
-    def _scalars(self) -> tuple[float, float, float, float, float]:
-        """(lo, hi, a/2, b/2, c): the half of H's check that (params, N) fix, made once per spec.  a/2, b/2
+    def _scalars(self) -> tuple[int, float, float, float, float, float]:
+        """(last, lo, hi, a/2, b/2, c): the half of H's check that (params, N) fix, made once per spec, with
+        last = N - 1, the level whose ladder value is N - 1 in place of 2 last + 1.  Never raises.  a/2, b/2
         and c are _triple's rounded once, or nan where that is not 0 or a normal float64.  At every basis
         frequency w in [lo, hi], _checked_bands' float D, U, V pass floor <= N |H|_F < inf, with N |H|_F =
         N hypot(D lev_norm, U pair_norm, V pair_norm) in float64; an N |H|_F below floor = 4 N tiny
@@ -78,22 +79,27 @@ class HamiltonianSpec:
           U - V = 2c and max(|x + y|, |y - x|) = |x| + |y|.  N |H|_F is at least N pair_norm (<= N lev_norm)
           times this bound at every w: where x or y rounds below the normal range, the other is past twice
           the bound.  A bound that passes floor with 16 eps to spare passes it after every rounding.
-        The interval is empty (lo = inf) where a rounded triple component is nan, |c| > K, or the lower
-        bound fails floor; at N = 2 it always fails, as pair_norm = 0: H = D I has no +-2 band to bound a
-        cancellation in D.  Raises _ladder_norms' ValueError anew on every access (a cached_property
-        keeps no error)."""
-        n = self.basis.n_dim
-        lev_norm, pair_norm = _ladder_norms(n)
+        The interval is empty, (lo, hi) = (inf, -inf), which no float passes, inf and nan included, where
+        _ladder_norms raises (N above about 5e102: _exact_bands raises it anew, after the level and
+        frequency checks), a rounded triple component is nan, |c| > K, or the lower bound fails floor; at
+        N = 2 it always fails, as pair_norm = 0: H = D I has no +-2 band to bound a cancellation in D.  A
+        non-empty interval has lo >= 5e-324 and hi <= HUGE, so w in [lo, hi] implies 0 < w < inf."""
         n_a, n_b, n_c, den = self._triple
         half_a, half_b, c = _normal(n_a, den), _normal(n_b, den), _normal(n_c, den)
+        n = self.basis.n_dim
+        empty = n - 1, math.inf, -math.inf, half_a, half_b, c
+        try:
+            lev_norm, pair_norm = _ladder_norms(n)
+        except ValueError:
+            return empty
         big = _HUGE / (8.0 * n * (lev_norm + 2.0 * pair_norm))
         least = max(abs(c), 2.0 * math.sqrt(abs(half_a)) * math.sqrt(abs(half_b)))
         floor = 4.0 * n * _TINY * (lev_norm + pair_norm)
         if math.isnan(half_a + half_b + c) or abs(c) > big or not least * n * pair_norm * (1 - 2**-48) >= floor:
-            return math.inf, math.inf, half_a, half_b, c
+            return empty
         lo = max(2.0 * abs(half_b) / big, 5e-324)
         hi = min(big / (2.0 * abs(half_a)), _HUGE) if half_a else _HUGE
-        return lo, hi, half_a, half_b, c
+        return n - 1, lo, hi, half_a, half_b, c
 
 
 def _ladder_norms(n: int) -> tuple[float, float]:
@@ -164,7 +170,7 @@ def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, fl
     U, V = (y - x) +- c is at most max(|D|, |U|, |V|), so each scalar is within a few eps of the largest.
     Inside spec._scalars' frequency interval these float scalars are H's: their N |H|_F is finite and
     shows a normal entry.  Outside it, _exact_bands decides."""
-    lo, hi, half_a, half_b, c = spec._scalars
+    _, lo, hi, half_a, half_b, c = spec._scalars
     if lo <= freq <= hi:
         x = half_a * freq
         y = half_b / freq
@@ -220,30 +226,27 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w]; the cross term
     adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: _checked_bands' D times
     the level's ladder value, bit-identical to build_hamiltonian(...)[level, level], with the build's
-    errors in the build's order (BasisSpec's freq check, then spec._scalars, then _exact_bands).
+    errors in the build's order (BasisSpec's freq check, then _exact_bands).
     TypeError for a level that is no integer (or a bool), IndexError outside.
-    A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once;
-    a call inside its frequency interval then pays one chained comparison, one product, one division
-    and one sum.  A float trial_freq is checked in place by one chained comparison; basis._check_freq
-    runs only where that fails, to raise the build's message, or for another type, which then enters
-    as its float().
+    A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once.
+    A call with an int level below N - 1 and a float trial_freq inside its frequency interval then
+    passes one guard and pays one product, one division and one sum: the interval holds only floats
+    with 0 < w < inf, and is empty where the spec's half would raise.  Every other call takes the
+    checks in the build's order, level then basis._check_freq (an np.float32 or an int trial_freq
+    enters as its float()), and _checked_bands' D.
     """
+    last, lo, hi, half_a, half_b, _ = spec._scalars
+    if type(level) is int and type(trial_freq) is float and 0 <= level < last and lo <= trial_freq <= hi:
+        return (half_a * trial_freq + half_b / trial_freq) * (2.0 * level + 1.0)
     if type(level) is not int:
         if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
             raise TypeError(f"level must be an integer, got {level!r}")
         level = int(level)
-    n = spec.basis.n_dim
-    if not 0 <= level < n:
-        raise IndexError(f"level {level} outside basis of dimension {n}")
-    if type(trial_freq) is not float or not 0.0 < trial_freq < math.inf:
-        _check_freq(trial_freq)  # raises for a float; passes an np.float32 or an int, which become floats
-        trial_freq = float(trial_freq)
-    lo, hi, half_a, half_b, _ = spec._scalars
-    if lo <= trial_freq <= hi:  # _checked_bands' D, inlined, as a search over w repeats this call
-        diag = half_a * trial_freq + half_b / trial_freq
-    else:
-        diag = _exact_bands(spec, trial_freq)[0]
-    return diag * (2.0 * level + 1.0 if level < n - 1 else float(n - 1))
+    if not 0 <= level <= last:
+        raise IndexError(f"level {level} outside basis of dimension {last + 1}")
+    _check_freq(trial_freq)  # BasisSpec's check and message
+    trial_freq = float(trial_freq)
+    return _checked_bands(spec, trial_freq)[0] * (2.0 * level + 1.0 if level < last else float(last))
 
 
 def variational_frequency(params: TransformParams) -> VariationalResult:

@@ -242,7 +242,8 @@ def test_frequency_interval_is_inside_the_float_bound():
     inside = outside = 0
     for *couplings, n_dim in interval_inputs():
         spec = HamiltonianSpec(TransformParams(*couplings), BasisSpec(n_dim))
-        lo, hi, half_a, half_b, c = spec._scalars
+        last, lo, hi, half_a, half_b, c = spec._scalars
+        assert last == n_dim - 1, couplings
         if n_dim == 2:
             assert lo == math.inf, couplings
             continue

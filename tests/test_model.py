@@ -488,8 +488,9 @@ class TestDiagonalExpectation:
             assert reused == fresh[params, w], (params, w)
 
     def test_errors_are_not_kept(self):
-        # N past 5e102: the spec's (params, N) half raises anew on every call, with one message, and
-        # only after the level and trial frequency checks, as the build raises it from spec.bands
+        # N past 5e102: the spec's (params, N) half keeps an empty frequency interval, so every call
+        # reaches _exact_bands, which raises anew with one message, and only after the level and trial
+        # frequency checks, as the build raises it from spec.bands
         n_dim = 10**103
         spec = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=n_dim))
         with pytest.raises(ValueError) as first:
@@ -538,9 +539,16 @@ class TestDiagonalExpectation:
                 assert build_hamiltonian(moved).tobytes() == build_hamiltonian(fresh).tobytes()
 
     def test_search_checks_params_once(self, table1_params, monkeypatch):
-        # a 42-call golden-section search on one spec makes the (params, N) half once: a/2, b/2, c
+        # a 42-call golden-section search on one spec makes the (params, N) half once: a/2, b/2, c.
+        # Each call passes the one in-interval guard and reaches neither _checked_bands nor
+        # _exact_bands; the last level and a w outside the interval do reach them
         rounded, calls = model._normal, []
         monkeypatch.setattr(model, "_normal", lambda num, den: calls.append(num) or rounded(num, den))
+        reached, exact_bands = [], model._exact_bands
+        for name in ("_checked_bands", "_exact_bands"):
+            inner = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda spec, w, name=name, inner=inner: reached.append(name)
+                                or inner(spec, w))
         spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=100))
         values = []
 
@@ -561,15 +569,23 @@ class TestDiagonalExpectation:
                 a, c, fc = c, d, fd
                 d = a + inv_phi * (b - a)
                 fd = f(d)
-        assert len(values) == 42 and len(calls) == 3
+        assert len(values) == 42 and len(calls) == 3 and reached == []
         assert (a + b) / 2.0 == pytest.approx(variational_frequency(table1_params).w_v, abs=1e-5)
+        assert diagonal_expectation(spec, 99, 4.0) == 4.0 * 99 and reached == ["_checked_bands"]
+        outside = math.nextafter(spec._scalars[1], 0.0)
+        assert diagonal_expectation(spec, 3, outside) == exact_bands(spec, outside)[0] * 7.0
+        assert reached == ["_checked_bands", "_checked_bands", "_exact_bands"] and len(calls) == 3
 
     @pytest.mark.parametrize("w", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf, "4", None])
-    def test_trial_freq_errors_are_the_basis_specs(self, table1_params, w):
-        # the exception type and message of the basis the build would take
-        spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7))
+    @pytest.mark.parametrize("params, n_dim", [(None, 7), (TransformParams(a_coef=0.0), 7), (None, 2)],
+                             ids=["table1", "a_zero_empty_interval", "table1_n2_empty_interval"])
+    def test_trial_freq_errors_are_the_basis_specs(self, table1_params, params, n_dim, w):
+        # the exception type and message of the basis the build would take, on a spec with a frequency
+        # interval and on two whose interval is empty, where no w passes the in-interval guard
+        spec = HamiltonianSpec(params=params or table1_params, basis=BasisSpec(n_dim=n_dim))
+        assert (spec._scalars[1] == math.inf) is (params is not None or n_dim == 2)
         with pytest.raises((ValueError, TypeError)) as expected:
-            BasisSpec(n_dim=7, freq=w)
+            BasisSpec(n_dim=n_dim, freq=w)
         with pytest.raises(Exception) as raised:
             diagonal_expectation(spec, 0, w)
         assert type(raised.value) is expected.type
