@@ -191,7 +191,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         freq = 1.0
 
     if ns.w == "auto":
-        freq = variational_frequency(params).w_v
+        freq = variational_frequency(params)
         if freq is None:
             n_a, n_b, _, _ = _quadratic_form(params)
             cause = "sqrt(b/a) is outside float64" if n_a * n_b > 0 else "undefined: b/a is not positive"
@@ -289,7 +289,7 @@ def _config_echo(config: RunConfig) -> dict:
         "A": params.a_coef,
         "B": params.b_coef,
         "W": config.capital_w,
-        "w_v": variational_frequency(params).w_v,
+        "w_v": variational_frequency(params),
         "count": config.print_count,
     }
     if config.sweep_values:

@@ -17,7 +17,6 @@ from .basis import transformed_momentum  # noqa: F401  (benchmarks/test_bench.py
 
 __all__ = [
     "HamiltonianSpec",
-    "VariationalResult",
     "Regime",
     "RegimeReport",
     "build_hamiltonian",
@@ -55,8 +54,15 @@ class HamiltonianSpec:
 
     @property
     def bands(self) -> Bands:
-        """H's diagonal, +2 and -2 bands, its only nonzero ones, checked as build_hamiltonian checks them."""
-        return _bands(self)
+        """H's diagonal, +2 and -2 bands, its only nonzero ones: _checked_bands' scalars times ladders, read-only."""
+        diag, up, low = _checked_bands(self, self.basis.freq)
+        n = self.basis.n_dim
+        levels = np.append(2.0 * np.arange(n - 1) + 1.0, n - 1)
+        pairs = np.sqrt(np.arange(1.0, n - 1) * np.arange(2.0, n))
+        bands = Bands(diag * levels, up * pairs, low * pairs)
+        for band in bands:
+            band.setflags(write=False)
+        return bands
 
     @cached_property
     def _triple(self) -> tuple[int, int, int, int]:
@@ -112,17 +118,6 @@ def _ladder_norms(n: int) -> tuple[float, float]:
     return math.sqrt(lev_squares), math.sqrt((n - 2.0) * (n - 1.0) * n / 3.0)
 
 
-@dataclass(frozen=True)
-class VariationalResult:
-    """Oscillation frequency minimizing the diagonal expectation.
-
-    w_v is sqrt(b/a), with b/a = (B^2 - L^2 A^2) / (A^2 - R^2 B^2) exact, within 1 ulp; None when
-    b/a is not positive (no stationary positive frequency exists) or sqrt(b/a) is outside float64.
-    """
-
-    w_v: float | None
-
-
 class Regime(Enum):
     REAL_SPECTRUM = "RealSpectrum"
     BROKEN = "Broken"
@@ -163,9 +158,9 @@ def _normal(num: int, den: int) -> float:
 
 def _checked_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, float]:
     """The scalars (D, U, V) of H's diagonal, +2 and -2 bands at a basis frequency that passed
-    basis._check_freq, checked in O(1): H's one check, for _bands and diagonal_expectation.  In the
-    number basis, p^2 = (w/2)(lev - a^2 - a+^2), x^2 = (lev + a^2 + a+^2)/(2w) and i(xp + px) = a^2 - a+^2,
-    so H = a p^2 + b x^2 + i c (xp + px) has D = (a w + b/w)/2 and U, V = (b/w - a w)/2 +- c times
+    basis._check_freq, checked in O(1): H's one check, for HamiltonianSpec.bands and diagonal_expectation.
+    In the number basis, p^2 = (w/2)(lev - a^2 - a+^2), x^2 = (lev + a^2 + a+^2)/(2w) and i(xp + px) =
+    a^2 - a+^2, so H = a p^2 + b x^2 + i c (xp + px) has D = (a w + b/w)/2 and U, V = (b/w - a w)/2 +- c times
     ladders that the callers apply last.  With x = (a/2) w and y = (b/2)/w, each term of D = x + y and
     U, V = (y - x) +- c is at most max(|D|, |U|, |V|), so each scalar is within a few eps of the largest.
     Inside spec._scalars' frequency interval these float scalars are H's: their N |H|_F is finite and
@@ -203,21 +198,9 @@ def _exact_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, floa
     raise ValueError(f"H {cause} for {params}, {BasisSpec(n, freq)}")
 
 
-def _bands(spec: HamiltonianSpec) -> Bands:
-    """Diagonal, +2 and -2 bands of H, its only nonzero ones: _checked_bands' scalars times ladders, read-only."""
-    diag, up, low = _checked_bands(spec, spec.basis.freq)
-    n = spec.basis.n_dim
-    levels = np.append(2.0 * np.arange(n - 1) + 1.0, n - 1)
-    pairs = np.sqrt(np.arange(1.0, n - 1) * np.arange(2.0, n))
-    bands = Bands(diag * levels, up * pairs, low * pairs)
-    for band in bands:
-        band.setflags(write=False)
-    return bands
-
-
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """H = C[A^2 y^2 + B^2 z^2] as a read-only real float64 array, written from its bands."""
-    return _bands(spec).entries
+    return spec.bands.entries
 
 
 def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -> float:
@@ -249,17 +232,19 @@ def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -
     return _checked_bands(spec, trial_freq)[0] * (2.0 * level + 1.0 if level < last else float(last))
 
 
-def variational_frequency(params: TransformParams) -> VariationalResult:
-    """Stationary basis frequency sqrt(b/a) = sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)), from the exact
-    form: the integer square root of b/a scaled by 4^shift to 128 bits or more, rounded once.  b/a
-    itself is not rounded, as it may be outside float64 where its root is not (B = 1e-200)."""
+def variational_frequency(params: TransformParams) -> float | None:
+    """Oscillation frequency minimizing the diagonal expectation: sqrt(b/a), with b/a = (B^2 - L^2 A^2) /
+    (A^2 - R^2 B^2) exact, within 1 ulp; None when b/a is not positive (no stationary positive frequency
+    exists) or sqrt(b/a) is outside float64.  From the exact form: the integer square root of b/a scaled
+    by 4^shift to 128 bits or more, rounded once.  b/a itself is not rounded, as it may be outside float64
+    where its root is not (B = 1e-200)."""
     n_a, n_b, _, _ = _quadratic_form(params)
     if n_a * n_b <= 0:
-        return VariationalResult(w_v=None)
+        return None
     n_a, n_b = abs(n_a), abs(n_b)
     shift = max(0, (n_a.bit_length() - n_b.bit_length() + 130) // 2)  # the root gets 64 bits or more
     w_v = _rounded(math.isqrt((n_b << 2 * shift) // n_a), 1 << shift)
-    return VariationalResult(w_v=w_v if 0.0 < w_v < math.inf else None)
+    return w_v if 0.0 < w_v < math.inf else None
 
 
 def classify_regime(params: TransformParams) -> RegimeReport:

@@ -124,10 +124,10 @@ def test_criterion_4_variational_formula():
     with criterion("criterion 4 (variational formula)"):
         assert variational_frequency(
             TransformParams(l_coef=3.0, r_coef=0.0, a_coef=1.0, b_coef=5.0)
-        ).w_v == 4.0
+        ) == 4.0
         assert variational_frequency(
             TransformParams(l_coef=0.0, r_coef=3.0, a_coef=5.0, b_coef=1.0)
-        ).w_v == 0.25
+        ) == 0.25
         spec = HamiltonianSpec(
             params=TransformParams(l_coef=3.0, r_coef=0.0, a_coef=1.0, b_coef=5.0),
             basis=BasisSpec(n_dim=100, freq=4.0),

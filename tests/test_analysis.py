@@ -396,7 +396,7 @@ class TestExactPairCounts:
         r_coef = data.draw(st.sampled_from([x for x in halves if abs(x) * b_coef < a_coef and 1.0 + l_coef * x > 0]))
         params = TransformParams(l_coef, r_coef, a_coef, b_coef)
         assert classify_regime(params).regime is Regime.REAL_SPECTRUM
-        w_v = variational_frequency(params).w_v
+        w_v = variational_frequency(params)
         freq = max(1, round(16 * w_v * 2 ** (sixteenths / 64 - 1))) / 16 if near_w_v else sixteenths / 16
         self.check_against_exact(l_coef, r_coef, a_coef, b_coef, freq, n_dim)
 

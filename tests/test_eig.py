@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from nhosc import (
     hessenberg_reduce,
 )
 from nhosc.eig import _blocks, _frobenius_norm, real_mask
+from test_model import draw_real_spectrum_params
 
 
 def francis(m, max_sweeps=None):
@@ -488,6 +490,52 @@ class TestKreinStructure:
             signature = np.sign(np.einsum("ij,i,ij->j", x, s, x))
             assert len(signature) >= 6 and (signature != 0.0).all()
             assert (signature[1:] == -signature[:-1]).all(), signature
+
+    # c_M in {-1/9, -1/2}, beta = p + 1/2 and ladder level 2x + p of block p, x < 8, at 60 digits
+    @pytest.mark.parametrize("c_m", [mpmath.mpf(-1) / 9, mpmath.mpf(-1) / 2])
+    @pytest.mark.parametrize("beta", [mpmath.mpf(1) / 2, mpmath.mpf(3) / 2])
+    def test_signature_is_the_sign_of_the_meixner_dual_weight(self, c_m, beta):
+        # Block p is |AB| (4X + 2p + 1), X Meixner's Jacobi matrix (test_model.TestMeixnerForm).  The
+        # weight of its level x is 1 / sum_n (beta)_n c^n M_n(x)^2 / n!, M_n(x) = 2F1(-n, -x; beta; 1 - 1/c),
+        # and the orthogonality (KLS (9.10.2), n and x swapped: M_n(x) = M_x(n)) sums that to
+        # c^-x x! / ((beta)_x (1 - c)^beta), of sign (-1)^x for c < 0: the alternating signature above
+        with mpmath.workdps(60):
+            for x in range(8):
+                total, weight = mpmath.mpf(0), mpmath.mpf(1)  # weight: (beta)_n c^n / n!
+                for n in range(400):
+                    total += weight * mpmath.hyp2f1(-n, -x, beta, 1 - 1 / c_m) ** 2
+                    weight *= (beta + n) * c_m / (n + 1)
+                closed = c_m**-x * mpmath.factorial(x) / (mpmath.rf(beta, x) * (1 - c_m) ** beta)
+                assert abs(total - closed) <= 1e-30 * abs(closed), x
+                assert mpmath.sign(total) == (-1) ** x
+
+
+class TestMeixnerCollapse:
+    """Block p of H is |AB| (4X + 2p + 1), X the Meixner Jacobi matrix of c_M = (D - |AB|)/(D + |AB|)
+    (test_model.TestMeixnerForm), so the truncated spectrum over |AB| is a function of (c_M, N) alone:
+    any couplings at the w where D/|AB| is Table 1's share Table 1's spectrum over |AB| = 5."""
+
+    @pytest.mark.parametrize("n_dim", [20, 40])
+    @pytest.mark.parametrize("table_w", [3.0, 4.0, 6.0])
+    def test_spectrum_over_ab_is_table_ones(self, table1_params, n_dim, table_w):
+        table = eigenvalues(HamiltonianSpec(table1_params, BasisSpec(n_dim=n_dim, freq=table_w)).bands)
+        ratio = (table_w / 2.0 + 8.0 / table_w) / 5.0  # D/|AB|, with (a, b) = (1, 16)
+        rng = np.random.default_rng(27 + int(table_w))
+        draws = 0
+        while draws < 3:
+            params = draw_real_spectrum_params(rng, l_max=2.0, ab_range=(0.3, 3.0))
+            n_a, n_b, _, den = nhosc.model._quadratic_form(params)
+            half_a, half_b = n_a / den, n_b / den
+            ab = params.a_coef * params.b_coef
+            target = ratio * ab
+            disc = target * target - 4.0 * half_a * half_b
+            if disc < 0.0:  # c_M at w_v lies above Table 1's: no w reaches it
+                continue
+            draws += 1
+            w = (target + math.sqrt(disc)) / (2.0 * half_a)  # D(w) = (a/2) w + (b/2)/w = target
+            got = eigenvalues(HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=w)).bands)
+            assert np.abs(got.values / ab - table.values / 5.0).max() <= 1e-10, (params, w)
+            assert classify(got) == classify(table)
 
 
 NON_FINITE = [

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import enum
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -15,6 +16,8 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 from nhosc import model
+from nhosc.cli import main
+from nhosc.eig import _blocks
 from nhosc import (
     BasisSpec,
     HamiltonianSpec,
@@ -570,7 +573,7 @@ class TestDiagonalExpectation:
                 d = a + inv_phi * (b - a)
                 fd = f(d)
         assert len(values) == 42 and len(calls) == 3 and reached == []
-        assert (a + b) / 2.0 == pytest.approx(variational_frequency(table1_params).w_v, abs=1e-5)
+        assert (a + b) / 2.0 == pytest.approx(variational_frequency(table1_params), abs=1e-5)
         assert diagonal_expectation(spec, 99, 4.0) == 4.0 * 99 and reached == ["_checked_bands"]
         outside = math.nextafter(spec._scalars[1], 0.0)
         assert diagonal_expectation(spec, 3, outside) == exact_bands(spec, outside)[0] * 7.0
@@ -633,7 +636,7 @@ class TestDiagonalExpectation:
         def no_bands(spec):
             raise AssertionError("the bands of H were built")
 
-        monkeypatch.setattr(model, "_bands", no_bands)
+        monkeypatch.setattr(HamiltonianSpec, "bands", property(no_bands))
         n_dim = 10**15
         spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim))
         np.testing.assert_allclose(diagonal_expectation(spec, 7, 4.0), 4.0 * 15, rtol=1e-13)
@@ -719,36 +722,34 @@ class TestDiagonalExpectation:
                 options={"xtol": 1e-10},
             )
             minimizers.append(res.x)
-        w_v = variational_frequency(table1_params).w_v
+        w_v = variational_frequency(table1_params)
         np.testing.assert_allclose(minimizers, w_v, atol=1e-6)
         assert max(minimizers) - min(minimizers) <= 1e-6
 
 
 class TestVariationalFrequency:
     def test_table_one(self):
-        res = variational_frequency(TransformParams(l_coef=3.0, r_coef=0.0, a_coef=1.0, b_coef=5.0))
-        assert res.w_v == 4.0
+        assert variational_frequency(TransformParams(l_coef=3.0, r_coef=0.0, a_coef=1.0, b_coef=5.0)) == 4.0
 
     def test_table_two(self):
-        res = variational_frequency(TransformParams(l_coef=0.0, r_coef=3.0, a_coef=5.0, b_coef=1.0))
-        assert res.w_v == 0.25
+        assert variational_frequency(TransformParams(l_coef=0.0, r_coef=3.0, a_coef=5.0, b_coef=1.0)) == 0.25
 
     def test_untransformed(self):
-        assert variational_frequency(TransformParams()).w_v == 1.0
+        assert variational_frequency(TransformParams()) == 1.0
 
     def test_undefined_cases(self):
         # negative ratio
-        assert variational_frequency(TransformParams(l_coef=2.0)).w_v is None
+        assert variational_frequency(TransformParams(l_coef=2.0)) is None
         # zero denominator
-        assert variational_frequency(TransformParams(r_coef=1.0)).w_v is None
+        assert variational_frequency(TransformParams(r_coef=1.0)) is None
         # sqrt(b/a) past float64 either way: 2e631 and 5e-632
-        assert variational_frequency(TransformParams(a_coef=5e-324, b_coef=1e308)).w_v is None
-        assert variational_frequency(TransformParams(a_coef=1e308, b_coef=5e-324)).w_v is None
+        assert variational_frequency(TransformParams(a_coef=5e-324, b_coef=1e308)) is None
+        assert variational_frequency(TransformParams(a_coef=1e308, b_coef=5e-324)) is None
 
     @pytest.mark.parametrize("kw, w_v", [({"a_coef": 1e200}, 1e-200), ({"b_coef": 1e-200}, 1e-200)])
     def test_root_of_a_ratio_outside_float64(self, kw, w_v):
         # b/a = 1e-400 is no float64, its root is: the ratio is never rounded
-        assert variational_frequency(TransformParams(**kw)).w_v == w_v
+        assert variational_frequency(TransformParams(**kw)) == w_v
 
     def test_within_one_ulp_of_the_exact_root(self):
         # sqrt((B^2 - L^2 A^2) / (A^2 - R^2 B^2)) of the exact inputs, against 60-digit mpmath
@@ -759,7 +760,7 @@ class TestVariationalFrequency:
                 continue
             (l, r), (a2, b2) = map(Fraction, (l_coef, r_coef)), (Fraction(a_coef) ** 2, Fraction(b_coef) ** 2)
             ratio = (b2 - l * l * a2) / (a2 - r * r * b2)
-            w_v = variational_frequency(TransformParams(l_coef, r_coef, a_coef, b_coef)).w_v
+            w_v = variational_frequency(TransformParams(l_coef, r_coef, a_coef, b_coef))
             if ratio <= 0:
                 assert w_v is None
                 continue
@@ -772,7 +773,7 @@ class TestVariationalFrequency:
         for _ in range(50):
             params = draw_real_spectrum_params(rng)
             report = classify_regime(params)
-            w_v = variational_frequency(params).w_v
+            w_v = variational_frequency(params)
             np.testing.assert_allclose(w_v, np.sqrt(report.coef_x2 / report.coef_p2), rtol=1e-12)
 
 
@@ -852,7 +853,7 @@ class TestHermitianLimitSpectrum:
         # L=R=0 at w = w_v = B/A: computed levels agree with (2n+1)AB
         params = TransformParams(a_coef=1.5, b_coef=0.75)
         n_dim = 30
-        basis = BasisSpec(n_dim=n_dim, freq=variational_frequency(params).w_v)
+        basis = BasisSpec(n_dim=n_dim, freq=variational_frequency(params))
         h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
         np.testing.assert_array_equal(h, h.T)
         ev = np.sort(eigenvalues(h).values.real)
@@ -872,7 +873,7 @@ class TestRealityWindow:
         # Table 1's window is (2, 8): at w = 2 the -2 band vanishes, at w = 8 the
         # +2 band, so H is triangular and its spectrum is its diagonal, exactly
         spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=w))
-        _, upper, lower = model._bands(spec)
+        _, upper, lower = spec.bands
         np.testing.assert_array_equal(lower if w == 2.0 else upper, 0.0)
         values = eigenvalues(build_hamiltonian(spec)).values
         np.testing.assert_array_equal(values.imag, 0.0)
@@ -912,9 +913,188 @@ class TestRealityWindow:
         w_lo, w_hi = reality_window(params)
         # sqrt(w- w+) = sqrt(b/a) = w_v exactly; each of w-, w+ and w_v is its exact value rounded
         # once (w_v within 1 ulp), so the two sides differ by the product's and root's roundings alone
-        assert math.isclose(math.sqrt(w_lo * w_hi), variational_frequency(params).w_v, rel_tol=4.0 * EPS)
+        assert math.isclose(math.sqrt(w_lo * w_hi), variational_frequency(params), rel_tol=4.0 * EPS)
         for w in np.geomspace(w_lo / 50.0, 50.0 * w_hi, 100):
             if min(abs(w - w_lo) / w_lo, abs(w - w_hi) / w_hi) <= 1e-9:
                 continue
-            _, upper, lower = model._bands(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=4, freq=w)))
+            _, upper, lower = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=4, freq=w)).bands
             assert np.sign(upper[0] * lower[0]) == (-1.0 if w_lo < w < w_hi else 1.0)
+
+
+def exact_scalars(params, w):
+    """H's band scalars (D, U, V) at basis frequency w, exactly: D = (a/2) w + (b/2)/w and
+    U, V = (b/2)/w - (a/2) w +- c, with a/2, b/2 and c from model._quadratic_form."""
+    n_a, n_b, n_c, den = model._quadratic_form(params)
+    x, y = Fraction(n_a, den) * Fraction(w), Fraction(n_b, den) / Fraction(w)
+    return x + y, y - x + Fraction(n_c, den), y - x - Fraction(n_c, den)
+
+
+def exact_ab(params):
+    """|AB| = |A| |B| of the float inputs, exactly."""
+    return abs(Fraction(params.a_coef)) * abs(Fraction(params.b_coef))
+
+
+def meixner_c(params, w):
+    """The Meixner parameter c_M = (D - |AB|)/(D + |AB|) of H at basis frequency w, exactly."""
+    diag, ab = exact_scalars(params, w)[0], exact_ab(params)
+    return (diag - ab) / (diag + ab)
+
+
+def meixner_jacobi(ab, c_m, p, j):
+    """Row j of block p of |AB| (4X + 2p + 1), X the monic Jacobi matrix of the Meixner polynomials
+    M_j(x; beta, c_M) with beta = p + 1/2: (its diagonal entry, the product of the entries that couple
+    rows j and j + 1).  From the monic recurrence x p_j = p_(j+1) + ((1 + c) j + beta c)/(1 - c) p_j
+    + c j (j + beta - 1)/(1 - c)^2 p_(j-1) (Koekoek, Lesky & Swarttouw 2010, (9.10.4))."""
+    beta = p + Fraction(1, 2)
+    diag = ab * (4 * ((1 + c_m) * j + beta * c_m) / (1 - c_m) + 2 * p + 1)
+    return diag, 16 * ab * ab * c_m * (j + 1) * (j + beta) / (1 - c_m) ** 2
+
+
+def dyadic_window_couplings(count, seed):
+    """count (params, w) with L, R, A, B multiples of 1/8 and w a multiple of 1/16, w strictly inside
+    the reality window (c_M < -1e-3)."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        l_coef, r_coef = (float(v) / 8.0 for v in rng.integers(-16, 17, size=2))
+        a_coef, b_coef = (float(v) / 8.0 for v in rng.integers(2, 25, size=2) * rng.choice([-1, 1], size=2))
+        if 1.0 + l_coef * r_coef == 0.0:
+            continue
+        params = TransformParams(l_coef, r_coef, a_coef, b_coef)
+        if classify_regime(params).regime is not Regime.REAL_SPECTRUM:
+            continue
+        inside = [m / 16.0 for m in range(1, 256) if meixner_c(params, m / 16.0) < Fraction(-1, 1000)]
+        if inside:
+            found.append((params, float(rng.choice(inside))))
+    return found
+
+
+TABLE_ONE_C_M = {3.0: Fraction(-1, 11), 4.0: Fraction(-1, 9), 6.0: Fraction(-1, 14)}
+MEIXNER_CASES = [
+    *((TransformParams(l_coef=3.0, b_coef=5.0), w) for w in TABLE_ONE_C_M),
+    *dyadic_window_couplings(5, seed=27),
+]
+
+
+class TestMeixnerForm:
+    """Block p (levels k = 2j + p) of H is |AB| (4X + 2p + 1), X the monic Jacobi matrix of the Meixner
+    polynomials M_j(x; beta, c_M), beta = p + 1/2 and c_M = (D - |AB|)/(D + |AB|), but for one entry:
+    the diagonal of level N - 1, whose ladder value is N - 1, not 2N - 1.  The lattice x = 0, 1, ...
+    of X maps to |AB| (2(2x + p) + 1), the ladder (2n + 1)|AB| itself."""
+
+    @pytest.mark.parametrize("n_dim", [20, 21])
+    @pytest.mark.parametrize("params, w", MEIXNER_CASES)
+    def test_bands_are_the_meixner_recurrence_exactly(self, params, w, n_dim):
+        diag, up, low = exact_scalars(params, w)
+        ab, c_m = exact_ab(params), meixner_c(params, w)
+        assert diag * diag - up * low == ab * ab and c_m < 0
+        for k in range(n_dim):
+            j, p = divmod(k, 2)
+            meixner_diag, meixner_product = meixner_jacobi(ab, c_m, p, j)
+            entry = diag * (2 * k + 1 if k < n_dim - 1 else n_dim - 1)  # H's ladder: N - 1 at the edge
+            if k < n_dim - 1:
+                assert entry == meixner_diag, (k, entry, meixner_diag)
+            else:
+                assert entry != meixner_diag  # the truncation edge is the one entry off the form
+            if k + 2 < n_dim:
+                assert up * low * (k + 1) * (k + 2) == meixner_product, (k, up * low, meixner_product)
+
+    @pytest.mark.parametrize("n_dim", [20, 21])
+    @pytest.mark.parametrize("params, w", MEIXNER_CASES)
+    def test_float_blocks_match_the_meixner_form(self, params, w, n_dim):
+        # _blocks' symmetrized blocks, in natural level order, entry by entry to a few eps of the scale
+        ab, c_m = exact_ab(params), meixner_c(params, w)
+        diag = exact_scalars(params, w)[0]
+        bands = HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=w)).bands
+        for p, block in enumerate(_blocks(*bands)):
+            block = block[::-1, ::-1]
+            m = len(block)
+            for j in range(m):
+                k = 2 * j + p
+                size = float(diag + ab) * (k + 2)  # |D|, |U|, |V| <= D + |AB| inside the window
+                meixner_diag, meixner_product = meixner_jacobi(ab, c_m, p, j)
+                if k < n_dim - 1:
+                    assert abs(block[j, j] - float(meixner_diag)) <= 4 * EPS * size, (p, j)
+                else:
+                    assert abs(block[j, j] - float(diag * (n_dim - 1))) <= 4 * EPS * size
+                    # off the form by D N: the ladder's N - 1 in place of 2N - 1
+                    assert abs(float(meixner_diag) - block[j, j] - float(diag) * n_dim) <= 8 * EPS * size
+                if j + 1 < m:
+                    assert block[j, j + 1] == -block[j + 1, j]  # c_M < 0: opposite signs, one magnitude
+                    product = block[j, j + 1] * block[j + 1, j]
+                    assert abs(product - float(meixner_product)) <= 4 * EPS * size * size, (p, j)
+
+    @pytest.mark.parametrize("w", sorted(TABLE_ONE_C_M))
+    def test_table_one_parameters(self, table1_params, w):
+        # D = w/2 + 8/w over |AB| = 5: 5/6, 4/5 and 13/15 at w = 3, 4 and 6
+        assert meixner_c(table1_params, w) == TABLE_ONE_C_M[w]
+
+
+def seeded_draws(seed, count):
+    """count seeded real-regime TransformParams from draw_real_spectrum_params, |L|, |R| <= 2."""
+    rng = np.random.default_rng(seed)
+    return [draw_real_spectrum_params(rng, l_max=2.0, ab_range=(0.3, 3.0)) for _ in range(count)]
+
+
+class TestMeixnerParameter:
+    """c_M(w) = (D(w) - |AB|)/(D(w) + |AB|), exactly: D = |AB| at w = (|AB| -+ |c|)/a, the reality
+    window's edges, as D^2 - UV = (AB)^2 and D - |AB| = ((a/2) w^2 - |AB| w + b/2)/w."""
+
+    def test_table_one_sign_changes_at_the_window_edges(self, table1_params):
+        assert meixner_c(table1_params, 2.0) == meixner_c(table1_params, 8.0) == 0
+        for w in np.geomspace(0.05, 500.0, 201):
+            c_m = meixner_c(table1_params, w)
+            assert c_m < 0 if 2.0 < w < 8.0 else c_m > 0, w
+
+    @pytest.mark.parametrize("params", seeded_draws(36, 20))
+    def test_sign_changes_at_the_window_edges(self, params):
+        # 0 at the exact edges; reality_window rounds each once, which leaves c_M a few eps from 0
+        couplings = (params.l_coef, params.r_coef, params.a_coef, params.b_coef)
+        assert [meixner_c(params, edge) for edge in oracles.exact_reality_window(*couplings)] == [0, 0]
+        w_lo, w_hi = reality_window(params)
+        assert abs(meixner_c(params, w_lo)) <= 4 * EPS and abs(meixner_c(params, w_hi)) <= 4 * EPS
+        for w in np.geomspace(w_lo / 50.0, 50.0 * w_hi, 101):
+            if min(abs(w - w_lo) / w_lo, abs(w - w_hi) / w_hi) > 1e-9:
+                c_m = meixner_c(params, w)
+                assert c_m < 0 if w_lo < w < w_hi else c_m > 0, w
+
+    @pytest.mark.parametrize("params", [TransformParams(l_coef=3.0, b_coef=5.0), *seeded_draws(37, 10)])
+    def test_symmetric_under_w_to_w_v_squared_over_w(self, params):
+        # D(w_v^2/w) = D(w) with w_v^2 = b/a exactly: the two frequencies share their spectrum over |AB|
+        n_a, n_b, _, _ = model._quadratic_form(params)
+        for w in np.geomspace(0.01, 100.0, 41):
+            assert meixner_c(params, w) == meixner_c(params, Fraction(n_b, n_a) / Fraction(w))
+
+    @pytest.mark.parametrize("params", [TransformParams(l_coef=3.0, b_coef=5.0), *seeded_draws(38, 10)])
+    def test_deepest_at_the_variational_frequency(self, params):
+        w_v = variational_frequency(params)
+        grid = [w_v * 2.0 ** (i / 8.0) for i in range(-24, 25) if i] + list(reality_window(params))
+        assert all(meixner_c(params, w_v) < meixner_c(params, w) for w in grid)
+
+    @pytest.mark.parametrize(
+        "params, shear",
+        [
+            *((p, True) for p in seeded_draws(39, 10)),
+            *((TransformParams(a_coef=a, b_coef=b), False)
+              for a, b in np.random.default_rng(40).uniform(0.3, 3.0, size=(10, 2))),
+            (TransformParams(l_coef=-0.5, r_coef=0.5), False),  # L A^2 + R B^2 = 0 with L, R nonzero
+            (TransformParams(a_coef=0.5, b_coef=2.0), False),  # w_v = 4 exactly
+        ],
+    )
+    def test_negative_at_w_v_exactly_with_a_cross_term(self, params, shear):
+        # At the exact w_v, D = sqrt(ab) and (AB)^2 - ab = c^2: c_M(w_v) < 0 exactly when c, that is
+        # C (L A^2 + R B^2), is nonzero, and 0 otherwise.  w_v is rounded within 1 ulp, which moves
+        # c_M by O(eps^2) upward.
+        l, r, a, b = map(Fraction, (params.l_coef, params.r_coef, params.a_coef, params.b_coef))
+        assert (l * a * a + r * b * b != 0) == shear
+        w_v = variational_frequency(params)
+        c_m = meixner_c(params, w_v)
+        assert c_m < -(EPS**2) if shear else 0 <= c_m <= EPS**2
+        assert c_m == 0 or w_v != 4.0
+
+    def test_cli_sweep_is_symmetric_under_w_to_w_v_squared_over_w(self, capsys):
+        # Table 1, w_v^2 = 16: w = 3 and 16/3 share c_M = -1/11, so every count agrees
+        assert main("sweep-w --L 3 --B 5 --values 3,5.333333333333333 --N 40 --format json".split()) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        counts = [(p["n_real"], p["n_complex_pairs"], p["first_deviation_index"]) for p in points]
+        assert counts == [(16, 12, 11)] * 2
