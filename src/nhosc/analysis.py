@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, TransformParams
-from .eig import EigensolverError, classify, eigenvalues, real_mask
+from .eig import EigensolverError, eigenvalues
 from .model import HamiltonianSpec, Regime, classify_regime
 
 __all__ = [
@@ -74,18 +74,17 @@ def isospectral_report(params: TransformParams, basis: BasisSpec) -> Isospectral
     diff = spec.values - eps
     # hypot, not np.abs: np.abs of a complex array can differ from abs() in the last bit
     dev = np.hypot(diff.real, diff.imag)
-    iso = (dev <= np.maximum(ISO_TOL, _ISO_REL * eps)) & real_mask(spec)
+    iso = (dev <= np.maximum(ISO_TOL, _ISO_REL * eps)) & spec.real
     deviations = np.flatnonzero(~iso)
     rows = np.empty(len(spec), dtype=_LEVEL)
     for name, column in zip(_LEVEL.names, (eps, spec.values, dev, iso)):
         rows[name] = column
     rows.setflags(write=False)
-    classified = classify(spec)
     return IsospectralReport(
         rows=rows,
         first_deviation_index=int(deviations[0]) if deviations.size else None,
-        n_real=classified.n_real,
-        n_complex_pairs=classified.n_complex,
+        n_real=spec.n_real,
+        n_complex_pairs=spec.n_complex,
     )
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .analysis import dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
-from .eig import EigensolverError, classify, eigenvalues
+from .eig import EigensolverError, eigenvalues
 from .model import HamiltonianSpec, _quadratic_form, reality_window, variational_frequency
 
 __all__ = [
@@ -346,12 +346,11 @@ def _build_isospectral(config: RunConfig) -> Report:
 
 def _build_spectrum(config: RunConfig) -> Report:
     spec = eigenvalues(HamiltonianSpec(params=config.params, basis=config.basis).bands)
-    classified = classify(spec)
     values = spec.values[: config.print_count].tolist()
     table = [{"level": n, "re": v.real, "im": v.imag} for n, v in enumerate(values)]
     summary = {
-        "n_real": classified.n_real,
-        "n_complex_pairs": classified.n_complex,
+        "n_real": spec.n_real,
+        "n_complex_pairs": spec.n_complex,
         **_window(config.params, config.basis.freq),
     }
 
@@ -437,6 +436,7 @@ def _build_sweep(config: RunConfig) -> Report:
     return Report({"config": _config_echo(config), "points": table, "failures": failures}, table, lines, fields, failed)
 
 
+# each command's pipeline, which builds its one table
 _BUILDERS = {
     Command.COMMUTATOR_CHECK: _build_commutator,
     Command.SPECTRUM: _build_spectrum,
@@ -446,11 +446,6 @@ _BUILDERS = {
     Command.SWEEP_W: _build_sweep,
     Command.SWEEP_N: _build_sweep,
 }
-
-
-def _execute(config: RunConfig) -> Report:
-    """Run the command's pipeline and build its one table."""
-    return _BUILDERS[config.command](config)
 
 
 def render(report: Report, fmt: Format) -> str:
@@ -474,7 +469,7 @@ def run(config: RunConfig) -> str:
     """Execute the configured pipeline and render it once; the rendered
     report is also written to the optional output path (UTF-8, LF endings).
     A CSV sweep writes each failed point to stderr as `failed: key=value: message`."""
-    report = _execute(config)
+    report = _BUILDERS[config.command](config)
     output = render(report, config.fmt)
     if config.fmt is Format.CSV:
         for cell in report.failed:

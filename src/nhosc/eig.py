@@ -11,13 +11,14 @@ Any other matrix is one block: diagonal balancing (Parlett-Reinsch, radix
 2) and Householder reduction to upper Hessenberg form in this module.
 LAPACK's QR stage (``np.linalg.eigvals``) solves each block.  The spectrum
 comes back sorted by (Re, Im), its complex values in exact conjugate pairs,
-which classify matches by sorting, then counts.  Eigenvalues only.
+which Spectrum.n_complex matches by sorting, then counts.  Eigenvalues only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -27,15 +28,12 @@ __all__ = [
     "EigensolverError",
     "ConvergenceError",
     "Spectrum",
-    "ClassifiedSpectrum",
     "balance",
     "hessenberg_reduce",
     "eigenvalues",
-    "classify",
-    "real_mask",
 ]
 
-_TOL_REL = 1e-10  # relative realness threshold of real_mask
+_TOL_REL = 1e-10  # relative realness threshold of Spectrum.real
 
 
 class EigensolverError(RuntimeError):
@@ -48,10 +46,12 @@ class ConvergenceError(EigensolverError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigenvalue multiset of one solve.
+    """Full eigenvalue multiset of one solve, with its realness and pair count.
 
     Values come sorted by (Re, Im) from eigenvalues; classify_tol is the
     absolute realness threshold, 1e-8 times the Frobenius norm of the input.
+    real, n_real and n_complex are made on first read and kept;
+    n_real + 2 n_complex = N.
     """
 
     values: np.ndarray
@@ -65,14 +65,43 @@ class Spectrum:
     def __len__(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def real(self) -> np.ndarray:
+        """Read-only mask of the values that count as real: |Im v| <= max(classify_tol, 1e-10 |v|)."""
+        mask = np.abs(self.values.imag) <= np.maximum(self.classify_tol, _TOL_REL * np.abs(self.values))
+        mask.setflags(write=False)
+        return mask
 
-@dataclass(frozen=True)
-class ClassifiedSpectrum:
-    """The counts of a spectrum's real values and conjugate pairs;
-    n_real + 2*n_complex = matrix dimension."""
+    @cached_property
+    def n_real(self) -> int:
+        """The number of values that count as real."""
+        return int(np.count_nonzero(self.real))
 
-    n_real: int
-    n_complex: int
+    @cached_property
+    def n_complex(self) -> int:
+        """The number of conjugate pairs of a real matrix's spectrum.
+
+        The k-th Im>0 value and the k-th conjugated Im<0 value, both sorted by
+        (Re, Im), form a pair.  Unequal counts, or a pair further apart than
+        10 max(classify_tol, 1e-10 |v|), mean the matrix was not real and raise
+        ValueError.
+        """
+        rest = self.values[~self.real]
+        pos = np.sort_complex(rest[rest.imag > 0.0])
+        neg = np.sort_complex(rest[rest.imag < 0.0].conj())
+        if len(pos) != len(neg):
+            raise ValueError(
+                f"unpairable complex values: {len(pos)} with Im>0 vs {len(neg)} with Im<0"
+            )
+        dists = np.abs(neg - pos)
+        pair_tol = 10.0 * np.maximum(self.classify_tol, _TOL_REL * np.abs(pos))
+        far = np.flatnonzero(~(dists <= pair_tol))  # a NaN distance is far too
+        if far.size:
+            j = far[0]
+            raise ValueError(
+                f"no conjugate partner for {pos[j]} within {pair_tol[j]:.3e} (best {dists[j]:.3e})"
+            )
+        return len(pos)
 
 
 def _frobenius_norm(*parts: np.ndarray) -> float:
@@ -253,35 +282,3 @@ def eigenvalues(m) -> Spectrum:
             f"trace identity violated: |sum(eig) - trace| = {drift:.3e} > {tol:.3e}"
         )
     return Spectrum(values=vals[np.lexsort((vals.imag, vals.real))], classify_tol=1e-8 * norm)
-
-
-def real_mask(s: Spectrum) -> np.ndarray:
-    """Which values of s count as real: |Im v| <= max(s.classify_tol, 1e-10 |v|)."""
-    return np.abs(s.values.imag) <= np.maximum(s.classify_tol, _TOL_REL * np.abs(s.values))
-
-
-def classify(s: Spectrum) -> ClassifiedSpectrum:
-    """Count a real-matrix spectrum's real values (by real_mask) and conjugate pairs.
-
-    The k-th Im>0 value and the k-th conjugated Im<0 value, both sorted by
-    (Re, Im), form a pair.  Unequal counts, or a pair further apart than
-    10 max(classify_tol, 1e-10 |v|), mean the matrix was not real and raise
-    ValueError.
-    """
-    mask = real_mask(s)
-    rest = s.values[~mask]
-    pos = np.sort_complex(rest[rest.imag > 0.0])
-    neg = np.sort_complex(rest[rest.imag < 0.0].conj())
-    if len(pos) != len(neg):
-        raise ValueError(
-            f"unpairable complex values: {len(pos)} with Im>0 vs {len(neg)} with Im<0"
-        )
-    dists = np.abs(neg - pos)
-    pair_tol = 10.0 * np.maximum(s.classify_tol, _TOL_REL * np.abs(pos))
-    far = np.flatnonzero(~(dists <= pair_tol))  # a NaN distance is far too
-    if far.size:
-        j = far[0]
-        raise ValueError(
-            f"no conjugate partner for {pos[j]} within {pair_tol[j]:.3e} (best {dists[j]:.3e})"
-        )
-    return ClassifiedSpectrum(n_real=int(np.count_nonzero(mask)), n_complex=len(pos))

@@ -19,7 +19,6 @@ __all__ = [
     "HamiltonianSpec",
     "Regime",
     "RegimeReport",
-    "build_hamiltonian",
     "diagonal_expectation",
     "variational_frequency",
     "classify_regime",
@@ -198,18 +197,13 @@ def _exact_bands(spec: HamiltonianSpec, freq: float) -> tuple[float, float, floa
     raise ValueError(f"H {cause} for {params}, {BasisSpec(n, freq)}")
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
-    """H = C[A^2 y^2 + B^2 z^2] as a read-only real float64 array, written from its bands."""
-    return spec.bands.entries
-
-
 def diagonal_expectation(spec: HamiltonianSpec, level: int, trial_freq: float) -> float:
     """Diagonal entry (level, level) of the Hamiltonian built at basis frequency trial_freq.
 
     For interior levels this equals C (n+1/2) [(A^2-R^2B^2) w + (B^2-L^2A^2)/w]; the cross term
     adds nothing on the diagonal.  One O(1) pass, no BasisSpec or array built: _checked_bands' D times
-    the level's ladder value, bit-identical to build_hamiltonian(...)[level, level], with the build's
-    errors in the build's order (BasisSpec's freq check, then _exact_bands).
+    the level's ladder value, bit-identical to the diagonal band's entry in the bands built at trial_freq,
+    with the build's errors in the build's order (BasisSpec's freq check, then _exact_bands).
     TypeError for a level that is no integer (or a bool), IndexError outside.
     A search over trial_freq on one spec makes the (params, N) half of the check, spec._scalars, once.
     A call with an int level below N - 1 and a float trial_freq inside its frequency interval then

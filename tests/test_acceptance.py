@@ -15,8 +15,6 @@ from nhosc import (
     BasisSpec,
     HamiltonianSpec,
     TransformParams,
-    build_hamiltonian,
-    classify,
     classify_regime,
     diagonal_expectation,
     eigenvalues,
@@ -110,12 +108,10 @@ def test_criterion_3_table_two_duality(w4l3, table2_w4r3):
         assert eps_a == eps_b
         vals_a = np.array([r["re"] + 1j * r["im"] for r in w4l3["rows"]])
         vals_b = np.array([r["re"] + 1j * r["im"] for r in table2_w4r3["rows"]])
-        h = build_hamiltonian(
-            HamiltonianSpec(
-                params=TransformParams(l_coef=3.0, r_coef=0.0, a_coef=1.0, b_coef=5.0),
-                basis=BasisSpec(n_dim=100, freq=4.0),
-            )
-        )
+        h = HamiltonianSpec(
+            params=TransformParams(l_coef=3.0, r_coef=0.0, a_coef=1.0, b_coef=5.0),
+            basis=BasisSpec(n_dim=100, freq=4.0),
+        ).bands.entries
         norm = np.linalg.norm(h)
         assert np.abs(vals_a - vals_b).max() <= 1e-6 * norm
 
@@ -182,7 +178,7 @@ def test_criterion_7_eigensolver_property_suite():
             det = np.linalg.det(m)
             assert abs(vals.sum() - trace) <= 1e-9 * max(1.0, abs(trace))
             assert abs(np.prod(vals) - det) <= 1e-8 * max(1.0, abs(det))
-            classify(eigenvalues(m))  # conjugate-pair closure
+            eigenvalues(m).n_complex  # conjugate-pair closure
             if i < 25:
                 sorted_m = np.sort_complex(vals)
                 assert np.abs(
@@ -201,12 +197,9 @@ def test_criterion_7_eigensolver_property_suite():
 
 def test_criterion_8_hermitian_limit_regression():
     with criterion("criterion 8 (Hermitian-limit regression)"):
-        h = build_hamiltonian(
-            HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=50))
-        )
+        h = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=50)).bands.entries
         spec = eigenvalues(h)
-        classified = classify(spec)
-        assert classified.n_complex == 0
+        assert spec.n_complex == 0
         ev = np.sort(spec.values.real)
         for n in range(25):
             assert abs(ev[n] - (2 * n + 1)) <= 1e-8

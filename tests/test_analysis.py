@@ -14,7 +14,6 @@ from nhosc import (
     HamiltonianSpec,
     Regime,
     TransformParams,
-    build_hamiltonian,
     classify_regime,
     dual_params,
     duality_check,
@@ -24,12 +23,11 @@ from nhosc import (
     variational_frequency,
 )
 from nhosc.analysis import ISO_TOL
-from nhosc.eig import real_mask
 from test_model import draw_real_spectrum_params
 
 
 def h_norm(params, basis):
-    return float(np.linalg.norm(build_hamiltonian(HamiltonianSpec(params=params, basis=basis))))
+    return float(np.linalg.norm(HamiltonianSpec(params=params, basis=basis).bands.entries))
 
 
 class TestIsospectralReport:
@@ -110,8 +108,8 @@ class TestIsospectralReport:
         # every column and the first deviation match the per-level reference loop
         basis = BasisSpec(n_dim=200, freq=freq)
         report = isospectral_report(table1_params, basis)
-        spec = eigenvalues(build_hamiltonian(HamiltonianSpec(params=table1_params, basis=basis)))
-        is_real = real_mask(spec)
+        spec = eigenvalues(HamiltonianSpec(params=table1_params, basis=basis).bands.entries)
+        is_real = spec.real
         ab = table1_params.a_coef * table1_params.b_coef
         columns, first_dev = {"epsilon": [], "computed": [], "abs_dev": [], "iso": []}, None
         for n, v in enumerate(spec.values):
@@ -144,9 +142,7 @@ class TestIsospectralReport:
         # levels, so the N=50 deviations equal the sorted-value shifts
         small = isospectral_report(TransformParams(), BasisSpec(n_dim=50))
         assert (small.rows["abs_dev"][: small.first_deviation_index] <= 1e-6).all()
-        h_big = build_hamiltonian(
-            HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=100))
-        )
+        h_big = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=100)).bands.entries
         big = eigenvalues(h_big).values
         for n in range(50):
             shift = abs(small.rows[n]["computed"] - big[n])
@@ -234,12 +230,10 @@ class TestDuality:
     def test_transpose_similarity_mechanism(self, table1_params):
         # dual matrix equals D H^T D^-1 with D = diag(i^n): exact identity
         n = 12
-        h = build_hamiltonian(
-            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n, freq=4.0))
-        )
-        h_dual = build_hamiltonian(
-            HamiltonianSpec(params=dual_params(table1_params), basis=BasisSpec(n_dim=n, freq=0.25))
-        )
+        h = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n, freq=4.0)).bands.entries
+        h_dual = HamiltonianSpec(
+            params=dual_params(table1_params), basis=BasisSpec(n_dim=n, freq=0.25)
+        ).bands.entries
         phases = 1j ** np.arange(n)
         candidate = phases[:, None] * h.T * (1.0 / phases)[None, :]
         np.testing.assert_allclose(candidate, h_dual, atol=1e-12)

@@ -20,7 +20,6 @@ from nhosc import (
     EigensolverError,
     HamiltonianSpec,
     TransformParams,
-    build_hamiltonian,
     dual_params,
     eigenvalues,
 )
@@ -532,7 +531,7 @@ class TestMainExitCodes:
         def boom(config):
             raise EigensolverError("forced failure")
 
-        monkeypatch.setattr(cli_mod, "_execute", boom)
+        monkeypatch.setitem(cli_mod._BUILDERS, Command.SPECTRUM, boom)
         assert main(["spectrum", "--N", "6"]) == 3
         assert "solver failure" in capsys.readouterr().err
 
@@ -671,7 +670,7 @@ class TestMainExitCodes:
         # only |H|_F kept finite, it could near DBL_MAX and overflow a column
         # sum in balance.
         config = parse_config(argv.split())
-        h_ref = build_hamiltonian(HamiltonianSpec(params=config.params, basis=config.basis))
+        h_ref = HamiltonianSpec(params=config.params, basis=config.basis).bands.entries
         t_edge = math.sqrt(np.finfo(np.float64).max / (config.basis.n_dim * _frobenius_norm(h_ref)))
 
         def scaled(t):  # later flags override earlier ones
@@ -880,7 +879,8 @@ _CSV_PARSE = {float: float, int: int, str: str, bool: {"True": True, "False": Fa
 
 @pytest.mark.parametrize("command", list(_SMALL_RUNS))
 def test_exports_round_trip_bit_exactly(command):
-    report = cli._execute(parse_config([command, *_SMALL_RUNS[command].split()]))
+    config = parse_config([command, *_SMALL_RUNS[command].split()])
+    report = cli._BUILDERS[config.command](config)
     assert _same(json.loads(cli.render(report, Format.JSON)), report.doc)
 
     header, *rows = csv.reader(io.StringIO(cli.render(report, Format.CSV)))
@@ -910,7 +910,6 @@ def test_solves_write_no_dense_matrix(command, monkeypatch, capsys):
     def dense(*args):
         pytest.fail(f"{command} wrote a dense H or searched one for its bands")
 
-    monkeypatch.setattr(nhosc.model, "build_hamiltonian", dense)
     monkeypatch.setattr(nhosc.eig.Bands, "entries", property(dense))
     monkeypatch.setattr(nhosc.eig, "_as_real_array", dense)
     assert main([command, *_SMALL_RUNS[command].split()]) == 0

@@ -18,12 +18,10 @@ from nhosc import (
     Spectrum,
     TransformParams,
     balance,
-    build_hamiltonian,
-    classify,
     eigenvalues,
     hessenberg_reduce,
 )
-from nhosc.eig import _blocks, _frobenius_norm, real_mask
+from nhosc.eig import _blocks, _frobenius_norm
 from test_model import draw_real_spectrum_params
 
 
@@ -51,7 +49,7 @@ def oscillator_shaped(rng, n):
 def greedy_pairs(s):
     """Reference pairing: each Im>0 value, in (Re, Im) order, takes its nearest
     remaining conjugated Im<0 partner."""
-    rest = s.values[~real_mask(s)]
+    rest = s.values[~s.real]
     neg = list(rest[rest.imag < 0.0])
     pairs = []
     for p in sorted(rest[rest.imag > 0.0], key=lambda z: (z.real, z.imag)):
@@ -187,8 +185,8 @@ class TestEigenvalues:
         for _ in range(50):
             m = rng.standard_normal((8, 8))
             spec = eigenvalues(m)
-            classify(spec)  # raises if pairing fails
-            classify(Spectrum(francis(m), spec.classify_tol))
+            spec.n_complex  # raises if pairing fails
+            Spectrum(francis(m), spec.classify_tol).n_complex
 
     def test_transpose_invariance(self):
         rng = np.random.default_rng(9)
@@ -219,9 +217,7 @@ class TestEigenvalues:
             eigenvalues(np.array([[1.0 + 1j, 0.0], [0.0, 2.0]]))
 
     def test_accepts_real_hamiltonian(self, table1_params):
-        h = build_hamiltonian(
-            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=20, freq=4.0))
-        )
+        h = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=20, freq=4.0)).bands.entries
         spec = eigenvalues(h)
         assert len(spec) == 20
 
@@ -324,14 +320,14 @@ class TestEigenvalues:
 
     def test_tiny_hamiltonian_has_positive_tolerance(self):
         # entries near 1e-170 are normal floats whose squares underflow
-        h = build_hamiltonian(HamiltonianSpec(
+        h = HamiltonianSpec(
             params=TransformParams(a_coef=1e-85, b_coef=1e-85), basis=BasisSpec(n_dim=6)
-        ))
+        ).bands.entries
         assert 0.0 < np.abs(h).max() < 1e-160
         spec = eigenvalues(h)
         assert spec.classify_tol > 0.0
-        assert classify(spec).n_real == 6
-        assert classify(Spectrum(francis(h), spec.classify_tol)).n_real == 6
+        assert spec.n_real == 6
+        assert Spectrum(francis(h), spec.classify_tol).n_real == 6
 
 
 class TestFrobeniusNorm:
@@ -357,19 +353,14 @@ class TestBackendsAgree:
     @pytest.mark.parametrize("n_dim, tol", [(40, 1e-9), (60, 1e-6)])
     def test_table_one_spectrum(self, table1_params, n_dim, tol):
         # measured gaps: 1.5e-10 at N=40, 9.6e-9 at N=60 (|eigenvalues| up to 330 and 520)
-        h = build_hamiltonian(
-            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=4.0))
-        )
+        h = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=4.0)).bands.entries
         lapack = eigenvalues(h)
         reference = Spectrum(francis(h), lapack.classify_tol)
         assert multiset_distance(lapack.values, reference.values) <= tol
-        a, b = classify(lapack), classify(reference)
-        assert (a.n_real, a.n_complex) == (b.n_real, b.n_complex)
+        assert (lapack.n_real, lapack.n_complex) == (reference.n_real, reference.n_complex)
 
     def test_mpmath_oracle(self, table1_params):
-        h = build_hamiltonian(
-            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=30, freq=4.0))
-        )
+        h = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=30, freq=4.0)).bands.entries
         with mpmath.workdps(50):
             exact = mpmath.eig(mpmath.matrix(h.tolist()), left=False, right=False)
             exact = np.array([complex(v) for v in exact])
@@ -387,16 +378,14 @@ class TestRealWindow:
 
     @staticmethod
     def hamiltonian(params, n_dim, freq):
-        return build_hamiltonian(
-            HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=freq))
-        )
+        return HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=freq)).bands.entries
 
     # the balanced solve reported 54 / 170 / 131 pairs at N=400 and 89 / 415 at N=1000
     @pytest.mark.parametrize(
         "n_dim, freq", [(400, 1.9), (400, 8.1), (400, 16.0), (1000, 1.0), (1000, 16.0)]
     )
     def test_no_complex_pairs(self, table1_params, n_dim, freq):
-        out = classify(eigenvalues(self.hamiltonian(table1_params, n_dim, freq)))
+        out = eigenvalues(self.hamiltonian(table1_params, n_dim, freq))
         assert (out.n_real, out.n_complex) == (n_dim, 0)
 
     @staticmethod
@@ -441,7 +430,7 @@ class TestRealWindow:
             (943.101088957064, 84.0504462366059),
         ]
         spec = eigenvalues(self.hamiltonian(table1_params, 100, 7.9))
-        assert classify(spec).n_complex == 8
+        assert spec.n_complex == 8
         pos = np.sort_complex(spec.values[spec.values.imag > 0.0])
         # measured 3.6e-10 from the recorded pairs
         np.testing.assert_allclose(list(zip(pos.real, pos.imag)), exact, rtol=0.0, atol=1e-8)
@@ -459,7 +448,7 @@ class TestKreinStructure:
 
     @staticmethod
     def blocks(params, n_dim, freq):
-        h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=freq)))
+        h = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=freq)).bands.entries
         return _blocks(np.diagonal(h), np.diagonal(h, 2), np.diagonal(h, -2))
 
     # 1.9, 8.1 and 16 lie in the real window, where every block is symmetric
@@ -535,7 +524,7 @@ class TestMeixnerCollapse:
             w = (target + math.sqrt(disc)) / (2.0 * half_a)  # D(w) = (a/2) w + (b/2)/w = target
             got = eigenvalues(HamiltonianSpec(params, BasisSpec(n_dim=n_dim, freq=w)).bands)
             assert np.abs(got.values / ab - table.values / 5.0).max() <= 1e-10, (params, w)
-            assert classify(got) == classify(table)
+            assert (got.n_real, got.n_complex) == (table.n_real, table.n_complex)
 
 
 NON_FINITE = [
@@ -575,7 +564,7 @@ for solve in (eigenvalues, balance):
 
 
 class TestConjugateClosure:
-    """classify matches pairs by sorting; that needs every spectrum eigenvalues
+    """Spectrum.n_complex matches pairs by sorting; that needs every spectrum eigenvalues
     returns for a real matrix to be exactly conjugate-closed."""
 
     def assert_closed(self, m):
@@ -584,8 +573,8 @@ class TestConjugateClosure:
         # the Im>0 values and the conjugated Im<0 values, each sorted by (Re, Im)
         pos, neg = np.sort_complex(v[v.imag > 0.0]), np.sort_complex(v[v.imag < 0.0].conj())
         np.testing.assert_array_equal(pos, neg)
-        # classify counts the pairs of that sorted matching, which is the nearest-partner one bit for bit
-        assert classify(spec).n_complex == len(pos)
+        # n_complex counts the pairs of that sorted matching, which is the nearest-partner one bit for bit
+        assert spec.n_complex == len(pos)
         assert greedy_pairs(spec) == list(zip(pos.real, pos.imag))
 
     def test_random_dense(self):
@@ -604,9 +593,7 @@ class TestConjugateClosure:
         # w = 1 and 16 lie in the real window (no pairs at any N), w = 4 and
         # 7.9 inside the complex one
         self.assert_closed(
-            build_hamiltonian(
-                HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=freq))
-            )
+            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=freq)).bands.entries
         )
 
 
@@ -625,29 +612,34 @@ class TestSortSpectrum:
 
 
 class TestClassify:
+    """Spectrum's realness mask and counts: real, n_real and n_complex."""
+
     def test_tolerance_discards_tiny_imag(self):
         s = Spectrum(np.array([1.0 + 1e-12j]), classify_tol=1e-9)
-        out = classify(s)
-        assert out.n_real == 1 and out.n_complex == 0
-        np.testing.assert_array_equal(s.values[real_mask(s)].real, [1.0])
+        assert s.n_real == 1 and s.n_complex == 0
+        np.testing.assert_array_equal(s.values[s.real].real, [1.0])
 
     def test_real_mask_relative_threshold(self):
         # |Im| <= max(classify_tol, 1e-10 |v|)
         s = Spectrum(np.array([1e6 + 5e-5j, 1e6 + 5e-4j, 1.0 + 5e-5j]), classify_tol=0.0)
-        np.testing.assert_array_equal(real_mask(s), [True, False, False])
+        np.testing.assert_array_equal(s.real, [True, False, False])
+
+    def test_real_mask_is_read_only_and_kept(self):
+        s = Spectrum(np.array([1.0, 2.0 + 1.0j, 2.0 - 1.0j]), 1e-12)
+        assert s.real is s.real
+        with pytest.raises(ValueError):
+            s.real[0] = False
 
     def test_pairs_matched(self):
         s = Spectrum(np.array([1.0 + 2.0j, 3.0 + 0j, 1.0 - 2.0j]), 1e-12)
-        out = classify(s)
-        assert out.n_real == 1 and out.n_complex == 1
+        assert s.n_real == 1 and s.n_complex == 1
         v = s.values[s.values.imag > 0.0]
         assert list(zip(v.real, v.imag)) == [(1.0, 2.0)]
-        assert out.n_real + 2 * out.n_complex == 3
+        assert s.n_real + 2 * s.n_complex == 3
 
     def test_pairs_sharing_a_real_part(self):
         s = Spectrum(np.array([5.0 + 2.0j, 5.0 - 1.0j, 3.0, 5.0 + 1.0j, 5.0 - 2.0j]), 1e-12)
-        out = classify(s)
-        assert (out.n_real, out.n_complex) == (1, 2)
+        assert (s.n_real, s.n_complex) == (1, 2)
         # the k-th Im>0 value, sorted by (Re, Im), meets the k-th conjugated Im<0 one
         v = np.sort_complex(s.values[s.values.imag > 0.0])
         assert list(zip(v.real, v.imag)) == [(5.0, 1.0), (5.0, 2.0)]
@@ -655,20 +647,35 @@ class TestClassify:
     def test_partner_beyond_pair_tol_raises(self):
         # pair_tol = 10 max(1e-12, 1e-10 |1+2i|) = 2.2e-9; the partner is 1e-6 away
         s = Spectrum(np.array([1.0 + 2.0j, 1.000001 - 2.0j]), 1e-12)
-        with pytest.raises(ValueError, match="no conjugate partner for"):
-            classify(s)
+        with pytest.raises(ValueError) as exc_info:
+            s.n_complex
+        assert str(exc_info.value) == "no conjugate partner for (1+2j) within 2.236e-09 (best 1.000e-06)"
+
+    def test_nan_distance_raises(self):
+        # a NaN distance is too far as well
+        s = Spectrum(np.array([complex(np.nan, 1.0), complex(np.nan, -1.0)]), 1e-12)
+        with pytest.raises(ValueError) as exc_info:
+            s.n_complex
+        assert str(exc_info.value) == "no conjugate partner for (nan+1j) within nan (best nan)"
 
     def test_unpairable_raises(self):
         s = Spectrum(np.array([1.0 + 2.0j, 5.0 + 0j]), 1e-12)
         with pytest.raises(ValueError) as exc_info:
-            classify(s)
+            s.n_complex
         assert str(exc_info.value) == "unpairable complex values: 1 with Im>0 vs 0 with Im<0"
 
+    def test_unpairable_spectrum_counts_its_real_values(self):
+        # the record of an unpairable spectrum is built, and its real count answers;
+        # only the pair count raises, each time it is read
+        s = Spectrum(np.array([1.0 + 2.0j, 5.0 + 0j, 7.0]), 1e-12)
+        assert s.n_real == 2
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unpairable complex values: 1 with Im>0 vs 0 with Im<0"):
+                s.n_complex
+
     def test_hermitian_limit_all_real(self):
-        h = build_hamiltonian(
-            HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=30))
-        )
-        out = classify(eigenvalues(h))
+        h = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=30)).bands.entries
+        out = eigenvalues(h)
         assert out.n_complex == 0
         assert out.n_real == 30
 

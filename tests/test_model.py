@@ -23,7 +23,6 @@ from nhosc import (
     HamiltonianSpec,
     Regime,
     TransformParams,
-    build_hamiltonian,
     classify_regime,
     diagonal_expectation,
     eigenvalues,
@@ -112,26 +111,22 @@ def check_overflow_threshold(n_dim, folded):
                 basis=BasisSpec(n_dim=n_dim, freq=w),
             )
             if factor < 1.0:
-                assert np.linalg.norm(build_hamiltonian(spec) / (t * t)) == pytest.approx(norm, rel=1e-12)
+                assert np.linalg.norm(spec.bands.entries / (t * t)) == pytest.approx(norm, rel=1e-12)
             else:
                 with pytest.raises(ValueError, match=r"H overflows float64"):
-                    build_hamiltonian(spec)
+                    spec.bands.entries
 
 
 class TestBuildHamiltonian:
     def test_hermitian_limit_is_diagonal(self):
         # matched frequency makes p^2 + x^2 exactly diagonal (band cancellation)
         n = 12
-        h = build_hamiltonian(
-            HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=n))
-        )
+        h = HamiltonianSpec(params=TransformParams(), basis=BasisSpec(n_dim=n)).bands.entries
         expected = np.diag([2 * k + 1 for k in range(n - 1)] + [n - 1]).astype(float)
         np.testing.assert_allclose(h, expected, atol=1e-13)
 
     def test_table_one_matrix_is_real(self, table1_params):
-        h = build_hamiltonian(
-            HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=100, freq=4.0))
-        )
+        h = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=100, freq=4.0)).bands.entries
         assert h.dtype == np.float64
         assert not h.flags.writeable
 
@@ -165,21 +160,19 @@ class TestBuildHamiltonian:
             if abs(1.0 + l_coef * r_coef) < 1e-2:
                 continue
             a_coef, b_coef = rng.uniform(0.2, 3.0, size=2)
-            h = build_hamiltonian(
-                HamiltonianSpec(
-                    params=TransformParams(l_coef, r_coef, a_coef, b_coef),
-                    basis=BasisSpec(n_dim=15, freq=rng.uniform(0.3, 3.0)),
-                )
-            )
+            h = HamiltonianSpec(
+                params=TransformParams(l_coef, r_coef, a_coef, b_coef),
+                basis=BasisSpec(n_dim=15, freq=rng.uniform(0.3, 3.0)),
+            ).bands.entries
             assert h.dtype == np.float64
 
     def test_entries_whose_squares_overflow_are_accepted(self):
         # entries near 1e157 are finite though their squares are not; H and
         # its values scale as t^2 when A and B both scale by t
         big, ref = (
-            build_hamiltonian(HamiltonianSpec(
+            HamiltonianSpec(
                 params=TransformParams(l_coef=3.0, a_coef=t, b_coef=5.0 * t), basis=BasisSpec(n_dim=40)
-            ))
+            ).bands.entries
             for t in (1e78, 1.0)
         )
         assert np.abs(big).max() > 1e157
@@ -203,7 +196,7 @@ class TestBuildHamiltonian:
         spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=6))
         if overflows:
             with pytest.raises(ValueError, match=r"^H overflows float64 \(N \|H\|_F = inf\) for "):
-                build_hamiltonian(spec)
+                spec.bands.entries
             return
         true, _, _ = oracles.mp_bands(params.l_coef, params.r_coef, params.a_coef, params.b_coef, 1.0, 6, dps=900)
         assert model._checked_bands(spec, 1.0) == tuple(true)
@@ -212,11 +205,11 @@ class TestBuildHamiltonian:
         # B^2 = 1e-300 is normal: at w = B/A the +-2 bands cancel to rounding
         # and H is the diagonal (2n+1)AB, with the edge entry (N-1)AB
         params = TransformParams(b_coef=1e-150)
-        h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=6, freq=1e-150)))
+        h = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=6, freq=1e-150)).bands.entries
         np.testing.assert_allclose(np.diag(h), 1e-150 * np.array([1, 3, 5, 7, 9, 5]), rtol=1e-14)
         assert np.abs(h - np.diag(np.diag(h))).max() <= 1e-14 * 1e-150
         zero_b = TransformParams(b_coef=0.0)
-        assert np.abs(build_hamiltonian(HamiltonianSpec(params=zero_b, basis=BasisSpec(n_dim=6)))).max() > 0
+        assert np.abs(HamiltonianSpec(params=zero_b, basis=BasisSpec(n_dim=6)).bands.entries).max() > 0
 
     @pytest.mark.parametrize("n_dim", [2, 3, 50, 400])
     def test_overflow_threshold_is_n_times_frobenius_norm(self, n_dim):
@@ -248,7 +241,7 @@ class TestBuildHamiltonian:
         spec = HamiltonianSpec(
             params=TransformParams(l_coef, r_coef, t * a_coef, t * b_coef), basis=BasisSpec(n_dim=n_dim, freq=w)
         )
-        h = build_hamiltonian(spec) / (t * t)
+        h = spec.bands.entries / (t * t)
         assert np.linalg.norm(h) == pytest.approx(norm, rel=1e-12)
         assert np.abs(h - ref).max() <= 1e-14 * norm
 
@@ -324,7 +317,7 @@ class TestBuildHamiltonian:
         # from the float inputs in 500 digits, is 0
         spec = HamiltonianSpec(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim=n_dim, freq=w))
         with pytest.raises(ValueError, match=r"^H is zero \(every entry is 0\) for TransformParams\("):
-            build_hamiltonian(spec)
+            spec.bands.entries
         with mpmath.workdps(500):
             l_coef, r_coef, a_coef, b_coef, w = map(mpmath.mpf, (l_coef, r_coef, a_coef, b_coef, w))
             raise_op = mpmath.matrix(n_dim, n_dim)
@@ -402,7 +395,7 @@ class TestBuildHamiltonian:
             h[k, k] = bands.diag[k]
         for k in range(n_dim - 2):
             h[k, k + 2], h[k + 2, k] = bands.upper[k], bands.lower[k]
-        assert bands.entries.tobytes() == h.tobytes() == build_hamiltonian(spec).tobytes()
+        assert bands.entries.tobytes() == h.tobytes() == spec.bands.entries.tobytes()
         assert not bands.entries.flags.writeable and not any(band.flags.writeable for band in bands)
 
     def test_normalization_enters_the_exact_form(self):
@@ -430,7 +423,7 @@ class TestBuildHamiltonian:
             )
             ref = oracles.hamiltonian(basis.n_dim, basis.freq, l_coef, r_coef, a_coef, b_coef)
             assert np.all(ref.imag == 0.0)
-            h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
+            h = HamiltonianSpec(params=params, basis=basis).bands.entries
             assert np.abs(h - ref.real).max() <= 4 * EPS * np.linalg.norm(h)
 
 
@@ -447,7 +440,7 @@ class TestDiagonalExpectation:
         assume(1.0 + shears[0] * shears[1] != 0.0)
         params = TransformParams(*shears, *weights)
         spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
-        h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=w)))
+        h = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=w)).bands.entries
         levels = [diagonal_expectation(spec, n, w) for n in range(n_dim)]
         np.testing.assert_array_equal(levels, np.diagonal(h))
 
@@ -462,7 +455,7 @@ class TestDiagonalExpectation:
         for params, w in extreme_grid():
             spec = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim))
             try:
-                h = build_hamiltonian(HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=w)))
+                h = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=n_dim, freq=w)).bands.entries
             except ValueError as exc:
                 seen.add(str(exc).split(" (")[0])
                 for level in (0, n_dim - 1):
@@ -534,12 +527,12 @@ class TestDiagonalExpectation:
             fresh = HamiltonianSpec(params=params, basis=BasisSpec(n_dim=other, freq=4.0))
             if other == 400:
                 with pytest.raises(ValueError, match=r"^H overflows float64") as expected:
-                    build_hamiltonian(fresh)
+                    fresh.bands.entries
                 with pytest.raises(ValueError) as raised:
-                    build_hamiltonian(moved)
+                    moved.bands.entries
                 assert str(raised.value) == str(expected.value)
             else:
-                assert build_hamiltonian(moved).tobytes() == build_hamiltonian(fresh).tobytes()
+                assert moved.bands.entries.tobytes() == fresh.bands.entries.tobytes()
 
     def test_search_checks_params_once(self, table1_params, monkeypatch):
         # a 42-call golden-section search on one spec makes the (params, N) half once: a/2, b/2, c.
@@ -609,7 +602,7 @@ class TestDiagonalExpectation:
         f32, f64 = HamiltonianSpec(params=as_f32, basis=basis), HamiltonianSpec(params=as_float, basis=basis)
         assert diagonal_expectation(f32, 3, 4.1).hex() == diagonal_expectation(f64, 3, 4.1).hex()
         assert diagonal_expectation(f32, 3, 4.1) == 18.785412611132834  # 18.785413974517244 in float32 bands
-        assert build_hamiltonian(f32).tobytes() == build_hamiltonian(f64).tobytes()
+        assert f32.bands.entries.tobytes() == f64.bands.entries.tobytes()
         python = TransformParams(l_coef=3.0, r_coef=0.1, a_coef=1.0, b_coef=5.0)
         assert (python.l_coef, python.r_coef) == (3.0, 0.1) and python.r_coef.hex() == (0.1).hex()
 
@@ -622,7 +615,7 @@ class TestDiagonalExpectation:
 
     def test_valid_call_builds_no_basis(self, table1_params, monkeypatch):
         # O(1) with no object on the way: the trial frequency is checked in place
-        h = build_hamiltonian(HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7, freq=4.1)))
+        h = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7, freq=4.1)).bands.entries
         spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=7))
 
         def no_basis(self):
@@ -854,7 +847,7 @@ class TestHermitianLimitSpectrum:
         params = TransformParams(a_coef=1.5, b_coef=0.75)
         n_dim = 30
         basis = BasisSpec(n_dim=n_dim, freq=variational_frequency(params))
-        h = build_hamiltonian(HamiltonianSpec(params=params, basis=basis))
+        h = HamiltonianSpec(params=params, basis=basis).bands.entries
         np.testing.assert_array_equal(h, h.T)
         ev = np.sort(eigenvalues(h).values.real)
         levels = np.arange(n_dim // 2)
@@ -875,7 +868,7 @@ class TestRealityWindow:
         spec = HamiltonianSpec(params=table1_params, basis=BasisSpec(n_dim=n_dim, freq=w))
         _, upper, lower = spec.bands
         np.testing.assert_array_equal(lower if w == 2.0 else upper, 0.0)
-        values = eigenvalues(build_hamiltonian(spec)).values
+        values = eigenvalues(spec.bands.entries).values
         np.testing.assert_array_equal(values.imag, 0.0)
         levels = np.append(5.0 * (2 * np.arange(n_dim - 1) + 1), 5.0 * (n_dim - 1))
         np.testing.assert_array_equal(values.real, np.sort(levels))
