@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, TransformParams
-from .eig import EigensolverError, eigenvalues
+from .eig import EigensolverError, Spectrum, eigenvalues
 from .model import HamiltonianSpec, Regime, classify_regime
 
 __all__ = [
@@ -33,25 +33,25 @@ _LEVEL = np.dtype([("epsilon", np.float64), ("computed", np.complex128), ("abs_d
 
 @dataclass(frozen=True)
 class IsospectralReport:
-    """Level-by-level comparison of the computed spectrum with (2n+1)|AB|.
+    """Level-by-level comparison of a solve's spectrum with (2n+1)|AB|.
 
     H depends on A and B only through A^2 and B^2, so the reference
     holds for either sign of A*B.
 
+    spectrum is the solve compared; its n_real and n_complex (pairs) are
+    the report's counts, n_real + 2 n_complex = N.
     rows is a read-only structured array with one record per level, the
-    level being its index: the reference `epsilon`, the `computed` value,
-    their distance `abs_dev` and the verdict `iso`.  Levels are aligned by
-    sorted index (real part, then imaginary part), so a conjugate pair
-    occupies two consecutive levels.  A level is iso only if its value
-    classifies as real and sits within max(ISO_TOL, 4 eps epsilon) of the
-    reference epsilon = (2n+1)|AB|.
-    n_real + 2 n_complex_pairs = N.
+    level being its index: the reference `epsilon`, the `computed` value
+    (spectrum.values), their distance `abs_dev` and the verdict `iso`.
+    Levels are aligned by sorted index (real part, then imaginary part), so
+    a conjugate pair occupies two consecutive levels.  A level is iso only
+    if its value classifies as real and sits within max(ISO_TOL,
+    4 eps epsilon) of the reference epsilon = (2n+1)|AB|.
     """
 
     rows: np.ndarray
     first_deviation_index: int | None
-    n_real: int
-    n_complex_pairs: int
+    spectrum: Spectrum
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def isospectral_report(params: TransformParams, basis: BasisSpec) -> Isospectral
     return IsospectralReport(
         rows=rows,
         first_deviation_index=int(deviations[0]) if deviations.size else None,
-        n_real=spec.n_real,
-        n_complex_pairs=spec.n_complex,
+        spectrum=spec,
     )
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .analysis import dual_params, duality_check, isospectral_report, sweep
 from .basis import BasisSpec, TransformParams, normalized_commutator_check
-from .eig import EigensolverError, eigenvalues
+from .eig import EigensolverError, Spectrum, eigenvalues
 from .model import HamiltonianSpec, _quadratic_form, reality_window, variational_frequency
 
 __all__ = [
@@ -316,18 +316,19 @@ def _window(params: TransformParams, freq: float) -> dict:
     return {"w_minus": w_minus, "w_plus": w_plus, "in_real_window": freq <= window[0] or freq >= window[1]}
 
 
+def _summary(spectrum: Spectrum, config: RunConfig, **extra) -> dict:
+    """A solve's summary: its counts, then extra, then the reality window at config's basis."""
+    counts = {"n_real": spectrum.n_real, "n_complex_pairs": spectrum.n_complex}
+    return {**counts, **extra, **_window(config.params, config.basis.freq)}
+
+
 def _build_isospectral(config: RunConfig) -> Report:
     report = isospectral_report(config.params, config.basis)
     table = [
         {"level": n, "epsilon_n": e, "re": v.real, "im": v.imag, "abs_dev": d, "remark": "Iso" if iso else "NoIso"}
         for n, (e, v, d, iso) in enumerate(report.rows[: config.print_count].tolist())
     ]
-    summary = {
-        "n_real": report.n_real,
-        "n_complex_pairs": report.n_complex_pairs,
-        "first_deviation_index": report.first_deviation_index,
-        **_window(config.params, config.basis.freq),
-    }
+    summary = _summary(report.spectrum, config, first_deviation_index=report.first_deviation_index)
 
     def lines() -> list[str]:
         dual = config.command is Command.TABLE_TWO
@@ -348,11 +349,7 @@ def _build_spectrum(config: RunConfig) -> Report:
     spec = eigenvalues(HamiltonianSpec(params=config.params, basis=config.basis).bands)
     values = spec.values[: config.print_count].tolist()
     table = [{"level": n, "re": v.real, "im": v.imag} for n, v in enumerate(values)]
-    summary = {
-        "n_real": spec.n_real,
-        "n_complex_pairs": spec.n_complex,
-        **_window(config.params, config.basis.freq),
-    }
+    summary = _summary(spec, config)
 
     def lines() -> list[str]:
         body = [f"{row['level']} | {_fmt_value(complex(row['re'], row['im']))}" for row in table]
@@ -418,7 +415,8 @@ def _build_sweep(config: RunConfig) -> Report:
     for basis, r in result.points:
         cutoff = r.first_deviation_index
         max_dev = float(r.rows["abs_dev"][:cutoff].max(initial=0.0))
-        table.append(dict(zip(fields, (getattr(basis, field), r.n_real, r.n_complex_pairs, cutoff, max_dev))))
+        spec = r.spectrum
+        table.append(dict(zip(fields, (getattr(basis, field), spec.n_real, spec.n_complex, cutoff, max_dev))))
         if by_w:
             table[-1]["in_real_window"] = _window(config.params, basis.freq)["in_real_window"]
     fields += ["in_real_window"] if by_w else []

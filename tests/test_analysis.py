@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from nhosc import (
     variational_frequency,
 )
 from nhosc.analysis import ISO_TOL
+from nhosc.cli import main
 from test_model import draw_real_spectrum_params
 
 
@@ -67,7 +69,7 @@ class TestIsospectralReport:
         # w=16 lies in the real window (w > 8): no pairs, and the ladder holds
         # up to level 111 (the balanced solve printed 131 pairs and stopped at 36)
         report = isospectral_report(table1_params, BasisSpec(n_dim=400, freq=16.0))
-        assert (report.n_complex_pairs, report.first_deviation_index) == (0, 111)
+        assert (report.spectrum.n_complex, report.first_deviation_index) == (0, 111)
 
     @pytest.mark.parametrize("w_cap", [1e150, 1e300])
     def test_level_within_rounding_of_a_huge_reference_is_iso(self, w_cap):
@@ -95,8 +97,19 @@ class TestIsospectralReport:
             rows["iso"][0] = False
         with pytest.raises(ValueError):
             rows[0] = rows[1]
-        assert table1_report.n_real + 2 * table1_report.n_complex_pairs == 100
-        assert table1_report.n_real == int(np.count_nonzero(rows["computed"].imag == 0.0))
+        assert table1_report.spectrum.n_real + 2 * table1_report.spectrum.n_complex == 100
+        assert table1_report.spectrum.n_real == int(np.count_nonzero(rows["computed"].imag == 0.0))
+
+    def test_keeps_the_spectrum_it_compared(self, table1_params, capsys):
+        # the report carries its solve: rows' computed column is that solve's values, bit for bit,
+        # and sweep-w prints the solve's counts at the same point
+        report = isospectral_report(table1_params, BasisSpec(n_dim=40, freq=3.0))
+        assert np.ascontiguousarray(report.rows["computed"]).tobytes() == report.spectrum.values.tobytes()
+        counts = (report.spectrum.n_real, report.spectrum.n_complex, report.first_deviation_index)
+        assert counts == (16, 12, 11)
+        assert main(["sweep-w", "--L", "3", "--B", "5", "--values", "3", "--N", "40", "--format", "json"]) == 0
+        (point,) = json.loads(capsys.readouterr().out)["points"]
+        assert (point["n_real"], point["n_complex_pairs"], point["first_deviation_index"]) == counts
 
     def test_broken_regime_rejected(self):
         with pytest.raises(ValueError):
@@ -135,7 +148,7 @@ class TestIsospectralReport:
             assert report.rows[n]["iso"]
             assert report.rows[n]["abs_dev"] <= 1e-6
         assert report.first_deviation_index == 25
-        assert report.n_complex_pairs == 0
+        assert report.spectrum.n_complex == 0
 
     def test_hermitian_deviation_against_doubled_basis(self):
         # doubled-N reference: the N=100 sorted values are the converged
@@ -253,7 +266,8 @@ class TestSweepContract:
             direct = isospectral_report(table1_params, basis)
             assert np.array_equal(report.rows, direct.rows)
             assert report.first_deviation_index == direct.first_deviation_index
-            assert (report.n_real, report.n_complex_pairs) == (direct.n_real, direct.n_complex_pairs)
+            got, want = report.spectrum, direct.spectrum
+            assert (got.n_real, got.n_complex) == (want.n_real, want.n_complex)
 
     def test_keeps_the_given_order_across_fields(self, table1_params):
         bases = [BasisSpec(n_dim=30, freq=4.0), BasisSpec(n_dim=10, freq=2.5), BasisSpec(n_dim=20, freq=7.0)]
@@ -273,9 +287,9 @@ class TestSweepFrequency:
         assert [basis.freq for basis, _ in result.points] == [2.0, 4.0, 8.0]
         assert not result.failures
         by_w = {basis.freq: report for basis, report in result.points}
-        assert by_w[4.0].n_complex_pairs > 0
+        assert by_w[4.0].spectrum.n_complex > 0
         for _, report in result.points:
-            assert report.n_real + 2 * report.n_complex_pairs == 60
+            assert report.spectrum.n_real + 2 * report.spectrum.n_complex == 60
 
     def test_single_point_matches_report(self, table1_params):
         basis = BasisSpec(n_dim=40, freq=4.0)
@@ -283,12 +297,12 @@ class TestSweepFrequency:
         result = sweep(table1_params, grid(BasisSpec(n_dim=40), "freq", [4.0]))
         point_basis, point = result.points[0]
         assert point_basis == basis
-        assert point.n_complex_pairs == report.n_complex_pairs
+        assert point.spectrum.n_complex == report.spectrum.n_complex
         assert point.first_deviation_index == report.first_deviation_index
 
     def test_hermitian_limit_no_pairs(self):
         result = sweep(TransformParams(), grid(BasisSpec(n_dim=30), "freq", [0.5, 1.0, 2.0]))
-        assert all(report.n_complex_pairs == 0 for _, report in result.points)
+        assert all(report.spectrum.n_complex == 0 for _, report in result.points)
 
     def test_rejects_nonpositive_frequency(self, table1_params):
         with pytest.raises(ValueError):
@@ -330,7 +344,7 @@ class TestSweepTruncation:
         result = sweep(TransformParams(), grid(BasisSpec(n_dim=2), "n_dim", [2]))
         assert len(result.points) == 1
         report = result.points[0][1]
-        assert report.n_real + 2 * report.n_complex_pairs == 2
+        assert report.spectrum.n_real + 2 * report.spectrum.n_complex == 2
 
     def test_hermitian_first_deviation_grows(self):
         result = sweep(TransformParams(), grid(BasisSpec(n_dim=2), "n_dim", [50, 100]))
@@ -361,7 +375,7 @@ class TestExactPairCounts:
     @pytest.mark.parametrize("n_dim, pairs", [(40, 13), (60, 19)])
     def test_table_one_at_the_variational_frequency(self, table1_params, n_dim, pairs):
         assert oracles.exact_complex_pairs(3.0, 0.0, 1.0, 5.0, 4.0, n_dim) == pairs
-        assert isospectral_report(table1_params, BasisSpec(n_dim=n_dim, freq=4.0)).n_complex_pairs == pairs
+        assert isospectral_report(table1_params, BasisSpec(n_dim=n_dim, freq=4.0)).spectrum.n_complex == pairs
 
     @pytest.mark.parametrize("freq, pairs", [
         (2.01, 0), (2.1, 2), (2.5, 5), (3.0, 6), (4.0, 6), (6.0, 5), (7.5, 2), (7.9, 0), (7.99, 0),
@@ -370,7 +384,7 @@ class TestExactPairCounts:
         # inside the reality window (2, 8) pairs are possible, not guaranteed: N = 20
         # is still real at 2.01, 7.9 and 7.99
         assert oracles.exact_complex_pairs(3.0, 0.0, 1.0, 5.0, freq, 20) == pairs
-        assert isospectral_report(table1_params, BasisSpec(n_dim=20, freq=freq)).n_complex_pairs == pairs
+        assert isospectral_report(table1_params, BasisSpec(n_dim=20, freq=freq)).spectrum.n_complex == pairs
 
     @given(
         data=st.data(),
@@ -425,7 +439,7 @@ class TestExactPairCounts:
         """The pair count, each Iso level and the first deviation against the exact oracles; returns the report."""
         report = isospectral_report(TransformParams(l_coef, r_coef, a_coef, b_coef), BasisSpec(n_dim=n_dim, freq=freq))
         roots = oracles.exact_real_eigenvalues(l_coef, r_coef, a_coef, b_coef, freq, n_dim)
-        assert report.n_complex_pairs == (n_dim - len(roots)) // 2
+        assert report.spectrum.n_complex == (n_dim - len(roots)) // 2
         # at a window edge the edge value (N-1)|AB| doubles level (N-2)/2 of an even N
         edge = Fraction(freq) in oracles.exact_reality_window(l_coef, r_coef, a_coef, b_coef)
         doubled = (n_dim - 2) // 2 if edge and n_dim % 2 == 0 else None

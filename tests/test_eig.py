@@ -681,5 +681,5 @@ class TestClassify:
 
     def test_table_configuration_has_pairs(self, table1_report):
         # complex pairs in the upper spectrum of the full-size run
-        assert table1_report.n_complex_pairs > 0
-        assert table1_report.n_complex_pairs * 2 < 100
+        assert table1_report.spectrum.n_complex > 0
+        assert table1_report.spectrum.n_complex * 2 < 100

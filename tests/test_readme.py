@@ -21,4 +21,4 @@ def test_library_example_runs():
     # the example's one solve counts what the report of the same basis counts
     report = isospectral_report(namespace["params"], namespace["basis"])
     spectrum = namespace["spectrum"]
-    assert (spectrum.n_real, spectrum.n_complex) == (report.n_real, report.n_complex_pairs)
+    assert (spectrum.n_real, spectrum.n_complex) == (report.spectrum.n_real, report.spectrum.n_complex)
